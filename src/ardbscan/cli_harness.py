@@ -26,7 +26,12 @@ import numpy as np
 from .config import RunConfig
 from .dataset import Dataset, load_csv, normalize, sample_labeled_subset, split_blocks
 from .dbscan_core import NOISE, DbscanParams, run_dbscan
-from .encoding_tree import allocate_agents, optimize_two_level
+from .encoding_tree import (
+    AgentAllocation,
+    EncodingTree,
+    allocate_agents,
+    optimize_two_level,
+)
 from .metrics import ari, nmi
 from .recursive_search import (
     AgentResult,
@@ -34,7 +39,7 @@ from .recursive_search import (
     merge_agent_results,
     run_agent,
 )
-from .structured_graph import select_k
+from .structured_graph import SelectKResult, select_k
 
 
 class DataError(Exception):
@@ -134,21 +139,29 @@ def _run_seed(norm: Dataset, partitions: List[np.ndarray], config: RunConfig,
     return summary, merged.final.assignment
 
 
-def run_offline_pipeline(raw: Dataset, config: RunConfig,
-                         trace_dir: Optional[Path] = None
-                         ) -> Tuple[dict, np.ndarray]:
-    """Full pipeline on one dataset; returns the report body and the
-    first seed's merged assignment."""
+def _set_up(raw: Dataset, config: RunConfig, allocate: bool = True
+            ) -> Tuple[Dataset, SelectKResult, Optional[EncodingTree],
+                       Optional[AgentAllocation]]:
+    """Check and normalize the data, select k and, when ``allocate`` is
+    set, build the encoding tree and the agent allocation."""
     _check_dataset(raw)
     norm = normalize(raw)
     sel = select_k(norm.points, cap=config.k_sweep_cap)
-    if config.single_agent:
-        partitions = [np.arange(norm.n)]
-    else:
-        tree = optimize_two_level(sel.graph)
-        alloc = allocate_agents(tree, sel.k, config.alloc_eps,
-                                config.alloc_minpts)
-        partitions = list(alloc.partitions)
+    if not allocate:
+        return norm, sel, None, None
+    tree = optimize_two_level(sel.graph)
+    alloc = allocate_agents(tree, sel.k, config.alloc_eps, config.alloc_minpts)
+    return norm, sel, tree, alloc
+
+
+def run_offline_pipeline(raw: Dataset, config: RunConfig,
+                         trace_dir: Optional[Path] = None
+                         ) -> Tuple[dict, np.ndarray, Dataset]:
+    """Full pipeline on one dataset; returns the report body, the first
+    seed's merged assignment and the normalized dataset."""
+    norm, sel, _, alloc = _set_up(raw, config,
+                                  allocate=not config.single_agent)
+    partitions = [np.arange(norm.n)] if alloc is None else list(alloc.partitions)
 
     per_seed = []
     first_assignment: Optional[np.ndarray] = None
@@ -168,7 +181,7 @@ def run_offline_pipeline(raw: Dataset, config: RunConfig,
         "per_seed": per_seed,
     }
     body.update(_aggregate(per_seed))
-    return body, first_assignment
+    return body, first_assignment, norm
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +276,7 @@ def cmd_cluster(config: RunConfig, out_dir: Path, trace: bool = False) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = _load_dataset(config)
     started = time.perf_counter()
-    body, assignment = run_offline_pipeline(
+    body, assignment, norm = run_offline_pipeline(
         raw, config, trace_dir=out_dir if trace else None)
     report = {
         "mode": config.mode,
@@ -274,19 +287,15 @@ def cmd_cluster(config: RunConfig, out_dir: Path, trace: bool = False) -> dict:
     }
     _write_json(out_dir / "report.json", report)
     _write_assignment(out_dir / "assignment.csv", assignment)
-    _write_svg(out_dir / "clusters.svg", normalize(raw).points, assignment)
+    _write_svg(out_dir / "clusters.svg", norm.points, assignment)
     return report
 
 
 def cmd_allocate(config: RunConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = _load_dataset(config)
-    _check_dataset(raw)
     started = time.perf_counter()
-    norm = normalize(raw)
-    sel = select_k(norm.points, cap=config.k_sweep_cap)
-    tree = optimize_two_level(sel.graph)
-    alloc = allocate_agents(tree, sel.k, config.alloc_eps, config.alloc_minpts)
+    norm, sel, tree, alloc = _set_up(raw, config)
 
     node_rows = []
     for node in tree.export_nodes(sel.k):
@@ -341,7 +350,7 @@ def cmd_online(config: RunConfig, out_dir: Path) -> dict:
         raise DataError(str(exc)) from exc
     block_reports = []
     for index, block in enumerate(blocks):
-        body, assignment = run_offline_pipeline(block, config)
+        body, assignment, _ = run_offline_pipeline(block, config)
         block_reports.append({"block": index, **body})
         _write_assignment(out_dir / f"assignment_block_{index}.csv", assignment)
     report = {

@@ -1,15 +1,13 @@
 """Run configuration shared by the CLI and the search orchestration.
 
 A :class:`RunConfig` carries every tunable of the pipeline with its
-default value.  Configs load from flat JSON files; unknown keys are
-rejected so typos fail loudly instead of silently running defaults.
+default value.  Configs are built from flat JSON objects; unknown keys
+are rejected so typos fail loudly instead of silently running defaults.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Any
 
 _MODES = ("offline", "online")
@@ -137,11 +135,3 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         return cls(**raw)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError("config file must contain a JSON object")
-        return cls.from_dict(raw)

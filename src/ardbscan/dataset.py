@@ -7,6 +7,7 @@ separator, optionally a trailing integer label column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,8 +64,8 @@ class LabeledSubset:
 def load_csv(path: str | Path, has_labels: bool = False) -> Dataset:
     """Parse a headerless CSV of points, optionally with a final label column.
 
-    Raises ValueError naming the offending 1-based line on any malformed row,
-    and on empty input.
+    Raises ValueError naming the offending 1-based line on any malformed or
+    non-finite row, and on empty input.
     """
     rows: list[list[float]] = []
     labels: list[int] = []
@@ -88,9 +89,12 @@ def load_csv(path: str | Path, has_labels: bool = False) -> Dataset:
                 )
             feat_fields = fields[:-1] if has_labels else fields
             try:
-                rows.append([float(f) for f in feat_fields])
+                row = [float(f) for f in feat_fields]
             except ValueError:
                 raise ValueError(f"line {lineno}: non-numeric feature value") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"line {lineno}: non-finite feature value")
+            rows.append(row)
             if has_labels:
                 labels.append(_parse_label(fields[-1], lineno))
     if not rows:
@@ -106,6 +110,8 @@ def _parse_label(field: str, lineno: int) -> int:
         value = float(field)
     except ValueError:
         raise ValueError(f"line {lineno}: non-numeric label") from None
+    if not math.isfinite(value):
+        raise ValueError(f"line {lineno}: label {field!r} is not finite")
     if value != int(value):
         raise ValueError(f"line {lineno}: label {field!r} is not an integer")
     return int(value)

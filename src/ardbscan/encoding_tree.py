@@ -7,19 +7,23 @@ that a random walk enters it from outside.  Lower tree entropy means
 the communities capture more of the walk's locality, so minimizing it
 is a parameter-free way to partition the graph by density.
 
-The optimizer starts from the flat tree (every vertex a direct child
-of the root) and greedily merges the pair of root children whose merge
-lowers entropy the most, stopping when no merge strictly helps.
-Communities that never merge, including isolated vertices, are still
-wrapped in their own intermediate node so that every partition has a
-well-defined information uncertainty afterwards.
+A height-two tree is fully described by which community each vertex
+belongs to, so :class:`EncodingTree` stores exactly that: a community
+index per vertex plus each community's cut and volume.  Every vertex
+sits in some community; an unmerged vertex is a singleton community,
+which gives every partition a well-defined information uncertainty.
+
+The optimizer starts from all-singleton communities (whose entropy is
+the one-dimensional structural entropy) and greedily merges the pair of
+communities whose merge lowers entropy the most, stopping when no merge
+strictly helps.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,76 +37,56 @@ ROOT = -1
 _DESCENT_TOL = -1e-12
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """One node of an encoding tree.
-
-    ``vertices`` is the sorted set of graph vertices below the node,
-    ``cut`` the total weight leaving that set and ``volume`` the total
-    degree inside it.  Leaves carry their own degree in both fields.
-    """
-
-    node_id: int
-    parent: Optional[int]
-    children: Tuple[int, ...]
-    vertices: Tuple[int, ...]
-    cut: float
-    volume: float
-
-
 class EncodingTree:
     """Height-two encoding tree over a :class:`StructuredGraph`.
 
+    ``community[v]`` is the community of vertex ``v``; communities are
+    numbered ``0..m-1`` in order of their smallest vertex.  ``cut[c]`` is
+    the total weight leaving community ``c``, ``volume[c]`` the total
+    degree inside it and ``size[c]`` its vertex count.  A leaf's own cut
+    and volume are its degree.  ``entropy_trace`` holds the tree entropy
+    before the first greedy merge and after each one.
+
     Node ids: ``ROOT`` (-1) for the root, ``0..n-1`` for leaves (equal
-    to vertex ids), and ids ``>= n`` for intermediate community nodes.
-    Trees are treated as immutable; the operators below return new
-    trees instead of mutating.
+    to vertex ids), and ``n + c`` for community ``c``.
     """
 
     def __init__(
         self,
         graph: StructuredGraph,
-        nodes: Dict[int, TreeNode],
+        community: np.ndarray,
+        cut: np.ndarray,
+        volume: np.ndarray,
         entropy_trace: Optional[List[float]] = None,
     ) -> None:
         self.graph = graph
-        self.nodes = nodes
+        self.community = np.asarray(community, dtype=np.int64)
+        self.cut = np.asarray(cut, dtype=np.float64)
+        self.volume = np.asarray(volume, dtype=np.float64)
+        self.size = np.bincount(self.community, minlength=self.cut.size)
         self.entropy_trace: List[float] = entropy_trace if entropy_trace is not None else []
-
-    @classmethod
-    def flat(cls, graph: StructuredGraph) -> "EncodingTree":
-        """Tree with every vertex as a direct child of the root."""
-        n = graph.n
-        deg = graph.degrees
-        nodes: Dict[int, TreeNode] = {
-            ROOT: TreeNode(ROOT, None, tuple(range(n)), tuple(range(n)),
-                           0.0, graph.volume),
-        }
-        for v in range(n):
-            d = float(deg[v])
-            nodes[v] = TreeNode(v, ROOT, (), (v,), d, d)
-        tree = cls(graph, nodes)
-        tree.entropy_trace = [tree_entropy(tree)]
-        return tree
 
     def is_leaf(self, node_id: int) -> bool:
         return 0 <= node_id < self.graph.n
 
     def intermediates(self) -> List[int]:
-        return sorted(nid for nid in self.nodes if nid >= self.graph.n)
+        n = self.graph.n
+        return list(range(n, n + self.cut.size))
 
     def export_nodes(self, k: Optional[int] = None) -> List[dict]:
         """Plain-dict dump of the tree, suitable for JSON output."""
-        rows = []
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
-            row = {
-                "id": nid,
-                "parent": node.parent,
-                "vertices": list(node.vertices),
-                "entropy": None if nid == ROOT else node_entropy(self, nid),
-            }
-            if k is not None and not self.is_leaf(nid) and nid != ROOT:
+        n = self.graph.n
+        rows = [{"id": ROOT, "parent": None, "vertices": list(range(n)),
+                 "entropy": None}]
+        for v in range(n):
+            rows.append({"id": v, "parent": n + int(self.community[v]),
+                         "vertices": [v], "entropy": node_entropy(self, v)})
+        by_community = np.argsort(self.community, kind="stable")
+        groups = np.split(by_community, np.cumsum(self.size)[:-1])
+        for nid, members in zip(self.intermediates(), groups):
+            row = {"id": nid, "parent": ROOT, "vertices": members.tolist(),
+                   "entropy": node_entropy(self, nid)}
+            if k is not None:
                 row["uncertainty"] = information_uncertainty(self, nid, k)
             rows.append(row)
         return rows
@@ -112,120 +96,41 @@ def node_entropy(tree: EncodingTree, node_id: int) -> float:
     """Entropy term of one non-root node."""
     if node_id == ROOT:
         raise ValueError("the root has no entropy term")
-    node = tree.nodes[node_id]
-    if node.cut == 0.0 or node.volume == 0.0:
+    if tree.is_leaf(node_id):
+        cut = volume = float(tree.graph.degrees[node_id])
+        parent_volume = float(tree.volume[tree.community[node_id]])
+    else:
+        c = node_id - tree.graph.n
+        cut, volume = float(tree.cut[c]), float(tree.volume[c])
+        parent_volume = tree.graph.volume
+    if cut == 0.0 or volume == 0.0:
         return 0.0
-    parent_volume = tree.nodes[node.parent].volume
-    return -(node.cut / tree.graph.volume) * math.log2(node.volume / parent_volume)
+    return -(cut / tree.graph.volume) * math.log2(volume / parent_volume)
 
 
 def tree_entropy(tree: EncodingTree) -> float:
-    return sum(node_entropy(tree, nid) for nid in tree.nodes if nid != ROOT)
+    n = tree.graph.n
+    return sum(node_entropy(tree, nid) for nid in range(n + tree.cut.size))
 
 
-def _xlog2(coeff: float, ratio: float) -> float:
-    if coeff == 0.0:
-        return 0.0
-    return coeff * math.log2(ratio)
+def _merge_delta(vol: float, v_a: float, g_a: float, v_b: np.ndarray,
+                 g_b: np.ndarray, w_ab: np.ndarray) -> np.ndarray:
+    """Entropy change of merging community A with each candidate B.
 
-
-def _merge_delta(vol: float, v_a: float, g_a: float, v_b: float, g_b: float,
-                 w_ab: float) -> float:
-    """Entropy change of replacing root-children A and B with A union B.
-
-    Works for any mix of leaves and communities; a leaf behaves exactly
-    like the singleton community holding it.
+    ``v_*`` are volumes, ``g_*`` cuts and ``w_ab`` the weight between A
+    and each B.  A is one community (scalars); the B terms are arrays.
+    The greedy optimizer's tie-breaking depends on these exact values, so
+    the evaluation order of the expression must not change.
     """
     v_ab = v_a + v_b
     g_ab = g_a + g_b - 2.0 * w_ab
-    total = (
-        -_xlog2(g_ab, v_ab / vol)
-        + _xlog2(g_a, v_a / vol)
-        + _xlog2(g_b, v_b / vol)
-        + _xlog2(v_a, v_ab / v_a)
-        + _xlog2(v_b, v_ab / v_b)
-    )
-    return total / vol
-
-
-def _cross_weight(graph: StructuredGraph, verts_a: Sequence[int],
-                  verts_b: Sequence[int]) -> float:
-    mask_a = np.zeros(graph.n, dtype=bool)
-    mask_b = np.zeros(graph.n, dtype=bool)
-    mask_a[list(verts_a)] = True
-    mask_b[list(verts_b)] = True
-    sel = (mask_a[graph.u] & mask_b[graph.v]) | (mask_b[graph.u] & mask_a[graph.v])
-    return float(graph.w[sel].sum())
-
-
-def _check_mergeable(tree: EncodingTree, a: int, b: int) -> None:
-    if a == b:
-        raise ValueError("merge requires two distinct nodes")
-    for nid in (a, b):
-        if nid == ROOT:
-            raise ValueError("the root cannot be merged")
-        if nid not in tree.nodes:
-            raise ValueError(f"unknown node id {nid}")
-    pa = tree.nodes[a].parent
-    pb = tree.nodes[b].parent
-    if pa != pb:
-        raise ValueError("nodes must be siblings")
-    if pa != ROOT:
-        raise ValueError("merging below the root would exceed height 2")
-
-
-def _apply_union(tree: EncodingTree, a: int, b: int) -> Tuple["EncodingTree", float]:
-    na, nb = tree.nodes[a], tree.nodes[b]
-    w_ab = _cross_weight(tree.graph, na.vertices, nb.vertices)
-    delta = _merge_delta(tree.graph.volume, na.volume, na.cut,
-                         nb.volume, nb.cut, w_ab)
-
-    new_nodes = dict(tree.nodes)
-    child_ids: List[int] = []
-    for nid in (a, b):
-        if tree.is_leaf(nid):
-            child_ids.append(nid)
-        else:
-            child_ids.extend(tree.nodes[nid].children)
-            del new_nodes[nid]
-    new_id = max(new_nodes) + 1 if new_nodes else tree.graph.n
-    new_id = max(new_id, tree.graph.n)
-    merged = TreeNode(
-        new_id, ROOT, tuple(child_ids),
-        tuple(sorted(na.vertices + nb.vertices)),
-        na.cut + nb.cut - 2.0 * w_ab,
-        na.volume + nb.volume,
-    )
-    new_nodes[new_id] = merged
-    for ch in child_ids:
-        new_nodes[ch] = replace(new_nodes[ch], parent=new_id)
-    root = new_nodes[ROOT]
-    new_children = tuple(c for c in root.children if c not in (a, b)) + (new_id,)
-    new_nodes[ROOT] = replace(root, children=new_children)
-
-    trace = list(tree.entropy_trace)
-    if trace:
-        trace.append(trace[-1] + delta)
-    return EncodingTree(tree.graph, new_nodes, trace), delta
-
-
-def merge_operator(tree: EncodingTree, a: int, b: int) -> Tuple[EncodingTree, float]:
-    """Merge two root children into one community.
-
-    Children of the merged nodes become children of a single new
-    intermediate node.  Returns the new tree and the entropy change;
-    the input tree is left untouched.
-    """
-    _check_mergeable(tree, a, b)
-    return _apply_union(tree, a, b)
-
-
-def combine_operator(tree: EncodingTree, a: int, b: int) -> Tuple[EncodingTree, float]:
-    """Wrap two leaf children of the root in a fresh intermediate node."""
-    _check_mergeable(tree, a, b)
-    if not (tree.is_leaf(a) and tree.is_leaf(b)):
-        raise ValueError("combine expects two leaves")
-    return _apply_union(tree, a, b)
+    return (
+        -g_ab * np.log2(v_ab / vol)
+        + g_a * math.log2(v_a / vol)
+        + g_b * np.log2(v_b / vol)
+        + v_a * np.log2(v_ab / v_a)
+        + v_b * np.log2(v_ab / v_b)
+    ) / vol
 
 
 def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
@@ -297,17 +202,7 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
         d, w = clean(c)
         if d.size == 0:
             return
-        v_c, g_c = volume[c], cut[c]
-        v_p, g_p = volume[d], cut[d]
-        v_ab = v_c + v_p
-        g_ab = g_c + g_p - 2.0 * w
-        delta = (
-            -g_ab * np.log2(v_ab / vol)
-            + g_c * math.log2(v_c / vol)
-            + g_p * np.log2(v_p / vol)
-            + v_c * np.log2(v_ab / v_c)
-            + v_p * np.log2(v_ab / v_p)
-        ) / vol
+        delta = _merge_delta(vol, volume[c], cut[c], volume[d], cut[d], w)
         k1 = np.minimum(minv[c], minv[d])
         k2 = np.maximum(minv[c], minv[d])
         i = np.lexsort((k2, k1, delta))[0]
@@ -342,30 +237,15 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
         trace.append(trace[-1] + delta)
         push_best(c)
 
-    # materialize: every surviving community becomes one intermediate node,
-    # singletons included, ordered by their smallest vertex id
+    # number the surviving communities, singletons included, by their
+    # smallest vertex id
     roots = resolve(np.arange(n))
     uniq_roots, inv = np.unique(roots, return_inverse=True)
     part_order = np.argsort(minv[uniq_roots], kind="stable")
     rank = np.empty(uniq_roots.size, dtype=np.int64)
     rank[part_order] = np.arange(uniq_roots.size)
-
-    deg = graph.degrees
-    nodes: Dict[int, TreeNode] = {}
-    inter_ids = []
-    for pos, root_pos in enumerate(part_order):
-        root_c = int(uniq_roots[root_pos])
-        members = tuple(int(v) for v in np.flatnonzero(inv == root_pos))
-        nid = n + pos
-        inter_ids.append(nid)
-        nodes[nid] = TreeNode(nid, ROOT, members, members,
-                              float(cut[root_c]), float(volume[root_c]))
-        for v in members:
-            d = float(deg[v])
-            nodes[v] = TreeNode(v, nid, (), (v,), d, d)
-    nodes[ROOT] = TreeNode(ROOT, None, tuple(inter_ids), tuple(range(n)),
-                           0.0, vol)
-    return EncodingTree(graph, nodes, trace)
+    kept = uniq_roots[part_order]
+    return EncodingTree(graph, rank[inv], cut[kept], volume[kept], trace)
 
 
 def information_uncertainty(tree: EncodingTree, node_id: int, k: int) -> float:
@@ -374,12 +254,12 @@ def information_uncertainty(tree: EncodingTree, node_id: int, k: int) -> float:
         raise ValueError("k must be at least 1")
     if node_id == ROOT:
         raise ValueError("the root has no information uncertainty")
-    if node_id not in tree.nodes:
-        raise ValueError(f"unknown node id {node_id}")
     if tree.is_leaf(node_id):
         raise ValueError("leaf nodes have no information uncertainty")
-    node = tree.nodes[node_id]
-    return node_entropy(tree, node_id) / (len(node.vertices) * k)
+    c = node_id - tree.graph.n
+    if not 0 <= c < tree.cut.size:
+        raise ValueError(f"unknown node id {node_id}")
+    return node_entropy(tree, node_id) / (int(tree.size[c]) * k)
 
 
 def _cluster_uncertainties(values: Sequence[float], eps: float,
@@ -427,21 +307,11 @@ def allocate_agents(tree: EncodingTree, k: int, alloc_eps: float = 0.3,
     uncertainties = {nid: information_uncertainty(tree, nid, k) for nid in ids}
     groups = _cluster_uncertainties([uncertainties[nid] for nid in ids],
                                     alloc_eps, alloc_minpts)
-    order: List[int] = []
-    members: Dict[int, List[int]] = {}
-    for nid, gid in zip(ids, groups):
-        if gid not in members:
-            members[gid] = []
-            order.append(gid)
-        members[gid].append(nid)
-    partitions = []
-    node_to_partition = {}
-    for pid, gid in enumerate(order):
-        verts = np.sort(np.concatenate(
-            [np.asarray(tree.nodes[nid].vertices, dtype=np.int64)
-             for nid in members[gid]]
-        ))
-        partitions.append(verts)
-        for nid in members[gid]:
-            node_to_partition[nid] = pid
+    first_seen: Dict[int, int] = {}
+    pid_of = np.array([first_seen.setdefault(gid, len(first_seen))
+                       for gid in groups], dtype=np.int64)
+    vertex_pid = pid_of[tree.community]
+    partitions = [np.flatnonzero(vertex_pid == pid)
+                  for pid in range(len(first_seen))]
+    node_to_partition = dict(zip(ids, pid_of.tolist()))
     return AgentAllocation(partitions, uncertainties, node_to_partition)

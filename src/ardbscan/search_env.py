@@ -319,17 +319,6 @@ def apply_action(params: DbscanParams, action: Action, theta_eps: float,
     return DbscanParams(eps, min_pts), tuple(flags)
 
 
-def immediate_reward(params: DbscanParams, points: np.ndarray,
-                     labeled_idx: np.ndarray,
-                     labeled_truth: np.ndarray) -> float:
-    """NMI between the clustering and ground truth on the labeled subset."""
-    labeled_idx = np.asarray(labeled_idx)
-    if labeled_idx.size == 0:
-        raise ValueError("empty labeled subset")
-    result = run_dbscan(np.asarray(points, dtype=np.float64), params)
-    return nmi(result.assignment[labeled_idx], np.asarray(labeled_truth))
-
-
 def episode_rewards(immediates: Sequence[float],
                     config: RewardConfig) -> List[float]:
     """Blend of the best still-reachable reward and the endpoint reward."""

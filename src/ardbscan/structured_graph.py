@@ -99,9 +99,10 @@ def _mutual_rank_edges(dist: np.ndarray, cap: int):
 
 def _graph_from_prefix(n, k, u, v, d, m) -> StructuredGraph:
     """Materialize the k-NN graph from the first m entries of the sorted
-    edge table."""
-    scale = m / d[:m].sum()
-    w = np.exp(-d[:m] * scale)
+    edge table.  A prefix of zero-distance edges (duplicate points) gets
+    weight exp(0) = 1 throughout."""
+    total = d[:m].sum()
+    w = np.exp(-d[:m] * (m / total)) if total > 0 else np.ones(m)
     degrees = np.bincount(u[:m], w, minlength=n) + np.bincount(v[:m], w, minlength=n)
     return StructuredGraph(
         n, k, u[:m].copy(), v[:m].copy(), w, degrees, float(degrees.sum())
@@ -133,7 +134,7 @@ def normalized_one_dim_se(g: StructuredGraph) -> float:
 
 @dataclass(frozen=True)
 class SelectKResult:
-    """k selection outcome; iterates as (k, graph) for tuple unpacking."""
+    """k selection outcome."""
 
     k: int
     graph: StructuredGraph
@@ -142,16 +143,12 @@ class SelectKResult:
     stable_ks: list[int] = field(default_factory=list)
     exact: bool = True
 
-    def __iter__(self):
-        yield self.k
-        yield self.graph
-
 
 def _entropies_for(u, v, prefix_d, d, n, ms):
     out = np.empty(len(ms), dtype=np.float64)
     for i, m in enumerate(ms):
-        scale = m / prefix_d[m - 1]
-        w = np.exp(-d[:m] * scale)
+        total = prefix_d[m - 1]
+        w = np.exp(-d[:m] * (m / total)) if total > 0 else np.ones(m)
         deg = np.bincount(u[:m], w, minlength=n) + np.bincount(v[:m], w, minlength=n)
         vol = deg.sum()
         p = deg[deg > 0] / vol

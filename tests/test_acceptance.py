@@ -41,7 +41,12 @@ from ardbscan.search_env import (
     episode_rewards,
     td3_update,
 )
-from ardbscan.structured_graph import StructuredGraph, build_knn_graph, select_k
+from ardbscan.structured_graph import (
+    StructuredGraph,
+    build_knn_graph,
+    one_dim_se,
+    select_k,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +116,10 @@ def test_criterion_3_entropy_identities():
         k = int(rng.integers(2, 6))
         graph = build_knn_graph(points, k)
 
-        flat = EncodingTree.flat(graph)
-        one_dim = tree_entropy(flat)
+        singletons = EncodingTree(graph, np.arange(graph.n), graph.degrees,
+                                  graph.degrees)
+        one_dim = tree_entropy(singletons)
+        assert abs(one_dim - one_dim_se(graph)) < 1e-9
         tree = optimize_two_level(graph)
         trace = tree.entropy_trace
         assert abs(trace[0] - one_dim) < 1e-9
@@ -120,11 +127,11 @@ def test_criterion_3_entropy_identities():
             assert after < before
         assert abs(trace[-1] - tree_entropy(tree)) < 1e-9
 
-        for nid in tree.intermediates():
-            node = tree.nodes[nid]
-            cut, volume = _scratch_cut_volume(graph, node.vertices)
-            assert abs(node.cut - cut) < 1e-9
-            assert abs(node.volume - volume) < 1e-9
+        for c in range(len(tree.intermediates())):
+            members = np.flatnonzero(tree.community == c)
+            cut, volume = _scratch_cut_volume(graph, members)
+            assert abs(tree.cut[c] - cut) < 1e-9
+            assert abs(tree.volume[c] - volume) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +155,8 @@ def test_criterion_4_two_clique_recovery():
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
 
-    parts = sorted(sorted(tree.nodes[nid].vertices)
-                   for nid in tree.intermediates())
+    parts = sorted(np.flatnonzero(tree.community == c).tolist()
+                   for c in range(len(tree.intermediates())))
     assert parts == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
 
     best_h, best_parts = best_two_level_partition(10, edges)

@@ -377,6 +377,18 @@ def test_malformed_dataset_is_data_error(tmp_path):
     assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("bad_row", ["0.5,0.5,inf", "0.5,0.5,nan",
+                                     "nan,0.5,1"])
+def test_non_finite_dataset_is_data_error(tmp_path, capsys, bad_row):
+    data = write_dataset(tmp_path / "d.csv")
+    lines = data.read_text().splitlines()
+    lines[3] = bad_row
+    data.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path / "cfg.json", data)
+    assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "line 4" in capsys.readouterr().err
+
+
 def test_too_many_blocks_is_data_error(tmp_path):
     data = write_dataset(tmp_path / "d.csv")
     cfg = write_config(tmp_path / "cfg.json", data, mode="online",

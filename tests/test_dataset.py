@@ -56,6 +56,17 @@ def test_load_csv_fractional_label_rejected(tmp_path):
         load_csv(write(tmp_path, "0,0,2.5\n"), has_labels=True)
 
 
+@pytest.mark.parametrize("text", [
+    "0,0,1\n1,1,inf\n",
+    "0,0,1\n1,1,nan\n",
+    "0,0,1\nnan,1,1\n",
+    "0,0,1\n1,-inf,1\n",
+])
+def test_load_csv_non_finite_rejected_with_line(tmp_path, text):
+    with pytest.raises(ValueError, match="line 2: .*finite"):
+        load_csv(write(tmp_path, text), has_labels=True)
+
+
 def test_points_are_immutable():
     ds = Dataset(np.zeros((2, 2)))
     with pytest.raises(ValueError):

@@ -7,13 +7,12 @@ from ardbscan.encoding_tree import (
     ROOT,
     EncodingTree,
     allocate_agents,
-    combine_operator,
     information_uncertainty,
-    merge_operator,
     node_entropy,
     optimize_two_level,
     tree_entropy,
     _cluster_uncertainties,
+    _merge_delta,
 )
 from ardbscan.structured_graph import StructuredGraph, build_knn_graph, one_dim_se
 
@@ -46,34 +45,71 @@ def random_graph(seed, n=18, k=3):
     return build_knn_graph(pts, k=k)
 
 
+def members(tree: EncodingTree, nid: int) -> list:
+    return np.flatnonzero(tree.community == nid - tree.graph.n).tolist()
+
+
+def singletons(g: StructuredGraph) -> EncodingTree:
+    """Every vertex in its own community."""
+    return EncodingTree(g, np.arange(g.n), g.degrees, g.degrees)
+
+
+def tree_of(g: StructuredGraph, parts) -> EncodingTree:
+    """Tree over an explicit partition, cut and volume counted edge by edge."""
+    parts = sorted(parts, key=min)
+    community = np.empty(g.n, dtype=np.int64)
+    for c, part in enumerate(parts):
+        community[list(part)] = c
+    cut = np.zeros(len(parts))
+    volume = np.zeros(len(parts))
+    for u, v, w in g.edge_list():
+        volume[community[u]] += w
+        volume[community[v]] += w
+        if community[u] != community[v]:
+            cut[community[u]] += w
+            cut[community[v]] += w
+    return EncodingTree(g, community, cut, volume)
+
+
+def merge_deltas(g: StructuredGraph, parts, a: int, b: int):
+    """(_merge_delta, oracle difference) for merging parts[a] and parts[b]."""
+    t = tree_of(g, parts)
+    ca, cb = t.community[parts[a][0]], t.community[parts[b][0]]
+    w_ab = sum(w for u, v, w in g.edge_list()
+               if {t.community[u], t.community[v]} == {ca, cb})
+    got = _merge_delta(g.volume, t.volume[ca], t.cut[ca],
+                       np.array([t.volume[cb]]), np.array([t.cut[cb]]),
+                       np.array([w_ab]))
+    merged = [p for i, p in enumerate(parts) if i not in (a, b)]
+    merged.append(list(parts[a]) + list(parts[b]))
+    edges = g.edge_list()
+    expected = (partition_entropy_oracle(g.n, edges, merged)
+                - partition_entropy_oracle(g.n, edges, parts))
+    return float(got[0]), expected
+
+
 def scratch_entropy(tree: EncodingTree) -> float:
     g = tree.graph
-    parts = [sorted(tree.nodes[nid].vertices) for nid in tree.intermediates()]
-    loose = [
-        [c] for c in tree.nodes[ROOT].children if tree.is_leaf(c)
-    ]
-    return partition_entropy_oracle(g.n, g.edge_list(), parts + loose)
+    parts = [members(tree, nid) for nid in tree.intermediates()]
+    return partition_entropy_oracle(g.n, g.edge_list(), parts)
 
 
 def test_flat_tree_entropy_equals_one_dim():
     for seed in range(5):
         g = random_graph(seed)
-        t = EncodingTree.flat(g)
+        t = singletons(g)
         assert tree_entropy(t) == pytest.approx(one_dim_se(g), abs=1e-9)
 
 
 def test_node_entropy_root_rejected():
-    t = EncodingTree.flat(two_cliques())
+    t = singletons(two_cliques())
     with pytest.raises(ValueError):
         node_entropy(t, ROOT)
 
 
 def test_single_intermediate_holding_everything():
     g = StructuredGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    t = EncodingTree.flat(g)
-    t, _ = combine_operator(t, 0, 1)
-    inter = t.intermediates()[0]
-    t, _ = merge_operator(t, inter, 2)
+    t = tree_of(g, [[0, 1, 2]])
     inter = t.intermediates()[0]
     # the lone intermediate has no cut edges, so its own term vanishes
     assert node_entropy(t, inter) == pytest.approx(0.0, abs=1e-12)
@@ -83,73 +119,31 @@ def test_single_intermediate_holding_everything():
 
 def test_manual_two_level_matches_oracle_on_barbell():
     g = barbell()
-    t = EncodingTree.flat(g)
-    t, _ = combine_operator(t, 0, 1)
-    t, _ = merge_operator(t, t.intermediates()[0], 2)
-    t, _ = combine_operator(t, 3, 4)
-    left, right = t.intermediates()
-    t, _ = merge_operator(t, right, 5)
+    t = tree_of(g, [[0, 1, 2], [3, 4, 5]])
     expected = partition_entropy_oracle(6, g.edge_list(), [[0, 1, 2], [3, 4, 5]])
     assert tree_entropy(t) == pytest.approx(expected, abs=1e-12)
 
 
 def test_operator_deltas_match_scratch_recomputation():
     g = barbell()
-    t = EncodingTree.flat(g)
-    before = tree_entropy(t)
-    t2, delta = combine_operator(t, 0, 1)
-    assert tree_entropy(t2) - before == pytest.approx(delta, abs=1e-12)
-    t3, delta2 = merge_operator(t2, t2.intermediates()[0], 2)
-    assert tree_entropy(t3) - tree_entropy(t2) == pytest.approx(delta2, abs=1e-12)
+    for parts in ([[0], [1], [2], [3], [4], [5]], [[0, 1], [2], [3], [4], [5]]):
+        got, expected = merge_deltas(g, parts, 0, 1)
+        assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_merge_of_unconnected_parts_never_helps():
     g = StructuredGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-    t = EncodingTree.flat(g)
-    t, _ = combine_operator(t, 0, 1)
-    t, _ = combine_operator(t, 2, 3)
-    a, b = t.intermediates()
-    merged, delta = merge_operator(t, a, b)
-    assert delta >= -1e-12
-    assert tree_entropy(merged) - tree_entropy(t) == pytest.approx(delta, abs=1e-12)
+    got, expected = merge_deltas(g, [[0, 1], [2, 3]], 0, 1)
+    assert got >= -1e-12
+    assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_merging_clique_halves_decreases_entropy():
     g = two_cliques()
-    t = EncodingTree.flat(g)
-    t, _ = combine_operator(t, 0, 1)
-    t, d1 = combine_operator(t, 2, 3)
-    part_a, part_b = t.intermediates()
-    merged, delta = merge_operator(t, part_a, part_b)
-    assert delta < 0
-    assert tree_entropy(merged) - tree_entropy(t) == pytest.approx(delta, abs=1e-12)
-
-
-def test_operator_preconditions():
-    g = barbell()
-    t = EncodingTree.flat(g)
-    with pytest.raises(ValueError):
-        merge_operator(t, 0, 0)  # must be distinct
-    t2, _ = combine_operator(t, 0, 1)
-    inter = t2.intermediates()[0]
-    with pytest.raises(ValueError):
-        combine_operator(t2, inter, 2)  # would create height 3
-    with pytest.raises(ValueError):
-        merge_operator(t2, 0, 2)  # 0 is no longer a child of the root
-    t3, _ = combine_operator(t2, 2, 3)
-    other = [i for i in t3.intermediates() if i != inter][0]
-    # merging two intermediates stays within height 2 and is legal
-    merged, _ = merge_operator(t3, inter, other)
-    assert len(merged.intermediates()) == 1
-
-
-def test_original_tree_unchanged_by_operators():
-    g = barbell()
-    t = EncodingTree.flat(g)
-    h = tree_entropy(t)
-    combine_operator(t, 0, 1)
-    assert tree_entropy(t) == h
-    assert len(t.intermediates()) == 0
+    parts = [[0, 1], [2, 3]] + [[v] for v in range(4, 10)]
+    got, expected = merge_deltas(g, parts, 0, 1)
+    assert got < 0
+    assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_two_clique_recovery():
@@ -158,7 +152,7 @@ def test_two_clique_recovery():
     t = optimize_two_level(g)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    parts = {frozenset(t.nodes[i].vertices) for i in t.intermediates()}
+    parts = {frozenset(members(t, i)) for i in t.intermediates()}
     assert parts == {frozenset(range(5)), frozenset(range(5, 10))}
     opt_h, opt_parts = best_two_level_partition(10, g.edge_list())
     assert tree_entropy(t) == pytest.approx(opt_h, abs=1e-6)
@@ -185,17 +179,16 @@ def test_strict_descent_and_consistency():
             w_between[(u, v)] = w
             deg[u] += w
             deg[v] += w
-        for nid in t.intermediates():
-            node = t.nodes[nid]
-            members = set(node.vertices)
-            vol = sum(deg[v] for v in members)
+        for c, nid in enumerate(t.intermediates()):
+            inside = set(members(t, nid))
+            vol = sum(deg[v] for v in inside)
             cut = sum(
                 w
                 for (a, b), w in w_between.items()
-                if (a in members) != (b in members)
+                if (a in inside) != (b in inside)
             )
-            assert node.volume == pytest.approx(vol, abs=1e-9)
-            assert node.cut == pytest.approx(cut, abs=1e-9)
+            assert t.volume[c] == pytest.approx(vol, abs=1e-9)
+            assert t.cut[c] == pytest.approx(cut, abs=1e-9)
         assert tree_entropy(t) == pytest.approx(scratch_entropy(t), abs=1e-9)
 
 
@@ -214,7 +207,7 @@ def test_greedy_gap_versus_exhaustive_small():
 def test_isolated_vertex_survives_as_singleton():
     g = StructuredGraph.from_edges(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
     t = optimize_two_level(g)
-    parts = [frozenset(t.nodes[i].vertices) for i in t.intermediates()]
+    parts = [frozenset(members(t, i)) for i in t.intermediates()]
     assert frozenset([3]) in parts
     assert sorted(v for p in parts for v in p) == [0, 1, 2, 3]
 
@@ -223,9 +216,8 @@ def test_information_uncertainty_arithmetic():
     g = two_cliques()
     t = optimize_two_level(g)
     nid = t.intermediates()[0]
-    node = t.nodes[nid]
     h = node_entropy(t, nid)
-    expected = h / (len(node.vertices) * g.k)
+    expected = h / (len(members(t, nid)) * g.k)
     assert information_uncertainty(t, nid, g.k) == pytest.approx(expected)
     with pytest.raises(ValueError):
         information_uncertainty(t, 0, g.k)  # leaves have no uncertainty
@@ -254,15 +246,12 @@ def test_allocate_agents_covers_vertices():
     assert combined.tolist() == list(range(10))
     assert len(alloc.partitions) >= 1
     for nid, pid in alloc.node_to_partition.items():
-        members = set(t.nodes[nid].vertices)
-        assert members <= set(alloc.partitions[pid].tolist())
+        assert set(members(t, nid)) <= set(alloc.partitions[pid].tolist())
 
 
 def test_allocate_single_intermediate_gives_one_agent():
     g = StructuredGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-    t = EncodingTree.flat(g)
-    t, _ = combine_operator(t, 0, 1)
-    t, _ = merge_operator(t, t.intermediates()[0], 2)
+    t = tree_of(g, [[0, 1, 2]])
     assert len(t.intermediates()) == 1
     alloc = allocate_agents(t, g.k, 0.3, 1)
     assert len(alloc.partitions) == 1
@@ -298,3 +287,7 @@ def test_export_nodes_schema():
         assert {"id", "parent", "vertices", "entropy"} <= set(r)
         if r["id"] in t.intermediates():
             assert "uncertainty" in r
+            assert r["vertices"] == members(t, r["id"])
+        elif r["id"] != ROOT:
+            assert r["vertices"] == [r["id"]]
+            assert r["id"] in members(t, r["parent"])

@@ -21,7 +21,6 @@ from ardbscan.search_env import (
     build_state,
     check_termination,
     episode_rewards,
-    immediate_reward,
     run_episode,
     td3_update,
 )
@@ -262,13 +261,13 @@ def test_apply_action_clamps_and_flags():
 
 
 def test_immediate_reward_perfect_and_all_noise():
-    points = two_blob_points()
-    truth = blob_truth()
-    idx = np.arange(10)
-    assert immediate_reward(DbscanParams(0.2, 2), points, idx, truth) == \
-        pytest.approx(1.0)
+    ev = ClusterEvaluator(two_blob_points(), np.arange(10), blob_truth(),
+                          round_budget=2)
+    _, reward = ev.evaluate(DbscanParams(0.2, 2))
+    assert reward == pytest.approx(1.0)
     # eps too small for anything: everything is noise, truth has 2 classes
-    assert immediate_reward(DbscanParams(0.001, 3), points, idx, truth) == 0.0
+    _, reward = ev.evaluate(DbscanParams(0.001, 3))
+    assert reward == 0.0
 
 
 def test_immediate_reward_matches_direct_nmi():
@@ -276,15 +275,10 @@ def test_immediate_reward_matches_direct_nmi():
     truth = blob_truth()
     idx = np.array([0, 2, 3, 7, 9])
     params = DbscanParams(0.21, 2)
-    got = immediate_reward(params, points, idx, truth[idx])
+    ev = ClusterEvaluator(points, idx, truth[idx], round_budget=1)
+    _, got = ev.evaluate(params)
     pred = run_dbscan(points, params).assignment[idx]
     assert got == pytest.approx(nmi(pred, truth[idx]))
-
-
-def test_immediate_reward_empty_subset_rejected():
-    with pytest.raises(ValueError, match="empty labeled subset"):
-        immediate_reward(DbscanParams(0.2, 2), two_blob_points(),
-                         np.array([], dtype=int), np.array([], dtype=int))
 
 
 def test_episode_rewards_examples():

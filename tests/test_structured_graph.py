@@ -143,7 +143,7 @@ def test_entropy_bounds(seed, k):
 def test_select_k_agrees_with_naive_scan():
     pts = blobs(seed=21)
     result = select_k(pts)
-    k_star, graph = result
+    k_star, graph = result.k, result.graph
     assert graph.k == k_star
 
     # independent scan: rebuild every candidate graph and re-detect minima
@@ -179,6 +179,23 @@ def test_select_k_stable_points_are_local_minima():
     h = res.h_norm
     for k in res.stable_ks:
         assert h[k - 1] < h[k - 2] and h[k - 1] < h[k]
+
+
+def test_identical_points_give_unit_weights():
+    pts = np.full((12, 2), 0.3)
+    res = select_k(pts)
+    assert np.all(np.isfinite(res.h_norm))
+    assert np.all(res.graph.w == 1.0)
+    assert np.all(build_knn_graph(pts, 3).w == 1.0)
+
+
+def test_heavy_duplicates_give_finite_weights():
+    pts = np.repeat(np.random.default_rng(0).random((4, 2)), 8, axis=0)
+    res = select_k(pts)
+    assert np.all(np.isfinite(res.h_norm))
+    assert np.all(np.isfinite(res.graph.w))
+    # every 7-NN edge joins two copies of one point
+    assert np.all(build_knn_graph(pts, 7).w == 1.0)
 
 
 def test_select_k_strided_matches_exact_on_small_input():
