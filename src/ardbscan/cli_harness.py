@@ -4,7 +4,10 @@ Four commands share one config format (flat JSON, every key overridable
 by a flag of the same name): ``cluster`` runs the full offline pipeline,
 ``allocate`` stops after agent allocation, ``online`` reruns the
 pipeline per stream block, and ``baseline`` scores uniform random
-parameter draws for the same round budget.
+parameter draws for the same round budget.  ``cluster``, ``online`` and
+``baseline`` run their seeds through one driver (``_run_seeds`` and
+``_run_seed``) and differ only in the search policy they pass it:
+``run_agent`` or ``run_random_search``.
 
 Exit codes: 0 success, 1 config error, 2 data error.
 """
@@ -19,13 +22,14 @@ import time
 from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .config import RunConfig
 from .dataset import Dataset, load_csv, normalize, sample_labeled_subset, split_blocks
-from .dbscan_core import NOISE, DbscanParams, run_dbscan
+from .dbscan_core import NOISE
+from .dbscan_core import run_dbscan  # noqa: F401 (perfbench --trace wraps it)
 from .encoding_tree import (
     AgentAllocation,
     EncodingTree,
@@ -35,9 +39,9 @@ from .encoding_tree import (
 from .metrics import ari, nmi
 from .recursive_search import (
     AgentResult,
-    layer_zero_bounds,
     merge_agent_results,
     run_agent,
+    run_random_search,
 )
 from .structured_graph import SelectKResult, select_k
 
@@ -115,15 +119,20 @@ def _check_dataset(ds: Dataset) -> None:
 
 
 def _run_seed(norm: Dataset, partitions: List[np.ndarray], config: RunConfig,
-              seed: int, trace_dir: Optional[Path] = None) -> Tuple[dict, np.ndarray]:
+              seed: int, search: Callable[..., AgentResult],
+              trace_dir: Optional[Path] = None) -> Tuple[dict, np.ndarray]:
+    """One seed: sample the labeled subset, run ``search`` (``run_agent``
+    or ``run_random_search``) once per partition with a seed derived from
+    ``seed``, merge and score."""
     labeled = sample_labeled_subset(norm, config.label_proportion, seed)
     seed_rng = np.random.default_rng(seed)
     results = []
     for pid, part in enumerate(partitions):
         agent_seed = int(seed_rng.integers(2 ** 63))
-        sink = _trace_sink(trace_dir, pid) if trace_dir is not None else None
-        results.append(run_agent(part, norm, labeled, config, agent_seed,
-                                 partition_id=pid, trace_sink=sink))
+        sink = _trace_sink(trace_dir, seed, pid) if trace_dir is not None \
+            else None
+        results.append(search(part, norm, labeled, config, agent_seed,
+                              partition_id=pid, trace_sink=sink))
     merged = merge_agent_results(results, norm.n, num_rounds=config.round_budget)
     nmi_series, ari_series = best_round_series(merged.round_assignments,
                                                norm.labels)
@@ -154,6 +163,35 @@ def _set_up(raw: Dataset, config: RunConfig, allocate: bool = True
     return norm, sel, tree, alloc
 
 
+def _run_seeds(norm: Dataset, sel: Optional[SelectKResult],
+               partitions: List[np.ndarray], config: RunConfig,
+               search: Callable[..., AgentResult],
+               trace_dir: Optional[Path] = None) -> Tuple[dict, np.ndarray]:
+    """Every configured seed through ``_run_seed``; returns the report
+    body and the first seed's merged assignment.  Without a k selection
+    (``sel`` None) the body reports ``selected_k`` null and no stable
+    points."""
+    per_seed = []
+    first_assignment: Optional[np.ndarray] = None
+    for seed in config.seeds:
+        summary, assignment = _run_seed(norm, partitions, config, seed,
+                                        search, trace_dir)
+        per_seed.append(summary)
+        if first_assignment is None:
+            first_assignment = assignment
+
+    body = {
+        "n": int(norm.n),
+        "selected_k": None if sel is None else int(sel.k),
+        "stable_points": [] if sel is None else [int(k) for k in sel.stable_ks],
+        "num_agents": len(partitions),
+        "partition_sizes": [int(p.size) for p in partitions],
+        "per_seed": per_seed,
+    }
+    body.update(_aggregate(per_seed))
+    return body, first_assignment
+
+
 def run_offline_pipeline(raw: Dataset, config: RunConfig,
                          trace_dir: Optional[Path] = None
                          ) -> Tuple[dict, np.ndarray, Dataset]:
@@ -162,26 +200,9 @@ def run_offline_pipeline(raw: Dataset, config: RunConfig,
     norm, sel, _, alloc = _set_up(raw, config,
                                   allocate=not config.single_agent)
     partitions = [np.arange(norm.n)] if alloc is None else list(alloc.partitions)
-
-    per_seed = []
-    first_assignment: Optional[np.ndarray] = None
-    for seed in config.seeds:
-        summary, assignment = _run_seed(norm, partitions, config, seed,
-                                        trace_dir)
-        per_seed.append(summary)
-        if first_assignment is None:
-            first_assignment = assignment
-
-    body = {
-        "n": int(norm.n),
-        "selected_k": int(sel.k),
-        "stable_points": [int(k) for k in sel.stable_ks],
-        "num_agents": len(partitions),
-        "partition_sizes": [int(p.size) for p in partitions],
-        "per_seed": per_seed,
-    }
-    body.update(_aggregate(per_seed))
-    return body, first_assignment, norm
+    body, assignment = _run_seeds(norm, sel, partitions, config, run_agent,
+                                  trace_dir)
+    return body, assignment, norm
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +248,7 @@ def _write_svg(path: Path, points: np.ndarray, assignment: np.ndarray) -> None:
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def _trace_sink(trace_dir: Path, pid: int):
+def _trace_sink(trace_dir: Path, seed: int, pid: int):
     counter = {"episode": 0}
 
     def sink(layer_index, episode_index, trace):
@@ -249,7 +270,7 @@ def _trace_sink(trace_dir: Path, pid: int):
             ],
             "episode_rewards": list(trace.rewards),
         }
-        out = trace_dir / f"trace_{pid}_{counter['episode']}.json"
+        out = trace_dir / f"trace_{seed}_{pid}_{counter['episode']}.json"
         _write_json(out, payload)
         counter["episode"] += 1
 
@@ -272,12 +293,9 @@ def _load_dataset(config: RunConfig) -> Dataset:
         raise DataError(f"unreadable dataset {path}: {exc}") from exc
 
 
-def cmd_cluster(config: RunConfig, out_dir: Path, trace: bool = False) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    raw = _load_dataset(config)
-    started = time.perf_counter()
-    body, assignment, norm = run_offline_pipeline(
-        raw, config, trace_dir=out_dir if trace else None)
+def _write_run(out_dir: Path, config: RunConfig, body: dict,
+               assignment: np.ndarray, norm: Dataset, started: float) -> dict:
+    """report.json, assignment.csv and clusters.svg of one run."""
     report = {
         "mode": config.mode,
         "dataset": config.dataset,
@@ -289,6 +307,15 @@ def cmd_cluster(config: RunConfig, out_dir: Path, trace: bool = False) -> dict:
     _write_assignment(out_dir / "assignment.csv", assignment)
     _write_svg(out_dir / "clusters.svg", norm.points, assignment)
     return report
+
+
+def cmd_cluster(config: RunConfig, out_dir: Path, trace: bool = False) -> dict:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    raw = _load_dataset(config)
+    started = time.perf_counter()
+    body, assignment, norm = run_offline_pipeline(
+        raw, config, trace_dir=out_dir if trace else None)
+    return _write_run(out_dir, config, body, assignment, norm, started)
 
 
 def cmd_allocate(config: RunConfig, out_dir: Path) -> dict:
@@ -366,61 +393,16 @@ def cmd_online(config: RunConfig, out_dir: Path) -> dict:
 
 
 def cmd_baseline_random(config: RunConfig, out_dir: Path) -> dict:
+    """Random-draw reference: the whole dataset is one partition searched
+    by ``run_random_search``; k selection and allocation are skipped."""
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = _load_dataset(config)
     _check_dataset(raw)
     started = time.perf_counter()
     norm = normalize(raw)
-    bounds = layer_zero_bounds(norm.points.shape[1], norm.n,
-                               config.resolved_minpts_cap_fraction())
-    per_seed = []
-    first_assignment: Optional[np.ndarray] = None
-    for seed in config.seeds:
-        labeled = sample_labeled_subset(norm, config.label_proportion, seed)
-        truth_subset = norm.labels[labeled.indices]
-        rng = np.random.default_rng(seed)
-        best_reward = -1.0
-        best_assignment: Optional[np.ndarray] = None
-        rounds: List[np.ndarray] = []
-        for _ in range(config.round_budget):
-            params = DbscanParams(
-                rng.uniform(bounds.eps_lo, bounds.eps_hi),
-                int(rng.integers(bounds.minpts_lo, bounds.minpts_hi + 1)),
-            )
-            result = run_dbscan(norm.points, params)
-            reward = nmi(result.assignment[labeled.indices], truth_subset)
-            if reward > best_reward:
-                best_reward = reward
-                best_assignment = result.assignment
-            rounds.append(best_assignment)
-        nmi_series, ari_series = best_round_series(rounds, norm.labels)
-        per_seed.append({
-            "seed": seed,
-            "nmi_series": nmi_series,
-            "ari_series": ari_series,
-            "final_nmi": nmi_series[-1],
-            "final_ari": ari_series[-1],
-            "num_clusters": int(best_assignment.max()) + 1
-            if (best_assignment != NOISE).any() else 0,
-            "agents": [],
-        })
-        if first_assignment is None:
-            first_assignment = best_assignment
-    report = {
-        "mode": config.mode,
-        "dataset": config.dataset,
-        "config": asdict(config),
-        "n": int(norm.n),
-        "selected_k": None,
-        "num_agents": 1,
-        "per_seed": per_seed,
-        **_aggregate(per_seed),
-        "wall_clock_seconds": time.perf_counter() - started,
-    }
-    _write_json(out_dir / "report.json", report)
-    _write_assignment(out_dir / "assignment.csv", first_assignment)
-    _write_svg(out_dir / "clusters.svg", norm.points, first_assignment)
-    return report
+    body, assignment = _run_seeds(norm, None, [np.arange(norm.n)], config,
+                                  run_random_search)
+    return _write_run(out_dir, config, body, assignment, norm, started)
 
 
 # ---------------------------------------------------------------------------

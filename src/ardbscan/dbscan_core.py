@@ -53,12 +53,8 @@ def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
     return d2
 
 
-def run_dbscan(
-    points: np.ndarray,
-    params: DbscanParams,
-    dist: np.ndarray | None = None,
-) -> ClusterResult:
-    """Cluster points; `dist` may supply a precomputed distance matrix.
+def run_dbscan(points: np.ndarray, params: DbscanParams) -> ClusterResult:
+    """Cluster points.
 
     The result is a partition into clusters with contiguous ids 0..k-1 plus
     NOISE; ids ascend with each cluster's smallest core index.
@@ -67,10 +63,7 @@ def run_dbscan(
     n = points.shape[0]
     if n == 0:
         return ClusterResult(np.empty(0, dtype=np.int64), 0)
-    if dist is not None:
-        within = dist <= params.eps
-    else:
-        within = pairwise_sq_distances(points) <= params.eps * params.eps
+    within = pairwise_sq_distances(points) <= params.eps * params.eps
     core = within.sum(axis=1) >= params.min_pts
     assignment = np.full(n, NOISE, dtype=np.int64)
     core_idx = np.flatnonzero(core)

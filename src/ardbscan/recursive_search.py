@@ -2,8 +2,11 @@
 
 Every agent walks the same recursion: a coarse layer spanning the full
 (eps, min_pts) box for its partition, then progressively finer layers
-centered on the best parameters seen so far.  Per-agent results merge
-back into one labeling by offsetting cluster ids.
+centered on the best parameters seen so far.  ``run_random_search`` is
+the reference policy with the same signature: uniform draws over the
+coarse layer's box.  Both spend one ``ClusterEvaluator``'s budget and
+read their result off it.  Per-agent results merge back into one
+labeling by offsetting cluster ids.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import numpy as np
 
 from .config import RunConfig
 from .dataset import Dataset, LabeledSubset
-from .dbscan_core import NOISE, ClusterResult, DbscanParams, run_dbscan
+from .dbscan_core import NOISE, ClusterResult, DbscanParams
+from .dbscan_core import run_dbscan  # noqa: F401 (perfbench --trace wraps it)
 from .search_env import (
     Bounds,
     ClusterEvaluator,
@@ -53,7 +57,8 @@ class AgentResult:
 
     ``assignment`` and the per-round assignments are local: entry i
     labels the point ``partition[i]``.  ``round_rewards`` is the
-    best-so-far labeled-subset score after each clustering round.
+    best-so-far labeled-subset score after each paid clustering round,
+    as the agent's ``ClusterEvaluator`` recorded it.
     """
 
     partition_id: int
@@ -121,54 +126,65 @@ def next_layer(prev: SearchLayer, p_o: DbscanParams) -> SearchLayer:
                        theta_minpts, p_o, prev.pi_eps, prev.pi_minpts)
 
 
-def run_agent(partition: np.ndarray, dataset: Dataset, labeled: LabeledSubset,
-              config: RunConfig, seed: int, partition_id: int = 0,
-              trace_sink: Optional[TraceSink] = None) -> AgentResult:
-    """Search (eps, min_pts) for one partition and return its labeling.
+Policy = Callable[[ClusterEvaluator, RunConfig, int, Optional[TraceSink]],
+                  Tuple[Tuple[DbscanParams, ...], Dict[str, int]]]
 
-    The round budget spans all layers; parameters already clustered are
-    replayed from cache without consuming rounds.  A partition holding
-    none of the labeled points cannot score candidates, so it takes the
-    snapped layer-0 midpoint without searching.
+
+def _search(policy: Policy, partition: np.ndarray, dataset: Dataset,
+            labeled: LabeledSubset, config: RunConfig, seed: int,
+            partition_id: int, trace_sink: Optional[TraceSink]) -> AgentResult:
+    """Run one search policy on a partition's evaluator and build the
+    result from the evaluator's record of its best round so far.
+
+    ``policy`` spends the round budget and returns the layer history and
+    stop-reason counts.  A partition holding none of the labeled points
+    cannot score candidates, so it skips the policy and takes the
+    snapped layer-0 midpoint: one round, reward 0.
     """
     part = np.sort(np.asarray(partition, dtype=np.int64))
-    points = dataset.points[part]
+    global_labeled = labeled.indices[np.isin(labeled.indices, part)]
+    evaluator = ClusterEvaluator(
+        dataset.points[part], np.searchsorted(part, global_labeled),
+        dataset.labels[global_labeled], config.round_budget)
+    if global_labeled.size:
+        layer_history, stop_reasons = policy(evaluator, config, seed,
+                                             trace_sink)
+    else:
+        start = first_layer(evaluator.points.shape[1], part.size, config).start
+        evaluator.evaluate(start)
+        layer_history, stop_reasons = (start,), {}
+    best_result, best_reward = evaluator.cache[evaluator.best_key]
+    return AgentResult(
+        partition_id=partition_id,
+        partition=part,
+        params=evaluator.best_params,
+        reward=best_reward,
+        assignment=best_result.assignment.copy(),
+        round_assignments=list(evaluator.round_assignments),
+        round_rewards=list(evaluator.round_rewards),
+        rounds_used=evaluator.rounds_used,
+        layer_history=layer_history,
+        stop_reasons=stop_reasons,
+    )
+
+
+def _lattice_walk(evaluator: ClusterEvaluator, config: RunConfig, seed: int,
+                  trace_sink: Optional[TraceSink]
+                  ) -> Tuple[Tuple[DbscanParams, ...], Dict[str, int]]:
+    points = evaluator.points
     dim = points.shape[1]
-
-    in_part = np.isin(labeled.indices, part)
-    global_labeled = labeled.indices[in_part]
-    local_idx = np.searchsorted(part, global_labeled)
-    layer = first_layer(dim, part.size, config)
-
-    if global_labeled.size == 0:
-        result = run_dbscan(points, layer.start)
-        return AgentResult(
-            partition_id=partition_id,
-            partition=part,
-            params=layer.start,
-            reward=0.0,
-            assignment=result.assignment,
-            round_assignments=[result.assignment.copy()],
-            round_rewards=[0.0],
-            rounds_used=1,
-            layer_history=(layer.start,),
-            stop_reasons={},
-        )
-
-    truth = dataset.labels[global_labeled]
-    evaluator = ClusterEvaluator(points, local_idx, truth, config.round_budget)
+    layer = first_layer(dim, points.shape[0], config)
     hyper = TD3Hyper(config.gamma, config.batch_size, config.tau,
                      config.actor_delay, config.noise_sigma, config.noise_clip)
     reward_cfg = RewardConfig(config.delta, config.max_steps)
     root_rng = np.random.default_rng(seed)
 
-    p_o = layer.start
     layer_history: List[DbscanParams] = []
     stop_counts: Counter = Counter()
 
     for layer_index in range(config.resolved_l_max()):
         if layer_index > 0:
-            layer = next_layer(layer, p_o)
+            layer = next_layer(layer, evaluator.best_params)
         nets_rng = np.random.default_rng(root_rng.integers(2 ** 63))
         env_rng = np.random.default_rng(root_rng.integers(2 ** 63))
         networks = PolicyNetworks.create(
@@ -178,70 +194,63 @@ def run_agent(partition: np.ndarray, dataset: Dataset, labeled: LabeledSubset,
                         layer.theta_minpts, layer.start, networks,
                         ReplayBuffer(config.buffer_capacity), hyper,
                         reward_cfg, env_rng)
-        best_key: Optional[Tuple[float, int]] = None
-        best_reward = -math.inf
 
         for episode in range(config.episodes):
-            if config.episodes > 1:
-                frac = episode / (config.episodes - 1)
-            else:
-                frac = 0.0
+            frac = episode / max(config.episodes - 1, 1)
             explore = config.epsilon_start - frac * (
                 config.epsilon_start - config.epsilon_end)
             trace = run_episode(env, explore)
             if trace_sink is not None:
                 trace_sink(layer_index, episode, trace)
-
-            observed: List[Tuple[Tuple[float, int], float]] = []
-            start_key = (layer.start.eps, layer.start.min_pts)
-            cached = evaluator.cache.get(start_key)
-            if cached is not None:
-                observed.append((start_key, cached[1]))
-            for step in trace.steps:
-                observed.append(
-                    ((step.params.eps, step.params.min_pts), step.immediate))
-            for key, value in observed:
-                if value > best_reward:
-                    best_reward = value
-                    best_key = key
             stop_counts[trace.stop_reason] += 1
-
             if evaluator.exhausted:
                 break
 
-        if best_key is not None:
-            p_o = DbscanParams(best_key[0], int(best_key[1]))
-        layer_history.append(p_o)
+        layer_history.append(evaluator.best_params)
         if evaluator.exhausted:
             break
+    return tuple(layer_history), dict(stop_counts)
 
-    final_key = (p_o.eps, p_o.min_pts)
-    final_result, final_reward = evaluator.cache[final_key]
 
-    round_assignments: List[np.ndarray] = []
-    round_rewards: List[float] = []
-    running_key: Optional[Tuple[float, int]] = None
-    running_reward = -math.inf
-    for key in evaluator.eval_order:
-        value = evaluator.cache[key][1]
-        if value > running_reward:
-            running_reward = value
-            running_key = key
-        round_assignments.append(evaluator.cache[running_key][0].assignment.copy())
-        round_rewards.append(running_reward)
+def _random_draws(evaluator: ClusterEvaluator, config: RunConfig, seed: int,
+                  trace_sink: Optional[TraceSink]
+                  ) -> Tuple[Tuple[DbscanParams, ...], Dict[str, int]]:
+    bounds = layer_zero_bounds(evaluator.points.shape[1],
+                               evaluator.points.shape[0],
+                               config.resolved_minpts_cap_fraction())
+    rng = np.random.default_rng(seed)
+    while not evaluator.exhausted:
+        evaluator.evaluate(DbscanParams(
+            rng.uniform(bounds.eps_lo, bounds.eps_hi),
+            int(rng.integers(bounds.minpts_lo, bounds.minpts_hi + 1)),
+        ))
+    return (evaluator.best_params,), {}
 
-    return AgentResult(
-        partition_id=partition_id,
-        partition=part,
-        params=p_o,
-        reward=final_reward,
-        assignment=final_result.assignment.copy(),
-        round_assignments=round_assignments,
-        round_rewards=round_rewards,
-        rounds_used=evaluator.rounds_used,
-        layer_history=tuple(layer_history),
-        stop_reasons=dict(stop_counts),
-    )
+
+def run_agent(partition: np.ndarray, dataset: Dataset, labeled: LabeledSubset,
+              config: RunConfig, seed: int, partition_id: int = 0,
+              trace_sink: Optional[TraceSink] = None) -> AgentResult:
+    """Search (eps, min_pts) for one partition with the TD3-driven
+    coarse-to-fine lattice walk and return its labeling.
+
+    The round budget spans all layers; parameters already clustered are
+    replayed from cache without consuming rounds.  Each layer after the
+    first is centered on the evaluator's best parameters so far, which
+    are also the agent's result.
+    """
+    return _search(_lattice_walk, partition, dataset, labeled, config, seed,
+                   partition_id, trace_sink)
+
+
+def run_random_search(partition: np.ndarray, dataset: Dataset,
+                      labeled: LabeledSubset, config: RunConfig, seed: int,
+                      partition_id: int = 0,
+                      trace_sink: Optional[TraceSink] = None) -> AgentResult:
+    """Reference policy with ``run_agent``'s signature: uniform draws over
+    the layer-0 box until the round budget is spent.  It runs no
+    episodes, so ``trace_sink`` is never called."""
+    return _search(_random_draws, partition, dataset, labeled, config, seed,
+                   partition_id, trace_sink)
 
 
 def _scatter(n: int, results: List[AgentResult],

@@ -428,11 +428,15 @@ def td3_update(networks: PolicyNetworks, buffer: ReplayBuffer,
 
 
 class ClusterEvaluator:
-    """Budgeted, memoized DBSCAN evaluation for one agent.
+    """Budgeted, memoized DBSCAN evaluation for one agent, and the one
+    record of its best result so far.
 
     A "round" is one clustering at parameters the agent has not tried
     before; revisits are free.  evaluate() returns None once the budget
-    is spent.
+    is spent.  Each paid round may replace ``best_key`` only by a strictly
+    higher reward, so the earliest paid round wins ties, and appends the
+    running best's assignment and reward to ``round_assignments`` and
+    ``round_rewards``.  With no labeled points every reward is 0.
     """
 
     def __init__(self, points: np.ndarray, labeled_idx: np.ndarray,
@@ -443,11 +447,18 @@ class ClusterEvaluator:
         self.round_budget = round_budget
         self.rounds_used = 0
         self.cache: Dict[Tuple[float, int], Tuple[ClusterResult, float]] = {}
-        self.eval_order: List[Tuple[float, int]] = []
+        self.best_key: Optional[Tuple[float, int]] = None
+        self.round_assignments: List[np.ndarray] = []
+        self.round_rewards: List[float] = []
 
     @property
     def exhausted(self) -> bool:
         return self.rounds_used >= self.round_budget
+
+    @property
+    def best_params(self) -> DbscanParams:
+        """Parameters of ``best_key``; valid once a round has been paid."""
+        return DbscanParams(*self.best_key)
 
     def evaluate(self, params: DbscanParams
                  ) -> Optional[Tuple[ClusterResult, float]]:
@@ -458,10 +469,15 @@ class ClusterEvaluator:
         if self.exhausted:
             return None
         result = run_dbscan(self.points, params)
-        reward = nmi(result.assignment[self.labeled_idx], self.labeled_truth)
+        reward = nmi(result.assignment[self.labeled_idx], self.labeled_truth) \
+            if self.labeled_idx.size else 0.0
         self.rounds_used += 1
         self.cache[key] = (result, reward)
-        self.eval_order.append(key)
+        if self.best_key is None or reward > self.cache[self.best_key][1]:
+            self.best_key = key
+        best_result, best_reward = self.cache[self.best_key]
+        self.round_assignments.append(best_result.assignment)
+        self.round_rewards.append(best_reward)
         return result, reward
 
 

@@ -109,14 +109,12 @@ def _graph_from_prefix(n, k, u, v, d, m) -> StructuredGraph:
     )
 
 
-def build_knn_graph(points: np.ndarray, k: int, dist: np.ndarray | None = None) -> StructuredGraph:
+def build_knn_graph(points: np.ndarray, k: int) -> StructuredGraph:
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    if dist is None:
-        dist = pairwise_distances(points)
-    u, v, ke, de = _mutual_rank_edges(dist, k)
+    u, v, ke, de = _mutual_rank_edges(pairwise_distances(points), k)
     return _graph_from_prefix(n, k, u, v, de, int(ke.shape[0]))
 
 

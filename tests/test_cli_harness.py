@@ -2,10 +2,13 @@
 
 import csv
 import json
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from ardbscan import cli_harness, encoding_tree, recursive_search, search_env
 from ardbscan.cli_harness import (
     _run_seed,
     best_round_series,
@@ -15,6 +18,7 @@ from ardbscan.cli_harness import (
 from ardbscan.config import RunConfig
 from ardbscan.dataset import Dataset, normalize
 from ardbscan.metrics import ari, nmi
+from ardbscan.recursive_search import run_agent
 
 
 def synthetic_points(rng=None):
@@ -150,7 +154,7 @@ def test_run_seed_merges_two_partitions():
     norm = normalize(Dataset(points, labels))
     cfg = RunConfig(**{**SMALL, "dataset": "unused"})
     partitions = [np.arange(0, 30), np.arange(30, 60)]
-    summary, assignment = _run_seed(norm, partitions, cfg, seed=1)
+    summary, assignment = _run_seed(norm, partitions, cfg, 1, run_agent)
     assert len(summary["agents"]) == 2
     assert assignment.shape == (60,)
     assert len(summary["nmi_series"]) == cfg.round_budget
@@ -247,6 +251,51 @@ def test_cluster_trace_files(workspace):
         assert key in payload
 
 
+def test_cluster_trace_files_are_kept_per_seed(workspace):
+    tmp, data, cfg = workspace
+    out = tmp / "out"
+    assert main(["cluster", "--config", str(cfg), "--out", str(out),
+                 "--seeds", "0,1", "--trace"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    episodes = Counter()
+    for path in out.glob("trace_*.json"):
+        match = re.fullmatch(r"trace_(\d+)_(\d+)_(\d+)\.json", path.name)
+        assert match, path.name
+        seed, agent, _ = (int(g) for g in match.groups())
+        assert json.loads(path.read_text())["agent"] == agent
+        episodes[seed, agent] += 1
+    expect = Counter({
+        (s["seed"], a["partition_id"]): sum(a["stop_reasons"].values())
+        for s in report["per_seed"] for a in s["agents"]
+    })
+    assert {seed for seed, _ in expect} == {0, 1}
+    assert episodes == expect
+
+
+def test_cluster_calls_search_through_module_globals(workspace, monkeypatch):
+    # perfbench probes replace these cli_harness attributes at call time
+    tmp, data, cfg = workspace
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(cli_harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    names = ("run_agent", "merge_agent_results", "best_round_series",
+             "sample_labeled_subset")
+    for name in names:
+        monkeypatch.setattr(cli_harness, name, counting(name))
+    assert main(["cluster", "--config", str(cfg), "--out", str(tmp / "out"),
+                 "--seeds", "0,1"]) == 0
+    assert all(calls[name] >= 2 for name in names), calls
+    for module in (cli_harness, recursive_search, search_env, encoding_tree):
+        assert callable(getattr(module, "run_dbscan"))
+
+
 def test_cluster_single_agent_flag_reuses_whole_dataset(workspace):
     tmp, data, cfg = workspace
     out = tmp / "out"
@@ -328,7 +377,38 @@ def test_baseline_reports_and_is_deterministic(workspace):
         reports.append(payload)
     assert reports[0] == reports[1]
     assert reports[0]["selected_k"] is None
+    assert reports[0]["stable_points"] == []
     assert len(reports[0]["per_seed"][0]["nmi_series"]) == 8
+
+
+def test_baseline_report_has_cluster_report_shape(workspace):
+    tmp, data, cfg = workspace
+    reports = {}
+    for command in ("cluster", "baseline"):
+        out = tmp / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        reports[command] = json.loads((out / "report.json").read_text())
+    assert reports["baseline"].keys() == reports["cluster"].keys()
+    assert reports["baseline"]["per_seed"][0].keys() == \
+        reports["cluster"]["per_seed"][0].keys()
+    assert reports["baseline"]["num_agents"] == 1
+    assert reports["baseline"]["partition_sizes"] == [60]
+    (agent,) = reports["baseline"]["per_seed"][0]["agents"]
+    assert agent["size"] == 60
+    assert agent["rounds_used"] == SMALL["round_budget"]
+
+
+def test_baseline_without_labeled_points(workspace):
+    # 0.005 of 60 points samples no labeled point at all
+    tmp, data, cfg = workspace
+    out = tmp / "out"
+    assert main(["baseline", "--config", str(cfg), "--out", str(out),
+                 "--label_proportion", "0.005"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    (agent,) = report["per_seed"][0]["agents"]
+    assert agent["rounds_used"] == 1
+    assert agent["labeled_nmi"] == 0.0
+    assert len(report["per_seed"][0]["nmi_series"]) == SMALL["round_budget"]
 
 
 # ---------------------------------------------------------------------------

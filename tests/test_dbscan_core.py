@@ -81,17 +81,6 @@ def test_deterministic():
     assert a.tolist() == b.tolist()
 
 
-def test_precomputed_distances_agree():
-    rng = np.random.default_rng(5)
-    pts = rng.random((40, 2))
-    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-    p = DbscanParams(0.15, 3)
-    assert (
-        run_dbscan(pts, p).assignment.tolist()
-        == run_dbscan(pts, p, dist=dist).assignment.tolist()
-    )
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),

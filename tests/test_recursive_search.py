@@ -19,6 +19,7 @@ from ardbscan.recursive_search import (
     next_layer,
     run_agent,
 )
+from ardbscan.search_env import ClusterEvaluator
 
 
 def offline_config(**overrides):
@@ -265,6 +266,33 @@ def test_run_agent_degenerate_without_labels():
     assert res.params == DbscanParams(0.5, 2)
     expect = run_dbscan(ds.points[part], res.params).assignment
     np.testing.assert_array_equal(res.assignment, expect)
+
+
+# seeds 4 and 6 reach their best reward after round 0 and tie it later
+@pytest.mark.parametrize("seed", [1, 4, 6])
+def test_run_agent_params_are_earliest_paid_maximum(monkeypatch, seed):
+    paid = []
+    evaluate = ClusterEvaluator.evaluate
+
+    def recording(self, params):
+        before = self.rounds_used
+        out = evaluate(self, params)
+        if self.rounds_used > before:
+            paid.append((params, out[1]))
+        return out
+
+    monkeypatch.setattr(ClusterEvaluator, "evaluate", recording)
+    rng = np.random.default_rng(seed)
+    # rounded coordinates: duplicate points and many tied rewards
+    points = np.round(np.concatenate([rng.normal(c, 0.08, (15, 2))
+                                      for c in (0.2, 0.5, 0.8)]), 1)
+    ds = Dataset(points, np.repeat([0, 1, 2], 15))
+    sub = LabeledSubset(np.arange(0, 45, 4), 0.25)
+    res = run_agent(np.arange(45), ds, sub, small_config(l_max=3), seed=seed)
+    rewards = [r for _, r in paid]
+    assert res.params == paid[rewards.index(max(rewards))][0]
+    assert res.reward == max(rewards)
+    assert res.round_rewards == list(np.maximum.accumulate(rewards))
 
 
 def test_run_agent_single_point_partition():

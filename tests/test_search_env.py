@@ -531,7 +531,34 @@ def test_evaluator_cache_is_free():
     again = ev.evaluate(p)
     assert ev.rounds_used == 1
     assert first[1] == again[1]
-    assert ev.eval_order == [(0.2, 2)]
+    assert ev.best_key == (0.2, 2)
+    assert ev.round_rewards == [first[1]]
+
+
+def test_evaluator_records_earliest_best_per_paid_round():
+    points = two_blob_points()
+    ev = ClusterEvaluator(points, np.arange(10), blob_truth(), round_budget=3)
+    merged = ev.evaluate(DbscanParams(1.0, 1))  # one cluster
+    split = ev.evaluate(DbscanParams(0.2, 2))
+    tie = ev.evaluate(DbscanParams(0.3, 2))  # same labeled NMI, paid later
+    assert merged[1] < split[1] == tie[1]
+    ev.evaluate(DbscanParams(1.0, 1))  # cache hit: no round
+    assert ev.evaluate(DbscanParams(0.4, 2)) is None  # budget spent
+    assert ev.rounds_used == 3
+    assert ev.best_key == (0.2, 2)
+    assert ev.best_params == DbscanParams(0.2, 2)
+    assert ev.round_rewards == [merged[1], split[1], split[1]]
+    assert len(ev.round_rewards) == len(ev.round_assignments) == ev.rounds_used
+    expect = [merged[0], split[0], split[0]]
+    for got, want in zip(ev.round_assignments, expect):
+        np.testing.assert_array_equal(got, want.assignment)
+
+
+def test_evaluator_without_labeled_points_scores_zero():
+    ev = ClusterEvaluator(two_blob_points(), np.empty(0, dtype=np.int64),
+                          np.empty(0, dtype=np.int64), round_budget=2)
+    assert ev.evaluate(DbscanParams(0.2, 2))[1] == 0.0
+    assert ev.round_rewards == [0.0]
 
 
 def test_episode_trains_networks_once_buffer_filled():
