@@ -452,8 +452,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="run a single seed instead of the config's list")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--trace", action="store_true",
-                       help="write per-episode trace files (cluster only)")
+        if name == "cluster":
+            p.add_argument("--trace", action="store_true",
+                           help="write per-episode trace files")
         _add_config_flags(p)
     return parser
 

@@ -1,9 +1,12 @@
 """Exact DBSCAN over a point set.
 
-Neighborhoods are closed Euclidean balls and include the point itself. Border
-points attach to the earliest-discovered adjacent cluster, where clusters are
-numbered by their smallest core index; this equals the classic index-ordered
-scan-and-expand formulation and makes results fully deterministic.
+Neighborhoods are closed Euclidean balls and include the point itself.
+Squared distances are summed from coordinate differences at every n, with no
+dot-product identity and so no cancellation: duplicate points are exactly 0
+apart and co-cluster even at eps 0. Border points attach to the
+earliest-discovered adjacent cluster, where clusters are numbered by their
+smallest core index; this equals the classic index-ordered scan-and-expand
+formulation and makes results fully deterministic.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import cdist
 
 NOISE = -1
 
@@ -37,22 +41,6 @@ class ClusterResult:
     num_clusters: int
 
 
-def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
-    """Full squared-distance matrix in float64."""
-    pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    if n <= 1024:
-        diff = pts[:, None, :] - pts[None, :, :]
-        return (diff * diff).sum(axis=-1)
-    # avoid the (n, n, d) temporary at scale; the dot-product identity is
-    # accurate to ~1e-12 relative for unit-box coordinates
-    sq = (pts * pts).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
-
-
 def run_dbscan(points: np.ndarray, params: DbscanParams) -> ClusterResult:
     """Cluster points.
 
@@ -63,7 +51,7 @@ def run_dbscan(points: np.ndarray, params: DbscanParams) -> ClusterResult:
     n = points.shape[0]
     if n == 0:
         return ClusterResult(np.empty(0, dtype=np.int64), 0)
-    within = pairwise_sq_distances(points) <= params.eps * params.eps
+    within = cdist(points, points, "sqeuclidean") <= params.eps * params.eps
     core = within.sum(axis=1) >= params.min_pts
     assignment = np.full(n, NOISE, dtype=np.int64)
     core_idx = np.flatnonzero(core)

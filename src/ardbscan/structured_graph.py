@@ -11,13 +11,12 @@ structural entropy with the smallest value (a "stable point").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from ardbscan.dbscan_core import pairwise_sq_distances
-
-# total edge visits allowed in one k sweep before striding kicks in
+# total edge visits allowed in one k sweep before the sweep strides
 DEFAULT_OP_BUDGET = 200_000_000
 DEFAULT_K_CAP = 2048
 
@@ -68,7 +67,7 @@ class StructuredGraph:
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """Symmetric Euclidean distance matrix with a zero diagonal."""
-    return np.sqrt(pairwise_sq_distances(points))
+    return cdist(points, points)
 
 
 def _mutual_rank_edges(dist: np.ndarray, cap: int):
@@ -132,14 +131,15 @@ def normalized_one_dim_se(g: StructuredGraph) -> float:
 
 @dataclass(frozen=True)
 class SelectKResult:
-    """k selection outcome."""
+    """k selection outcome: the chosen k and its graph, every evaluated k in
+    ascending order with its normalized entropy, and the stable points
+    among them."""
 
     k: int
     graph: StructuredGraph
     ks: np.ndarray
     h_norm: np.ndarray
-    stable_ks: list[int] = field(default_factory=list)
-    exact: bool = True
+    stable_ks: list[int]
 
 
 def _entropies_for(u, v, prefix_d, d, n, ms):
@@ -170,65 +170,52 @@ def select_k(
 ) -> SelectKResult:
     """Sweep k, find stable points of the normalized entropy, pick the best.
 
-    The sweep is exact whenever the total edge-visit cost fits op_budget;
-    beyond that a strided sweep locates candidate dips and small windows
-    around them are re-evaluated exactly.
+    The sweep evaluates every stride-th k from 1, plus k_max; stride is 1
+    when the total edge-visit cost of all k up to k_max fits op_budget and
+    max(2, ceil(cost / op_budget)) otherwise. Every k within one stride of
+    the four lowest dips of that grid and of its minimum is evaluated too,
+    each k once; at stride 1 this adds nothing and the sweep is complete.
+    Over the evaluated k in ascending order, the result is the stable point
+    with the smallest value or, when there is none, the minimum; equal
+    values go to the smaller k, with no tolerance.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if n < 3:
         raise ValueError("too few points for stable-point detection")
     k_max = min(n - 1, cap if cap is not None else DEFAULT_K_CAP)
-    dist = pairwise_distances(points)
-    u, v, ke, de = _mutual_rank_edges(dist, k_max)
+    u, v, ke, de = _mutual_rank_edges(pairwise_distances(points), k_max)
     prefix_d = np.cumsum(de)
 
     all_ks = np.arange(1, k_max + 1, dtype=np.int64)
     all_ms = np.searchsorted(ke, all_ks, side="right")
     total_cost = int(all_ms.sum())
+    stride = 1
+    if total_cost > op_budget:
+        stride = max(2, math.ceil(total_cost / op_budget))
 
-    if total_cost <= op_budget or k_max <= 3:
-        h = _entropies_for(u, v, prefix_d, de, n, all_ms)
-        h_norm = h / (all_ks * n)
-        stable = _stable_points(all_ks, h_norm)
-        if stable:
-            k_star = min(stable, key=lambda k: h_norm[k - 1])
-        else:
-            k_star = int(all_ks[int(np.argmin(h_norm))])
-        graph = _graph_from_prefix(n, k_star, u, v, de, int(all_ms[k_star - 1]))
-        return SelectKResult(k_star, graph, all_ks, h_norm, stable, exact=True)
+    def sweep(ks):
+        h = _entropies_for(u, v, prefix_d, de, n, all_ms[ks - 1])
+        return h / (ks * n)
 
-    # strided pass: pick a grid whose total cost fits the budget, then
-    # re-evaluate exact windows around the most promising dips
-    stride = max(2, int(math.ceil(total_cost / op_budget)))
     grid = np.unique(np.concatenate([all_ks[::stride], all_ks[-1:]]))
-    grid_h = _entropies_for(u, v, prefix_d, de, n, all_ms[grid - 1])
-    grid_norm = grid_h / (grid * n)
+    grid_norm = sweep(grid)
+    dips = _stable_points(grid, grid_norm)
+    dips.sort(key=lambda k: grid_norm[int(np.searchsorted(grid, k))])
+    centers = dips[:4] + [int(grid[int(np.argmin(grid_norm))])]
+    window = np.concatenate(
+        [np.arange(max(1, c - stride), min(k_max, c + stride) + 1) for c in centers]
+    )
+    extra = np.setdiff1d(window, grid)
+    ks = np.concatenate([grid, extra])
+    h_norm = np.concatenate([grid_norm, sweep(extra)])
+    order = np.argsort(ks)
+    ks, h_norm = ks[order], h_norm[order]
 
-    candidates = _stable_points(grid, grid_norm)
-    candidates.sort(key=lambda k: grid_norm[int(np.searchsorted(grid, k))])
-    pool = candidates[:4]
-    argmin_k = int(grid[int(np.argmin(grid_norm))])
-    if argmin_k not in pool:
-        pool.append(argmin_k)
-
-    best_k = None
-    best_val = math.inf
-    stable_all: list[int] = []
-    for center in pool:
-        lo = max(1, center - stride)
-        hi = min(k_max, center + stride)
-        ks_win = np.arange(lo, hi + 1, dtype=np.int64)
-        h_win = _entropies_for(u, v, prefix_d, de, n, all_ms[ks_win - 1])
-        norm_win = h_win / (ks_win * n)
-        win_stable = _stable_points(ks_win, norm_win)
-        stable_all.extend(win_stable)
-        picks = win_stable or [int(ks_win[int(np.argmin(norm_win))])]
-        for k in picks:
-            val = norm_win[k - lo]
-            if val < best_val - 1e-15 or (val <= best_val + 1e-15 and (best_k is None or k < best_k)):
-                best_val = val
-                best_k = k
-    stable_all = sorted(set(stable_all))
-    graph = _graph_from_prefix(n, best_k, u, v, de, int(all_ms[best_k - 1]))
-    return SelectKResult(best_k, graph, grid, grid_norm, stable_all, exact=False)
+    stable = _stable_points(ks, h_norm)
+    if stable:
+        k_star = min(stable, key=lambda k: h_norm[int(np.searchsorted(ks, k))])
+    else:
+        k_star = int(ks[int(np.argmin(h_norm))])
+    graph = _graph_from_prefix(n, k_star, u, v, de, int(all_ms[k_star - 1]))
+    return SelectKResult(k_star, graph, ks, h_norm, stable)

@@ -131,6 +131,33 @@ def one_dim_entropy_oracle(n: int, edges) -> float:
     return h
 
 
+def knn_graph_oracle(points, k: int) -> list[tuple[int, int, float]]:
+    """Union-rule k-NN graph by plain loops, as sorted (i, j, weight), i < j.
+
+    Each vertex ranks the others by (distance, index) and keeps the first k;
+    a pair is an edge when either endpoint keeps the other. With m edges
+    and total edge distance S, an edge of distance d weighs exp(-d*m/S)
+    (1 when S is 0).
+    """
+    def dist(p, q):
+        return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+
+    n = len(points)
+    pairs = set()
+    for i in range(n):
+        ranked = sorted((dist(points[i], points[j]), j) for j in range(n) if j != i)
+        for _, j in ranked[:k]:
+            pairs.add((min(i, j), max(i, j)))
+    edges = sorted(pairs)
+    lengths = [dist(points[i], points[j]) for i, j in edges]
+    total = sum(lengths)
+    m = len(edges)
+    return [
+        (i, j, math.exp(-d * m / total) if total > 0 else 1.0)
+        for (i, j), d in zip(edges, lengths)
+    ]
+
+
 def partition_entropy_oracle(n: int, edges, parts) -> float:
     """Two-level tree entropy of an explicit partition, by definition.
 

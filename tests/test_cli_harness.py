@@ -272,6 +272,17 @@ def test_cluster_trace_files_are_kept_per_seed(workspace):
     assert episodes == expect
 
 
+@pytest.mark.parametrize("command", ["allocate", "online", "baseline"])
+def test_trace_flag_is_cluster_only(workspace, capsys, command):
+    tmp, data, cfg = workspace
+    out = tmp / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", str(out), "--trace"])
+    assert exc.value.code == 2
+    assert "--trace" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cluster_calls_search_through_module_globals(workspace, monkeypatch):
     # perfbench probes replace these cli_harness attributes at call time
     tmp, data, cfg = workspace

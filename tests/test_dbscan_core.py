@@ -135,3 +135,36 @@ def test_cluster_centers_distance_to_partition_center():
     assert centers[0][1] == pytest.approx(0.1)
     assert centers[1][1] == pytest.approx(4.9)
     assert centers[0][2] == 2 and centers[1][2] == 1
+
+
+def _with_duplicates(seed):
+    """600 random points plus exact copies of 500 of them (n = 1,100), in
+    shuffled order; returns the points and the index pairs of the copies."""
+    rng = np.random.default_rng(seed)
+    base = rng.random((600, 2))
+    copied = rng.choice(600, size=500, replace=False)
+    pts = np.vstack([base, base[copied]])
+    perm = rng.permutation(pts.shape[0])
+    where = np.argsort(perm)  # where[i] is the new position of old row i
+    pairs = np.column_stack([where[copied], where[600 + np.arange(500)]])
+    return pts[perm], pairs
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_duplicates_co_cluster_at_zero_eps(seed):
+    pts, pairs = _with_duplicates(seed)
+    assert np.array_equal(pts[pairs[:, 0]], pts[pairs[:, 1]])
+    labels = run_dbscan(pts, DbscanParams(0.0, 2)).assignment
+    a, b = labels[pairs[:, 0]], labels[pairs[:, 1]]
+    assert np.all(a != NOISE)
+    assert np.array_equal(a, b)
+    assert np.all(labels[np.setdiff1d(np.arange(pts.shape[0]), pairs)] == NOISE)
+
+
+@pytest.mark.parametrize("eps, min_pts", [(0.0, 2), (0.03, 5)])
+def test_matches_bruteforce_above_1024_points_with_duplicates(eps, min_pts):
+    pts, _ = _with_duplicates(7)
+    assert pts.shape[0] > 1024
+    mine = run_dbscan(pts, DbscanParams(eps, min_pts))
+    theirs = dbscan_bruteforce(pts.tolist(), eps, min_pts)
+    assert canonical_labels(mine.assignment) == canonical_labels(theirs)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ardbscan import structured_graph
 from ardbscan.structured_graph import (
     StructuredGraph,
     build_knn_graph,
@@ -14,7 +15,7 @@ from ardbscan.structured_graph import (
     select_k,
 )
 
-from oracles import one_dim_entropy_oracle
+from oracles import knn_graph_oracle, one_dim_entropy_oracle
 
 
 def blobs(seed=0, n_per=20, centers=((0.0, 0.0), (1.0, 1.0)), scale=0.05):
@@ -140,15 +141,25 @@ def test_entropy_bounds(seed, k):
     assert -1e-12 <= h <= math.log2(12) + 1e-12
 
 
-def test_select_k_agrees_with_naive_scan():
-    pts = blobs(seed=21)
+def lattice(cols=5, rows=4, step=0.25):
+    """Grid points: every vertex has several neighbors at exactly the same
+    distance, so the rank tie rule decides most edges."""
+    return np.array(
+        [[step * x, step * y] for x in range(cols) for y in range(rows)]
+    )
+
+
+def assert_agrees_with_naive_scan(pts):
     result = select_k(pts)
     k_star, graph = result.k, result.graph
     assert graph.k == k_star
 
-    # independent scan: rebuild every candidate graph and re-detect minima
+    # independent scan: rebuild every candidate graph by plain loops and
+    # re-detect minima
     n = pts.shape[0]
-    h = [normalized_one_dim_se(build_knn_graph(pts, k)) for k in range(1, n)]
+    rows = pts.tolist()
+    graphs = [knn_graph_oracle(rows, k) for k in range(1, n)]
+    h = [one_dim_entropy_oracle(n, g) / (k * n) for k, g in enumerate(graphs, 1)]
     stable = [
         i + 1
         for i in range(1, len(h) - 1)
@@ -160,7 +171,25 @@ def test_select_k_agrees_with_naive_scan():
         expected = int(np.argmin(h)) + 1
     assert k_star == expected
     assert result.stable_ks == stable
+    assert result.ks.tolist() == list(range(1, n))
     assert np.allclose(result.h_norm, h, atol=1e-9)
+
+    def same_graph(g, oracle):
+        mine = sorted(g.edge_list())
+        assert [e[:2] for e in mine] == [e[:2] for e in oracle]
+        assert np.allclose([e[2] for e in mine], [e[2] for e in oracle], atol=1e-12)
+
+    same_graph(graph, graphs[k_star - 1])
+    for k in range(1, n):
+        same_graph(build_knn_graph(pts, k), graphs[k - 1])
+
+
+def test_select_k_agrees_with_naive_scan():
+    assert_agrees_with_naive_scan(blobs(seed=21))
+
+
+def test_select_k_agrees_with_naive_scan_on_lattice():
+    assert_agrees_with_naive_scan(lattice())
 
 
 def test_select_k_deterministic():
@@ -201,5 +230,29 @@ def test_heavy_duplicates_give_finite_weights():
 def test_select_k_strided_matches_exact_on_small_input():
     pts = blobs(seed=8, n_per=30)
     exact = select_k(pts)
-    strided = select_k(pts, op_budget=30_000)  # forces the strided path
+    strided = select_k(pts, op_budget=30_000)  # forces a strided grid
     assert strided.k == exact.k
+
+
+def test_grid_sweep_picks_the_full_sweep_stable_point(monkeypatch):
+    # an entropy curve with one valley centred on k = 21 and its lowest
+    # value at k_max = 59: the stable point 21 must win on both paths
+    pts = np.random.default_rng(4).random((60, 2))
+    n = pts.shape[0]
+    edges_at = [build_knn_graph(pts, k).edge_count for k in range(1, n)]
+    assert all(a < b for a, b in zip(edges_at, edges_at[1:]))
+    k_of = {m: k for k, m in enumerate(edges_at, 1)}
+
+    def curve(k):
+        return 0.5 - 0.004 * k - 0.1 * math.exp(-(((k - 21) / 4) ** 2))
+
+    def fake_entropies(u, v, prefix_d, d, n_pts, ms):
+        return np.array([curve(k_of[int(m)]) * k_of[int(m)] * n_pts for m in ms])
+
+    monkeypatch.setattr(structured_graph, "_entropies_for", fake_entropies)
+    full = select_k(pts)
+    grid = select_k(pts, op_budget=20_000)
+    assert full.stable_ks == [21] and full.k == 21
+    assert len(grid.ks) < n - 1  # the budget forces a strided grid
+    assert 21 in grid.stable_ks
+    assert grid.k == full.k
