@@ -152,8 +152,12 @@ def _set_up(raw: Dataset, config: RunConfig, allocate: bool = True
             ) -> Tuple[Dataset, SelectKResult, Optional[EncodingTree],
                        Optional[AgentAllocation]]:
     """Check and normalize the data, select k and, when ``allocate`` is
-    set, build the encoding tree and the agent allocation."""
+    set, build the encoding tree and the agent allocation.  k selection
+    needs at least 3 points."""
     _check_dataset(raw)
+    if raw.n < 3:
+        raise DataError(f"dataset too small for k selection: {raw.n} points, "
+                        "need at least 3")
     norm = normalize(raw)
     sel = select_k(norm.points, cap=config.k_sweep_cap)
     if not allocate:

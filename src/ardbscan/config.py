@@ -1,8 +1,10 @@
 """Run configuration shared by the CLI and the search orchestration.
 
 A :class:`RunConfig` carries every tunable of the pipeline with its
-default value.  Configs are built from flat JSON objects; unknown keys
-are rejected so typos fail loudly instead of silently running defaults.
+default value, and is the only place such a default is written: the
+modules below it read each tunable from the run's config.  Configs are
+built from flat JSON objects; unknown keys are rejected so typos fail
+loudly instead of silently running defaults.
 """
 
 from __future__ import annotations
@@ -71,13 +73,14 @@ class RunConfig:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not isinstance(self.seeds, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in self.seeds
+            isinstance(s, int) and not isinstance(s, bool) and s >= 0
+            for s in self.seeds
         ):
-            raise ValueError("seeds must be a list of integers")
+            raise ValueError("seeds must be a list of nonnegative integers")
         if not self.seeds:
             raise ValueError("seeds must not be empty")
-        if not 0.0 <= self.label_proportion <= 1.0:
-            raise ValueError("label_proportion must lie in [0, 1]")
+        if not 0.0 < self.label_proportion <= 1.0:
+            raise ValueError("label_proportion must lie in (0, 1]")
         for name in ("pi_eps", "pi_minpts"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be a positive integer")
@@ -117,6 +120,8 @@ class RunConfig:
             raise ValueError("alloc_eps must be positive")
         if self.noise_sigma < 0 or self.noise_clip < 0:
             raise ValueError("noise parameters must be nonnegative")
+        if not isinstance(self.single_agent, bool):
+            raise ValueError("single_agent must be true or false")
 
     def resolved_l_max(self) -> int:
         if self.l_max is not None:

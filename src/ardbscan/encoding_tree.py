@@ -293,8 +293,8 @@ class AgentAllocation:
     node_to_partition: Dict[int, int]
 
 
-def allocate_agents(tree: EncodingTree, k: int, alloc_eps: float = 0.3,
-                    alloc_minpts: int = 1) -> AgentAllocation:
+def allocate_agents(tree: EncodingTree, k: int, alloc_eps: float,
+                    alloc_minpts: int) -> AgentAllocation:
     """Pool communities with similar information uncertainty.
 
     Communities whose per-object uncertainties chain within

@@ -28,27 +28,12 @@ from .search_env import (
     EpisodeTrace,
     PolicyNetworks,
     ReplayBuffer,
-    RewardConfig,
     SearchEnv,
-    TD3Hyper,
+    SearchLayer,
     run_episode,
 )
 
 TraceSink = Callable[[int, int, EpisodeTrace], None]
-
-
-@dataclass(frozen=True)
-class SearchLayer:
-    """One refinement level of the parameter space."""
-
-    index: int
-    bounds: Bounds
-    outer: Bounds  # layer-0 box, never left by any refinement
-    theta_eps: float
-    theta_minpts: int
-    start: DbscanParams
-    pi_eps: int
-    pi_minpts: int
 
 
 @dataclass(frozen=True)
@@ -174,9 +159,6 @@ def _lattice_walk(evaluator: ClusterEvaluator, config: RunConfig, seed: int,
     points = evaluator.points
     dim = points.shape[1]
     layer = first_layer(dim, points.shape[0], config)
-    hyper = TD3Hyper(config.gamma, config.batch_size, config.tau,
-                     config.actor_delay, config.noise_sigma, config.noise_clip)
-    reward_cfg = RewardConfig(config.delta, config.max_steps)
     root_rng = np.random.default_rng(seed)
 
     layer_history: List[DbscanParams] = []
@@ -187,13 +169,8 @@ def _lattice_walk(evaluator: ClusterEvaluator, config: RunConfig, seed: int,
             layer = next_layer(layer, evaluator.best_params)
         nets_rng = np.random.default_rng(root_rng.integers(2 ** 63))
         env_rng = np.random.default_rng(root_rng.integers(2 ** 63))
-        networks = PolicyNetworks.create(
-            dim, nets_rng, hidden=config.hidden_width,
-            body=config.body_width, lr=config.learning_rate)
-        env = SearchEnv(evaluator, layer.bounds, layer.theta_eps,
-                        layer.theta_minpts, layer.start, networks,
-                        ReplayBuffer(config.buffer_capacity), hyper,
-                        reward_cfg, env_rng)
+        env = SearchEnv(evaluator, layer, PolicyNetworks(dim, nets_rng, config),
+                        ReplayBuffer(config.buffer_capacity), config, env_rng)
 
         for episode in range(config.episodes):
             frac = episode / max(config.episodes - 1, 1)

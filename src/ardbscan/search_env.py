@@ -6,6 +6,12 @@ partition, reads a weak-supervision reward off the labeled subset, and
 feeds an actor-critic pair whose job is to steer the walk toward
 parameter regions that score well.
 
+Every tunable (network widths, learning rate, buffer capacity, the six
+TD3 values, reward blend and episode cap) is read from the run's
+:class:`~ardbscan.config.RunConfig`, the only place a default is
+written; an episode reads its box, step sizes and start from the
+:class:`SearchLayer` it runs on.
+
 Everything here is plain numpy.  The networks are small enough that
 hand-rolled dense layers with explicit backward passes beat the
 overhead of a tensor framework at this batch size, and keeping the
@@ -25,12 +31,13 @@ from __future__ import annotations
 
 import math
 from copy import deepcopy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import RunConfig
 from .dbscan_core import ClusterResult, DbscanParams, cluster_centers, run_dbscan
 from .metrics import nmi
 
@@ -48,6 +55,20 @@ class Bounds(NamedTuple):
     eps_hi: float
     minpts_lo: int
     minpts_hi: int
+
+
+@dataclass(frozen=True)
+class SearchLayer:
+    """One refinement level of the parameter space."""
+
+    index: int
+    bounds: Bounds
+    outer: Bounds  # layer-0 box, never left by any refinement
+    theta_eps: float
+    theta_minpts: int
+    start: DbscanParams
+    pi_eps: int
+    pi_minpts: int
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +130,7 @@ class MLP:
 
 class Adam:
     def __init__(self, pairs: List[Tuple[np.ndarray, np.ndarray]],
-                 lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
+                 lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         self.pairs = pairs
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
@@ -138,34 +159,31 @@ def _soft_update(source: MLP, target: MLP, tau: float) -> None:
 
 
 class PolicyNetworks:
-    """All networks one agent trains, plus their target copies."""
+    """All networks one agent trains, plus their target copies.
 
-    def __init__(self, f_g: MLP, f_l: MLP, f_s: MLP, actor: MLP,
-                 critic_1: MLP, critic_2: MLP, lr: float = 1e-3):
-        self.f_g, self.f_l, self.f_s = f_g, f_l, f_s
-        self.actor = actor
-        self.critic_1, self.critic_2 = critic_1, critic_2
-        self.target_actor = deepcopy(actor)
-        self.target_critic_1 = deepcopy(critic_1)
-        self.target_critic_2 = deepcopy(critic_2)
-        self.actor_opt = Adam(actor.param_pairs(), lr)
-        self.critic_1_opt = Adam(critic_1.param_pairs(), lr)
-        self.critic_2_opt = Adam(critic_2.param_pairs(), lr)
-        self.train_steps = 0
+    Built for ``d``-dimensional points with ``config.hidden_width`` wide
+    encoders, ``config.body_width`` wide actor and critic bodies and
+    Adam at ``config.learning_rate``; the networks draw their initial
+    weights from ``rng`` in declaration order.
+    """
 
-    @classmethod
-    def create(cls, d: int, rng: np.random.Generator, hidden: int = 32,
-               body: int = 256, lr: float = 1e-3) -> "PolicyNetworks":
+    def __init__(self, d: int, rng: np.random.Generator, config: RunConfig):
+        hidden, body = config.hidden_width, config.body_width
         fused = 2 * hidden
-        return cls(
-            f_g=MLP([7, hidden], rng),
-            f_l=MLP([d + 2, hidden], rng),
-            f_s=MLP([fused, 1], rng),
-            actor=MLP([fused, body, body, len(Action)], rng),
-            critic_1=MLP([fused + len(Action), body, body, 1], rng),
-            critic_2=MLP([fused + len(Action), body, body, 1], rng),
-            lr=lr,
-        )
+        self.f_g = MLP([7, hidden], rng)
+        self.f_l = MLP([d + 2, hidden], rng)
+        self.f_s = MLP([fused, 1], rng)
+        self.actor = MLP([fused, body, body, len(Action)], rng)
+        self.critic_1 = MLP([fused + len(Action), body, body, 1], rng)
+        self.critic_2 = MLP([fused + len(Action), body, body, 1], rng)
+        self.target_actor = deepcopy(self.actor)
+        self.target_critic_1 = deepcopy(self.critic_1)
+        self.target_critic_2 = deepcopy(self.critic_2)
+        lr = config.learning_rate
+        self.actor_opt = Adam(self.actor.param_pairs(), lr)
+        self.critic_1_opt = Adam(self.critic_1.param_pairs(), lr)
+        self.critic_2_opt = Adam(self.critic_2.param_pairs(), lr)
+        self.train_steps = 0
 
 
 # ---------------------------------------------------------------------------
@@ -198,26 +216,6 @@ class RLTuple:
     def __post_init__(self):
         if not 0.0 <= self.reward <= 1.0:
             raise ValueError(f"reward must be in [0, 1], got {self.reward}")
-
-
-@dataclass(frozen=True)
-class RewardConfig:
-    delta: float = 0.2
-    max_steps: int = 30
-
-    @property
-    def beta(self) -> float:
-        return 1.0 - self.delta
-
-
-@dataclass(frozen=True)
-class TD3Hyper:
-    gamma: float = 0.1
-    batch_size: int = 16
-    tau: float = 0.005
-    actor_delay: int = 2
-    noise_sigma: float = 0.2
-    noise_clip: float = 0.5
 
 
 def _attention(networks: PolicyNetworks, global_out: np.ndarray,
@@ -319,24 +317,24 @@ def apply_action(params: DbscanParams, action: Action, theta_eps: float,
     return DbscanParams(eps, min_pts), tuple(flags)
 
 
-def episode_rewards(immediates: Sequence[float],
-                    config: RewardConfig) -> List[float]:
-    """Blend of the best still-reachable reward and the endpoint reward."""
+def episode_rewards(immediates: Sequence[float], delta: float) -> List[float]:
+    """Blend of the best still-reachable reward, weighted ``1 - delta``,
+    and the endpoint reward, weighted ``delta``."""
     last = immediates[-1]
     out: List[float] = []
     future_max = -math.inf
     for value in reversed(immediates):
         future_max = max(future_max, value)
-        out.append(config.beta * future_max + config.delta * last)
+        out.append((1.0 - delta) * future_max + delta * last)
     out.reverse()
     return out
 
 
 def check_termination(state: FusedState, step_index: int, action: Action,
-                      config: RewardConfig) -> Optional[str]:
+                      max_steps: int) -> Optional[str]:
     if min(state.boundary_distances) < 0:
         return "bounds"
-    if step_index >= config.max_steps:
+    if step_index >= max_steps:
         return "timeout"
     if action == Action.STOP and step_index >= 2:
         return "action"
@@ -348,7 +346,7 @@ def check_termination(state: FusedState, step_index: int, action: Action,
 
 
 class ReplayBuffer:
-    def __init__(self, capacity: int = 2000):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self._items: List[RLTuple] = []
 
@@ -369,14 +367,17 @@ class ReplayBuffer:
 
 
 def td3_update(networks: PolicyNetworks, buffer: ReplayBuffer,
-               hyper: TD3Hyper,
+               config: RunConfig,
                rng: np.random.Generator) -> Optional[Tuple[float, Optional[float]]]:
-    """One critic step, with the actor and targets trailing at half rate.
+    """One critic step on a ``config.batch_size`` batch, with the actor and
+    targets trailing every ``config.actor_delay`` steps.
 
-    Returns (critic loss, actor loss or None), or None while the buffer
-    is still underfull.
+    Reads ``gamma``, ``batch_size``, ``tau``, ``actor_delay``,
+    ``noise_sigma`` and ``noise_clip`` from ``config``.  Returns (critic
+    loss, actor loss or None), or None while the buffer is still
+    underfull.
     """
-    m = hyper.batch_size
+    m = config.batch_size
     if len(buffer) < m:
         return None
     batch = buffer.sample(m, rng)
@@ -389,13 +390,13 @@ def td3_update(networks: PolicyNetworks, buffer: ReplayBuffer,
     eye = np.eye(n_actions)
 
     target_logits = networks.target_actor.forward(next_states)
-    noise = np.clip(rng.normal(0.0, hyper.noise_sigma, target_logits.shape),
-                    -hyper.noise_clip, hyper.noise_clip)
+    noise = np.clip(rng.normal(0.0, config.noise_sigma, target_logits.shape),
+                    -config.noise_clip, config.noise_clip)
     next_onehot = eye[(target_logits + noise).argmax(axis=1)]
     next_in = np.concatenate([next_states, next_onehot], axis=1)
     q1_t = networks.target_critic_1.forward(next_in)[:, 0]
     q2_t = networks.target_critic_2.forward(next_in)[:, 0]
-    targets = rewards + hyper.gamma * np.minimum(q1_t, q2_t)
+    targets = rewards + config.gamma * np.minimum(q1_t, q2_t)
 
     critic_in = np.concatenate([states, eye[actions]], axis=1)
     critic_loss = 0.0
@@ -409,7 +410,7 @@ def td3_update(networks: PolicyNetworks, buffer: ReplayBuffer,
 
     networks.train_steps += 1
     actor_loss: Optional[float] = None
-    if networks.train_steps % hyper.actor_delay == 0:
+    if networks.train_steps % config.actor_delay == 0:
         logits = networks.actor.forward(states)
         actor_in = np.concatenate([states, logits], axis=1)
         q = networks.critic_1.forward(actor_in)[:, 0]
@@ -417,9 +418,9 @@ def td3_update(networks: PolicyNetworks, buffer: ReplayBuffer,
         grad_in = networks.critic_1.backward(np.full((m, 1), -1.0 / m))
         networks.actor.backward(grad_in[:, -n_actions:])
         networks.actor_opt.step()
-        _soft_update(networks.actor, networks.target_actor, hyper.tau)
-        _soft_update(networks.critic_1, networks.target_critic_1, hyper.tau)
-        _soft_update(networks.critic_2, networks.target_critic_2, hyper.tau)
+        _soft_update(networks.actor, networks.target_actor, config.tau)
+        _soft_update(networks.critic_1, networks.target_critic_1, config.tau)
+        _soft_update(networks.critic_2, networks.target_critic_2, config.tau)
     return critic_loss, actor_loss
 
 
@@ -486,14 +487,10 @@ class SearchEnv:
     """Everything one agent needs to run episodes on one layer."""
 
     evaluator: ClusterEvaluator
-    bounds: Bounds
-    theta_eps: float
-    theta_minpts: int
-    start: DbscanParams
+    layer: SearchLayer
     networks: PolicyNetworks
     buffer: ReplayBuffer
-    hyper: TD3Hyper
-    reward: RewardConfig
+    config: RunConfig
     rng: np.random.Generator
 
 
@@ -521,13 +518,14 @@ def run_episode(env: SearchEnv, epsilon: float) -> EpisodeTrace:
     the future maximum), so the trace enters the replay buffer only at
     the end; per-step training draws on earlier episodes.
     """
-    first = env.evaluator.evaluate(env.start)
+    layer = env.layer
+    first = env.evaluator.evaluate(layer.start)
     if first is None:
-        return EpisodeTrace([], [], "budget", env.start)
+        return EpisodeTrace([], [], "budget", layer.start)
     clustering, _ = first
-    state = build_state(env.networks, env.start, env.bounds, clustering,
+    state = build_state(env.networks, layer.start, layer.bounds, clustering,
                         env.evaluator.points)
-    params = env.start
+    params = layer.start
 
     steps: List[EpisodeStep] = []
     transitions: List[Tuple[FusedState, Action, FusedState]] = []
@@ -540,27 +538,28 @@ def run_episode(env: SearchEnv, epsilon: float) -> EpisodeTrace:
         else:
             logits = env.networks.actor.forward(state.vector[None])[0]
             action = Action(int(logits.argmax()))
-        new_params, flags = apply_action(params, action, env.theta_eps,
-                                         env.theta_minpts, env.bounds)
+        new_params, flags = apply_action(params, action, layer.theta_eps,
+                                         layer.theta_minpts, layer.bounds)
         outcome = env.evaluator.evaluate(new_params)
         if outcome is None:
             break
         clustering, immediate = outcome
-        next_state = build_state(env.networks, new_params, env.bounds,
+        next_state = build_state(env.networks, new_params, layer.bounds,
                                  clustering, env.evaluator.points,
                                  clamp_flags=flags)
         steps.append(EpisodeStep(action, new_params, immediate,
                                  clustering.num_clusters))
         transitions.append((state, action, next_state))
-        reason = check_termination(next_state, step_index, action, env.reward)
-        td3_update(env.networks, env.buffer, env.hyper, env.rng)
+        reason = check_termination(next_state, step_index, action,
+                                   env.config.max_steps)
+        td3_update(env.networks, env.buffer, env.config, env.rng)
         params, state = new_params, next_state
         if reason is not None:
             stop_reason = reason
             break
 
-    rewards = episode_rewards([s.immediate for s in steps], env.reward) \
-        if steps else []
+    rewards = episode_rewards([s.immediate for s in steps],
+                              env.config.delta) if steps else []
     for (before, action, after), reward in zip(transitions, rewards):
         env.buffer.insert(RLTuple(before.vector, action, after.vector, reward))
-    return EpisodeTrace(steps, rewards, stop_reason, env.start)
+    return EpisodeTrace(steps, rewards, stop_reason, layer.start)

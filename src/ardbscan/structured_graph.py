@@ -18,7 +18,6 @@ from scipy.spatial.distance import cdist
 
 # total edge visits allowed in one k sweep before the sweep strides
 DEFAULT_OP_BUDGET = 200_000_000
-DEFAULT_K_CAP = 2048
 
 
 @dataclass(frozen=True)
@@ -165,13 +164,15 @@ def _stable_points(ks: np.ndarray, h: np.ndarray) -> list[int]:
 
 def select_k(
     points: np.ndarray,
-    cap: int | None = None,
+    cap: int,
     op_budget: int = DEFAULT_OP_BUDGET,
 ) -> SelectKResult:
     """Sweep k, find stable points of the normalized entropy, pick the best.
 
-    The sweep evaluates every stride-th k from 1, plus k_max; stride is 1
-    when the total edge-visit cost of all k up to k_max fits op_budget and
+    Candidates run from 1 to k_max = min(n - 1, cap); the pipeline passes
+    the run's ``k_sweep_cap`` as ``cap``. The sweep evaluates every
+    stride-th k from 1, plus k_max; stride is 1 when the total edge-visit
+    cost of all k up to k_max fits op_budget and
     max(2, ceil(cost / op_budget)) otherwise. Every k within one stride of
     the four lowest dips of that grid and of its minimum is evaluated too,
     each k once; at stride 1 this adds nothing and the sweep is complete.
@@ -183,7 +184,7 @@ def select_k(
     n = points.shape[0]
     if n < 3:
         raise ValueError("too few points for stable-point detection")
-    k_max = min(n - 1, cap if cap is not None else DEFAULT_K_CAP)
+    k_max = min(n - 1, cap)
     u, v, ke, de = _mutual_rank_edges(pairwise_distances(points), k_max)
     prefix_d = np.cumsum(de)
 

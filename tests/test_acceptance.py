@@ -34,9 +34,7 @@ from ardbscan.search_env import (
     Bounds,
     PolicyNetworks,
     ReplayBuffer,
-    RewardConfig,
     RLTuple,
-    TD3Hyper,
     build_state,
     episode_rewards,
     td3_update,
@@ -280,7 +278,7 @@ def _fd_check(net, in_dim, rng, n_coords=10, h=1e-6):
     "retroactive reward identities hold")
 def test_criterion_7_rl_substrate():
     rng = np.random.default_rng(707)
-    nets = PolicyNetworks.create(d=2, rng=rng)
+    nets = PolicyNetworks(2, rng, RunConfig())
     _fd_check(nets.f_g, 7, rng)
     _fd_check(nets.f_l, 4, rng)
     _fd_check(nets.f_s, 64, rng)
@@ -288,7 +286,7 @@ def test_criterion_7_rl_substrate():
     _fd_check(nets.critic_1, 69, rng)
 
     # always-RIGHT bandit
-    nets = PolicyNetworks.create(d=1, rng=np.random.default_rng(321))
+    nets = PolicyNetworks(1, np.random.default_rng(321), RunConfig())
     buf = ReplayBuffer(2000)
     states = np.random.default_rng(123).normal(size=(40, 64))
     for i in range(40):
@@ -297,13 +295,13 @@ def test_criterion_7_rl_substrate():
                                1.0 if a == Action.RIGHT else 0.0))
     train_rng = np.random.default_rng(77)
     for _ in range(200):
-        td3_update(nets, buf, TD3Hyper(), train_rng)
+        td3_update(nets, buf, RunConfig(), train_rng)
     assert (nets.actor.forward(states).argmax(axis=1)
             == int(Action.RIGHT)).all()
 
     # attention normalization across cluster counts
     rng = np.random.default_rng(708)
-    nets = PolicyNetworks.create(d=2, rng=rng)
+    nets = PolicyNetworks(2, rng, RunConfig())
     bounds = Bounds(0.0, math.sqrt(2), 1, 10)
     for m in (1, 5, 50):
         points = rng.random((max(m * 2, 4), 2))
@@ -314,11 +312,10 @@ def test_criterion_7_rl_substrate():
         assert abs(sum(state.attention) - 1.0) < 1e-6
 
     # retroactive reward identities
-    cfg = RewardConfig(delta=0.2, max_steps=30)
-    assert episode_rewards([0.2, 0.9, 0.5], cfg) == \
+    assert episode_rewards([0.2, 0.9, 0.5], 0.2) == \
         pytest.approx([0.82, 0.82, 0.5])
     for c in (0.0, 0.31, 1.0):
-        assert episode_rewards([c] * 5, cfg) == pytest.approx([c] * 5)
+        assert episode_rewards([c] * 5, 0.2) == pytest.approx([c] * 5)
 
 
 # ---------------------------------------------------------------------------

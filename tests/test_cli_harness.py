@@ -114,6 +114,10 @@ def test_config_rejects_unknown_keys():
         {"seeds": [0.5]},
         {"pi_eps": 0},
         {"gamma": 0.0},
+        # rejected here, not after k selection and the tree have run
+        {"single_agent": "false"},
+        {"label_proportion": 0},
+        {"seeds": [-1]},
     ],
 )
 def test_config_rejects_bad_values(bad):
@@ -459,6 +463,31 @@ def test_tiny_dataset_is_data_error(tmp_path):
     data.write_text("0.5,0.5,0\n")
     cfg = write_config(tmp_path / "cfg.json", data)
     assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["cluster", "allocate"])
+def test_two_point_dataset_is_data_error(tmp_path, capsys, command):
+    # k selection needs 3 points; too few points is the data's fault
+    data = tmp_path / "two.csv"
+    data.write_text("0.1,0.1,0\n0.9,0.9,1\n")
+    cfg = write_config(tmp_path / "cfg.json", data)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "at least 3" in capsys.readouterr().err
+
+
+def test_two_point_online_blocks_are_data_error(tmp_path):
+    data = write_dataset(tmp_path / "d.csv")
+    cfg = write_config(tmp_path / "cfg.json", data, mode="online",
+                       num_blocks=30)
+    assert main(["online", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_baseline_accepts_two_points(tmp_path):
+    # baseline runs no k selection, so 2 points are enough
+    data = tmp_path / "two.csv"
+    data.write_text("0.1,0.1,0\n0.9,0.9,1\n")
+    cfg = write_config(tmp_path / "cfg.json", data)
+    assert main(["baseline", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 def test_malformed_dataset_is_data_error(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ardbscan import search_env
 from ardbscan.config import RunConfig
 from ardbscan.dataset import Dataset, LabeledSubset
 from ardbscan.dbscan_core import NOISE, DbscanParams, run_dbscan
@@ -311,6 +312,51 @@ def test_run_agent_layer_history_length():
     res = run_agent(np.arange(20), ds, sub, cfg, seed=1)
     assert 1 <= len(res.layer_history) <= 3
     assert res.layer_history[-1] == res.params
+
+
+# ---------------------------------------------------------------------------
+# wiring: the run's config reaches every episode and every TD3 step
+
+
+def three_blob_dataset():
+    rng = np.random.default_rng(0)
+    points = np.concatenate([rng.normal(c, 0.05, (20, 2))
+                             for c in (0.2, 0.5, 0.8)])
+    return Dataset(np.clip(points, 0.0, 1.0), np.repeat([0, 1, 2], 20))
+
+
+def test_run_agent_episodes_stop_at_max_steps():
+    traces = []
+    cfg = small_config(max_steps=3, round_budget=40, episodes=10)
+    run_agent(np.arange(60), three_blob_dataset(),
+              LabeledSubset(np.arange(0, 60, 3), 0.35), cfg, seed=0,
+              trace_sink=lambda layer, episode, trace: traces.append(trace))
+    assert any(t.stop_reason == "timeout" for t in traces)
+    assert max(len(t.steps) for t in traces) == 3
+
+
+TD3_KEYS = ("gamma", "batch_size", "tau", "actor_delay", "noise_sigma",
+            "noise_clip")
+
+
+def test_run_agent_trains_with_the_run_td3_values(monkeypatch):
+    seen = []
+    update = search_env.td3_update
+
+    def recording(networks, buffer, config, rng):
+        out = update(networks, buffer, config, rng)
+        seen.append((tuple(getattr(config, key) for key in TD3_KEYS),
+                     out is not None))
+        return out
+
+    monkeypatch.setattr(search_env, "td3_update", recording)
+    run = dict(gamma=0.3, batch_size=4, tau=0.01, actor_delay=3,
+               noise_sigma=0.3, noise_clip=0.7)
+    cfg = small_config(round_budget=40, episodes=10, **run)
+    run_agent(np.arange(60), three_blob_dataset(),
+              LabeledSubset(np.arange(0, 60, 3), 0.35), cfg, seed=0)
+    assert any(trained for _, trained in seen)
+    assert {values for values, _ in seen} == {tuple(run[k] for k in TD3_KEYS)}
 
 
 # ---------------------------------------------------------------------------

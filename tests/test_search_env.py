@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ardbscan.config import RunConfig
 from ardbscan.dbscan_core import ClusterResult, DbscanParams, run_dbscan
 from ardbscan.metrics import nmi
 from ardbscan.search_env import (
@@ -12,10 +13,9 @@ from ardbscan.search_env import (
     ClusterEvaluator,
     PolicyNetworks,
     ReplayBuffer,
-    RewardConfig,
     RLTuple,
     SearchEnv,
-    TD3Hyper,
+    SearchLayer,
     _attention,
     apply_action,
     build_state,
@@ -37,8 +37,11 @@ def blob_truth():
     return np.array([0] * 5 + [1] * 5)
 
 
+CONFIG = RunConfig()
+
+
 def make_networks(d=1, seed=0):
-    return PolicyNetworks.create(d, np.random.default_rng(seed))
+    return PolicyNetworks(d, np.random.default_rng(seed), CONFIG)
 
 
 def make_env(round_budget=30, seed=3, start=DbscanParams(0.5, 3),
@@ -47,16 +50,13 @@ def make_env(round_budget=30, seed=3, start=DbscanParams(0.5, 3),
     ev = ClusterEvaluator(points, np.arange(10), blob_truth(),
                           round_budget=round_budget)
     nets = networks if networks is not None else make_networks(d=1, seed=seed)
+    bounds = Bounds(0.0, 1.0, 1, 5)
     return SearchEnv(
         evaluator=ev,
-        bounds=Bounds(0.0, 1.0, 1, 5),
-        theta_eps=0.1,
-        theta_minpts=1,
-        start=start,
+        layer=SearchLayer(0, bounds, bounds, 0.1, 1, start, 5, 4),
         networks=nets,
-        buffer=ReplayBuffer(2000),
-        hyper=TD3Hyper(),
-        reward=RewardConfig(delta=0.2, max_steps=max_steps),
+        buffer=ReplayBuffer(CONFIG.buffer_capacity),
+        config=RunConfig(max_steps=max_steps),
         rng=np.random.default_rng(seed),
     )
 
@@ -108,7 +108,7 @@ def _fd_check_params(net, in_dim, out_dim, rng, n_coords=10, h=1e-6):
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(42)
-    nets = PolicyNetworks.create(d=2, rng=rng)
+    nets = PolicyNetworks(2, rng, CONFIG)
     _fd_check_params(nets.f_g, 7, 32, rng)
     _fd_check_params(nets.f_l, 4, 32, rng)
     _fd_check_params(nets.f_s, 64, 1, rng)
@@ -120,7 +120,7 @@ def test_input_gradient_matches_finite_differences():
     # the actor update differentiates the critic w.r.t. its action input,
     # so the input-side gradient has to be right too
     rng = np.random.default_rng(7)
-    nets = PolicyNetworks.create(d=2, rng=rng)
+    nets = PolicyNetworks(2, rng, CONFIG)
     net = nets.critic_1
     x = rng.normal(size=(3, 69))
     r = rng.normal(size=(3, 1))
@@ -142,7 +142,7 @@ def test_input_gradient_matches_finite_differences():
 
 
 def test_network_shapes():
-    nets = PolicyNetworks.create(d=3, rng=np.random.default_rng(0))
+    nets = PolicyNetworks(3, np.random.default_rng(0), CONFIG)
     assert nets.f_g.forward(np.zeros((2, 7))).shape == (2, 32)
     assert nets.f_l.forward(np.zeros((2, 5))).shape == (2, 32)
     assert nets.f_s.forward(np.zeros((2, 64))).shape == (2, 1)
@@ -192,7 +192,7 @@ def test_attention_sums_to_one_and_uniform_fallback():
 
 def test_fused_state_length_constant_across_cluster_counts():
     points = np.random.default_rng(0).random((100, 2))
-    nets = PolicyNetworks.create(d=2, rng=np.random.default_rng(5))
+    nets = PolicyNetworks(2, np.random.default_rng(5), CONFIG)
     bounds = Bounds(0.0, np.sqrt(2), 1, 25)
     params = DbscanParams(0.3, 2)
     lengths = set()
@@ -282,11 +282,10 @@ def test_immediate_reward_matches_direct_nmi():
 
 
 def test_episode_rewards_examples():
-    cfg = RewardConfig(delta=0.2, max_steps=30)
-    assert episode_rewards([0.2, 0.9, 0.5], cfg) == \
+    assert episode_rewards([0.2, 0.9, 0.5], 0.2) == \
         pytest.approx([0.82, 0.82, 0.5])
-    assert episode_rewards([0.7], cfg) == pytest.approx([0.7])
-    assert episode_rewards([0.4, 0.4, 0.4], cfg) == pytest.approx([0.4] * 3)
+    assert episode_rewards([0.7], 0.2) == pytest.approx([0.7])
+    assert episode_rewards([0.4, 0.4, 0.4], 0.2) == pytest.approx([0.4] * 3)
 
 
 @given(
@@ -294,8 +293,7 @@ def test_episode_rewards_examples():
     st.floats(0.0, 1.0),
 )
 def test_episode_rewards_properties(immediates, delta):
-    cfg = RewardConfig(delta=delta, max_steps=30)
-    rewards = episode_rewards(immediates, cfg)
+    rewards = episode_rewards(immediates, delta)
     assert len(rewards) == len(immediates)
     top = max(immediates)
     last = immediates[-1]
@@ -317,16 +315,15 @@ def _state_with_distances(dists):
 
 
 def test_check_termination_rules():
-    cfg = RewardConfig(delta=0.2, max_steps=30)
     fine = _state_with_distances((0.5, 0.5, 1.0, 3.0))
     oob = _state_with_distances((-1.0, 0.5, 1.0, 3.0))
-    assert check_termination(fine, 1, Action.STOP, cfg) is None
-    assert check_termination(fine, 2, Action.STOP, cfg) == "action"
-    assert check_termination(fine, 5, Action.RIGHT, cfg) is None
-    assert check_termination(fine, 30, Action.RIGHT, cfg) == "timeout"
-    assert check_termination(oob, 1, Action.RIGHT, cfg) == "bounds"
+    assert check_termination(fine, 1, Action.STOP, 30) is None
+    assert check_termination(fine, 2, Action.STOP, 30) == "action"
+    assert check_termination(fine, 5, Action.RIGHT, 30) is None
+    assert check_termination(fine, 30, Action.RIGHT, 30) == "timeout"
+    assert check_termination(oob, 1, Action.RIGHT, 30) == "bounds"
     # bounds outranks the stop action when both hold
-    assert check_termination(oob, 3, Action.STOP, cfg) == "bounds"
+    assert check_termination(oob, 3, Action.STOP, 30) == "bounds"
 
 
 # ---------------------------------------------------------------- buffer
@@ -366,10 +363,10 @@ def fill_buffer_uniform(buf, rng, n, reward_for=None):
 
 def test_td3_update_noop_when_underfull():
     nets = make_networks()
-    buf = ReplayBuffer(2000)
+    buf = ReplayBuffer(CONFIG.buffer_capacity)
     fill_buffer_uniform(buf, np.random.default_rng(0), 15)
     before = copy.deepcopy(nets.critic_1.layers[0].weight)
-    assert td3_update(nets, buf, TD3Hyper(), np.random.default_rng(0)) is None
+    assert td3_update(nets, buf, CONFIG, np.random.default_rng(0)) is None
     assert np.array_equal(nets.critic_1.layers[0].weight, before)
     assert nets.train_steps == 0
 
@@ -381,11 +378,11 @@ def test_td3_update_zero_critics_identical_tuples():
         for layer in net.layers:
             layer.weight[:] = 0.0
             layer.bias[:] = 0.0
-    buf = ReplayBuffer(2000)
+    buf = ReplayBuffer(CONFIG.buffer_capacity)
     s = np.full(64, 0.3)
     for _ in range(16):
         buf.insert(RLTuple(s, Action.UP, s, 0.0))
-    loss_c, loss_a = td3_update(nets, buf, TD3Hyper(), np.random.default_rng(0))
+    loss_c, loss_a = td3_update(nets, buf, CONFIG, np.random.default_rng(0))
     assert loss_c == pytest.approx(0.0)
     # same setup with reward 0.5: every target is 0.5, both critics read 0
     nets2 = make_networks()
@@ -394,10 +391,10 @@ def test_td3_update_zero_critics_identical_tuples():
         for layer in net.layers:
             layer.weight[:] = 0.0
             layer.bias[:] = 0.0
-    buf2 = ReplayBuffer(2000)
+    buf2 = ReplayBuffer(CONFIG.buffer_capacity)
     for _ in range(16):
         buf2.insert(RLTuple(s, Action.UP, s, 0.5))
-    loss_c2, _ = td3_update(nets2, buf2, TD3Hyper(),
+    loss_c2, _ = td3_update(nets2, buf2, CONFIG,
                             np.random.default_rng(0))
     assert loss_c2 == pytest.approx(16 * 0.25 * 2)
 
@@ -406,23 +403,23 @@ def test_td3_update_deterministic():
     losses = []
     for _ in range(2):
         nets = make_networks(seed=11)
-        buf = ReplayBuffer(2000)
+        buf = ReplayBuffer(CONFIG.buffer_capacity)
         fill_buffer_uniform(buf, np.random.default_rng(4), 64)
         rng = np.random.default_rng(9)
-        losses.append([td3_update(nets, buf, TD3Hyper(), rng)
+        losses.append([td3_update(nets, buf, CONFIG, rng)
                        for _ in range(10)])
     assert losses[0] == losses[1]
 
 
 def test_td3_actor_update_cadence_and_targets_move():
     nets = make_networks(seed=2)
-    buf = ReplayBuffer(2000)
+    buf = ReplayBuffer(CONFIG.buffer_capacity)
     fill_buffer_uniform(buf, np.random.default_rng(5), 64)
     rng = np.random.default_rng(6)
     t0 = copy.deepcopy(nets.target_critic_1.layers[0].weight)
-    first = td3_update(nets, buf, TD3Hyper(), rng)
+    first = td3_update(nets, buf, CONFIG, rng)
     assert first[1] is None  # actor waits for the second critic step
-    second = td3_update(nets, buf, TD3Hyper(), rng)
+    second = td3_update(nets, buf, CONFIG, rng)
     assert second[1] is not None
     assert not np.array_equal(nets.target_critic_1.layers[0].weight, t0)
 
@@ -432,7 +429,7 @@ def test_bandit_prefers_rewarded_action():
     # 200 updates the actor must point RIGHT everywhere
     rng = np.random.default_rng(123)
     nets = make_networks(seed=321)
-    buf = ReplayBuffer(2000)
+    buf = ReplayBuffer(CONFIG.buffer_capacity)
     states = rng.normal(size=(40, 64))
     for i in range(40):
         for a in range(5):
@@ -440,7 +437,7 @@ def test_bandit_prefers_rewarded_action():
             buf.insert(RLTuple(states[i], Action(a), states[i], r))
     train_rng = np.random.default_rng(77)
     for _ in range(200):
-        td3_update(nets, buf, TD3Hyper(), train_rng)
+        td3_update(nets, buf, CONFIG, train_rng)
     logits = nets.actor.forward(states)
     choices = logits.argmax(axis=1)
     assert (choices == int(Action.RIGHT)).all()
@@ -497,7 +494,7 @@ def test_run_episode_rewards_and_buffer():
     env = make_env(networks=nets)
     trace = run_episode(env, epsilon=0.0)
     assert trace.rewards == episode_rewards(
-        [s.immediate for s in trace.steps], env.reward)
+        [s.immediate for s in trace.steps], env.config.delta)
     assert len(env.buffer) == len(trace.steps)
     for stored, reward in zip(env.buffer, trace.rewards):
         assert stored.reward == reward

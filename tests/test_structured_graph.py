@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ardbscan import structured_graph
+from ardbscan.config import RunConfig
 from ardbscan.structured_graph import (
     StructuredGraph,
     build_knn_graph,
@@ -16,6 +17,8 @@ from ardbscan.structured_graph import (
 )
 
 from oracles import knn_graph_oracle, one_dim_entropy_oracle
+
+CAP = RunConfig().k_sweep_cap
 
 
 def blobs(seed=0, n_per=20, centers=((0.0, 0.0), (1.0, 1.0)), scale=0.05):
@@ -150,7 +153,7 @@ def lattice(cols=5, rows=4, step=0.25):
 
 
 def assert_agrees_with_naive_scan(pts):
-    result = select_k(pts)
+    result = select_k(pts, CAP)
     k_star, graph = result.k, result.graph
     assert graph.k == k_star
 
@@ -194,17 +197,17 @@ def test_select_k_agrees_with_naive_scan_on_lattice():
 
 def test_select_k_deterministic():
     pts = blobs(seed=2, n_per=15)
-    assert select_k(pts).k == select_k(pts).k
+    assert select_k(pts, CAP).k == select_k(pts, CAP).k
 
 
 def test_select_k_too_few_points():
     with pytest.raises(ValueError, match="too few points"):
-        select_k(np.zeros((2, 2)))
+        select_k(np.zeros((2, 2)), CAP)
 
 
 def test_select_k_stable_points_are_local_minima():
     pts = blobs(seed=5, n_per=25, centers=((0, 0), (0.5, 0.9), (1, 0)))
-    res = select_k(pts)
+    res = select_k(pts, CAP)
     h = res.h_norm
     for k in res.stable_ks:
         assert h[k - 1] < h[k - 2] and h[k - 1] < h[k]
@@ -212,7 +215,7 @@ def test_select_k_stable_points_are_local_minima():
 
 def test_identical_points_give_unit_weights():
     pts = np.full((12, 2), 0.3)
-    res = select_k(pts)
+    res = select_k(pts, CAP)
     assert np.all(np.isfinite(res.h_norm))
     assert np.all(res.graph.w == 1.0)
     assert np.all(build_knn_graph(pts, 3).w == 1.0)
@@ -220,7 +223,7 @@ def test_identical_points_give_unit_weights():
 
 def test_heavy_duplicates_give_finite_weights():
     pts = np.repeat(np.random.default_rng(0).random((4, 2)), 8, axis=0)
-    res = select_k(pts)
+    res = select_k(pts, CAP)
     assert np.all(np.isfinite(res.h_norm))
     assert np.all(np.isfinite(res.graph.w))
     # every 7-NN edge joins two copies of one point
@@ -229,8 +232,8 @@ def test_heavy_duplicates_give_finite_weights():
 
 def test_select_k_strided_matches_exact_on_small_input():
     pts = blobs(seed=8, n_per=30)
-    exact = select_k(pts)
-    strided = select_k(pts, op_budget=30_000)  # forces a strided grid
+    exact = select_k(pts, CAP)
+    strided = select_k(pts, CAP, op_budget=30_000)  # forces a strided grid
     assert strided.k == exact.k
 
 
@@ -250,8 +253,8 @@ def test_grid_sweep_picks_the_full_sweep_stable_point(monkeypatch):
         return np.array([curve(k_of[int(m)]) * k_of[int(m)] * n_pts for m in ms])
 
     monkeypatch.setattr(structured_graph, "_entropies_for", fake_entropies)
-    full = select_k(pts)
-    grid = select_k(pts, op_budget=20_000)
+    full = select_k(pts, CAP)
+    grid = select_k(pts, CAP, op_budget=20_000)
     assert full.stable_ks == [21] and full.k == 21
     assert len(grid.ks) < n - 1  # the budget forces a strided grid
     assert 21 in grid.stable_ks
