@@ -13,7 +13,7 @@ from ardbscan.dbscan_core import ClusterResult, DbscanParams, run_dbscan
 from ardbscan.encoding_tree import allocate_agents, optimize_two_level
 from ardbscan.metrics import ari, nmi
 from ardbscan.recursive_search import merge_agent_results, run_agent
-from ardbscan.structured_graph import build_knn_graph, select_k
+from ardbscan.structured_graph import select_k
 
 __all__ = [
     "Dataset",
@@ -26,7 +26,6 @@ __all__ = [
     "nmi",
     "ari",
     "RunConfig",
-    "build_knn_graph",
     "select_k",
     "optimize_two_level",
     "allocate_agents",

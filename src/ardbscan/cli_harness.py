@@ -481,14 +481,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    out_dir = Path(args.out)
     try:
         config = _config_from_args(args)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "cluster":
             report = cmd_cluster(config, out_dir, trace=args.trace)

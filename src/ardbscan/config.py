@@ -3,14 +3,16 @@
 A :class:`RunConfig` carries every tunable of the pipeline with its
 default value, and is the only place such a default is written: the
 modules below it read each tunable from the run's config.  Configs are
-built from flat JSON objects; unknown keys are rejected so typos fail
-loudly instead of silently running defaults.
+built from flat JSON objects; unknown keys and values of the wrong type
+are rejected so typos fail loudly instead of running defaults or failing
+later.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any
+from types import UnionType
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 _MODES = ("offline", "online")
 
@@ -70,6 +72,7 @@ class RunConfig:
     num_blocks: int = 8
 
     def __post_init__(self) -> None:
+        self._check_types()
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not isinstance(self.seeds, list) or not all(
@@ -81,34 +84,21 @@ class RunConfig:
             raise ValueError("seeds must not be empty")
         if not 0.0 < self.label_proportion <= 1.0:
             raise ValueError("label_proportion must lie in (0, 1]")
-        for name in ("pi_eps", "pi_minpts"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be a positive integer")
         if self.l_max is not None and self.l_max < 1:
             raise ValueError("l_max must be at least 1")
         if self.minpts_cap_fraction is not None and self.minpts_cap_fraction < 0:
             raise ValueError("minpts_cap_fraction must be nonnegative")
         if self.round_budget < 1:
             raise ValueError("round budget must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
-        if self.episodes < 1:
-            raise ValueError("episodes must be positive")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ValueError("exploration rates must satisfy 0 <= end <= start <= 1")
-        for name in (
-            "hidden_width",
-            "body_width",
-            "batch_size",
-            "buffer_capacity",
-            "actor_delay",
-            "k_sweep_cap",
-            "num_blocks",
-            "alloc_minpts",
-        ):
-            if int(getattr(self, name)) < 1:
+        for name in ("pi_eps", "pi_minpts", "max_steps", "episodes",
+                     "hidden_width", "body_width", "batch_size",
+                     "buffer_capacity", "actor_delay", "k_sweep_cap",
+                     "num_blocks", "alloc_minpts"):
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
@@ -120,8 +110,23 @@ class RunConfig:
             raise ValueError("alloc_eps must be positive")
         if self.noise_sigma < 0 or self.noise_clip < 0:
             raise ValueError("noise parameters must be nonnegative")
-        if not isinstance(self.single_agent, bool):
-            raise ValueError("single_agent must be true or false")
+
+    def _check_types(self) -> None:
+        """Check each scalar field against its annotation.  An ``int``
+        field takes no bool, float or string, a ``float`` field also takes
+        an int, and an ``X | None`` field also takes None."""
+        hints = get_type_hints(type(self))
+        for f in fields(self):
+            hint, value = hints[f.name], getattr(self, f.name)
+            if get_origin(hint) is list:
+                continue  # seeds: checked element by element
+            allowed = get_args(hint) if get_origin(hint) in (Union, UnionType) \
+                else (hint,)
+            if float in allowed:
+                allowed += (int,)
+            if (isinstance(value, bool) and bool not in allowed
+                    or not isinstance(value, allowed)):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
 
     def resolved_l_max(self) -> int:
         if self.l_max is not None:

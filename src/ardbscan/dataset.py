@@ -43,10 +43,6 @@ class Dataset:
     def n(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
-
 
 @dataclass(frozen=True)
 class LabeledSubset:

@@ -108,11 +108,6 @@ def node_entropy(tree: EncodingTree, node_id: int) -> float:
     return -(cut / tree.graph.volume) * math.log2(volume / parent_volume)
 
 
-def tree_entropy(tree: EncodingTree) -> float:
-    n = tree.graph.n
-    return sum(node_entropy(tree, nid) for nid in range(n + tree.cut.size))
-
-
 def _merge_delta(vol: float, v_a: float, g_a: float, v_b: np.ndarray,
                  g_b: np.ndarray, w_ab: np.ndarray) -> np.ndarray:
     """Entropy change of merging community A with each candidate B.

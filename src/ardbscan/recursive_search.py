@@ -85,21 +85,21 @@ def first_layer(dim: int, partition_size: int, config: RunConfig) -> SearchLayer
         (bounds.eps_lo + bounds.eps_hi) / 2.0,
         _round_half_up((bounds.minpts_lo + bounds.minpts_hi) / 2.0),
     )
-    return SearchLayer(0, bounds, bounds, theta_eps, theta_minpts, start,
-                       config.pi_eps, config.pi_minpts)
+    return SearchLayer(0, bounds, bounds, theta_eps, theta_minpts, start)
 
 
-def next_layer(prev: SearchLayer, p_o: DbscanParams) -> SearchLayer:
+def next_layer(prev: SearchLayer, p_o: DbscanParams,
+               config: RunConfig) -> SearchLayer:
     """Refine around the best parameters of the previous layer.
 
-    Step sizes shrink by the per-axis split counts; the new box spans
-    half the split count of steps either side of p_o, clipped so no
-    layer ever escapes the layer-0 box.
+    Step sizes shrink by the per-axis split counts ``config.pi_eps`` and
+    ``config.pi_minpts``; the new box spans half the split count of steps
+    either side of p_o, clipped so no layer ever escapes the layer-0 box.
     """
-    theta_eps = prev.theta_eps / prev.pi_eps
-    theta_minpts = max(_round_half_up(prev.theta_minpts / prev.pi_minpts), 1)
-    half_eps = (prev.pi_eps / 2.0) * theta_eps
-    half_minpts = (prev.pi_minpts / 2.0) * theta_minpts
+    theta_eps = prev.theta_eps / config.pi_eps
+    theta_minpts = max(_round_half_up(prev.theta_minpts / config.pi_minpts), 1)
+    half_eps = (config.pi_eps / 2.0) * theta_eps
+    half_minpts = (config.pi_minpts / 2.0) * theta_minpts
     outer = prev.outer
     bounds = Bounds(
         max(outer.eps_lo, p_o.eps - half_eps),
@@ -108,7 +108,7 @@ def next_layer(prev: SearchLayer, p_o: DbscanParams) -> SearchLayer:
         min(outer.minpts_hi, _round_half_up(p_o.min_pts + half_minpts)),
     )
     return SearchLayer(prev.index + 1, bounds, outer, theta_eps,
-                       theta_minpts, p_o, prev.pi_eps, prev.pi_minpts)
+                       theta_minpts, p_o)
 
 
 Policy = Callable[[ClusterEvaluator, RunConfig, int, Optional[TraceSink]],
@@ -166,7 +166,7 @@ def _lattice_walk(evaluator: ClusterEvaluator, config: RunConfig, seed: int,
 
     for layer_index in range(config.resolved_l_max()):
         if layer_index > 0:
-            layer = next_layer(layer, evaluator.best_params)
+            layer = next_layer(layer, evaluator.best_params, config)
         nets_rng = np.random.default_rng(root_rng.integers(2 ** 63))
         env_rng = np.random.default_rng(root_rng.integers(2 ** 63))
         env = SearchEnv(evaluator, layer, PolicyNetworks(dim, nets_rng, config),

@@ -30,10 +30,11 @@ the deterministic-policy gradient has a path back to the actor.
 from __future__ import annotations
 
 import math
+from collections import deque
 from copy import deepcopy
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,8 +68,6 @@ class SearchLayer:
     theta_eps: float
     theta_minpts: int
     start: DbscanParams
-    pi_eps: int
-    pi_minpts: int
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +345,13 @@ def check_termination(state: FusedState, step_index: int, action: Action,
 
 
 class ReplayBuffer:
+    """The ``capacity`` most recent transitions, oldest dropped first."""
+
     def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._items: List[RLTuple] = []
+        self._items: Deque[RLTuple] = deque(maxlen=capacity)
 
     def insert(self, item: RLTuple) -> None:
         self._items.append(item)
-        if len(self._items) > self.capacity:
-            self._items.pop(0)
 
     def sample(self, m: int, rng: np.random.Generator) -> List[RLTuple]:
         idx = rng.choice(len(self._items), size=m, replace=False)

@@ -6,6 +6,9 @@ vertex index. Edge weights decay exponentially with distance, rescaled so the
 exponents average to 1 over the edge set. k is chosen by sweeping candidate
 values and keeping the local minimum of the normalized one-dimensional
 structural entropy with the smallest value (a "stable point").
+
+``select_k`` is the only way to build a graph: it sweeps k over one table
+of candidate edges and materializes the graph at the chosen k.
 """
 
 from __future__ import annotations
@@ -33,40 +36,6 @@ class StructuredGraph:
     @property
     def edge_count(self) -> int:
         return int(self.u.shape[0])
-
-    def edge_list(self) -> list[tuple[int, int, float]]:
-        return list(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
-
-    @classmethod
-    def from_edges(cls, n: int, edges, k: int = 1) -> "StructuredGraph":
-        """Build directly from (i, j, weight) triples (mostly for tests and
-        for graphs that are not k-NN derived)."""
-        u, v, w = [], [], []
-        seen = set()
-        for i, j, weight in edges:
-            if i == j:
-                raise ValueError("self-loops are not allowed")
-            if weight <= 0:
-                raise ValueError("edge weights must be positive")
-            a, b = (i, j) if i < j else (j, i)
-            if (a, b) in seen:
-                raise ValueError(f"duplicate edge ({a}, {b})")
-            seen.add((a, b))
-            u.append(a)
-            v.append(b)
-            w.append(float(weight))
-        u_arr = np.asarray(u, dtype=np.int64)
-        v_arr = np.asarray(v, dtype=np.int64)
-        w_arr = np.asarray(w, dtype=np.float64)
-        degrees = np.bincount(u_arr, w_arr, minlength=n) + np.bincount(
-            v_arr, w_arr, minlength=n
-        )
-        return cls(n, k, u_arr, v_arr, w_arr, degrees, float(degrees.sum()))
-
-
-def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """Symmetric Euclidean distance matrix with a zero diagonal."""
-    return cdist(points, points)
 
 
 def _mutual_rank_edges(dist: np.ndarray, cap: int):
@@ -107,25 +76,17 @@ def _graph_from_prefix(n, k, u, v, d, m) -> StructuredGraph:
     )
 
 
-def build_knn_graph(points: np.ndarray, k: int) -> StructuredGraph:
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    u, v, ke, de = _mutual_rank_edges(pairwise_distances(points), k)
-    return _graph_from_prefix(n, k, u, v, de, int(ke.shape[0]))
-
-
-def one_dim_se(g: StructuredGraph) -> float:
+def _degree_entropy(degrees: np.ndarray, volume: float) -> float:
     """Entropy of the degree distribution: -sum (d/vol) log2 (d/vol)."""
-    if g.volume <= 0:
-        raise ValueError("degenerate graph (volume is zero)")
-    p = g.degrees[g.degrees > 0] / g.volume
+    p = degrees[degrees > 0] / volume
     return float(-(p * np.log2(p)).sum())
 
 
-def normalized_one_dim_se(g: StructuredGraph) -> float:
-    return one_dim_se(g) / (g.k * g.n)
+def one_dim_se(g: StructuredGraph) -> float:
+    """One-dimensional structural entropy of ``g``."""
+    if g.volume <= 0:
+        raise ValueError("degenerate graph (volume is zero)")
+    return _degree_entropy(g.degrees, g.volume)
 
 
 @dataclass(frozen=True)
@@ -147,9 +108,7 @@ def _entropies_for(u, v, prefix_d, d, n, ms):
         total = prefix_d[m - 1]
         w = np.exp(-d[:m] * (m / total)) if total > 0 else np.ones(m)
         deg = np.bincount(u[:m], w, minlength=n) + np.bincount(v[:m], w, minlength=n)
-        vol = deg.sum()
-        p = deg[deg > 0] / vol
-        out[i] = -(p * np.log2(p)).sum()
+        out[i] = _degree_entropy(deg, deg.sum())
     return out
 
 
@@ -185,7 +144,7 @@ def select_k(
     if n < 3:
         raise ValueError("too few points for stable-point detection")
     k_max = min(n - 1, cap)
-    u, v, ke, de = _mutual_rank_edges(pairwise_distances(points), k_max)
+    u, v, ke, de = _mutual_rank_edges(cdist(points, points), k_max)
     prefix_d = np.cumsum(de)
 
     all_ks = np.arange(1, k_max + 1, dtype=np.int64)

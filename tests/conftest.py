@@ -1,4 +1,4 @@
-"""Shared fixtures plus the acceptance-criteria summary.
+"""Shared fixtures and helpers plus the acceptance-criteria summary.
 
 Tests marked ``@pytest.mark.criterion(ident, description)`` get one
 PASS / FAIL / SKIP line each in a terminal section after the run, so the
@@ -7,7 +7,10 @@ acceptance gate reads as a checklist.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ardbscan.structured_graph import StructuredGraph
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -74,3 +77,22 @@ def benchmark_csv(name: str) -> Path:
             "this criterion"
         )
     return path
+
+
+def make_graph(n: int, edges, k: int = 1) -> StructuredGraph:
+    """A graph over explicit (i, j, weight) triples, with degrees and
+    volume summed edge by edge."""
+    pairs = [(min(i, j), max(i, j)) for i, j, _ in edges]
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    w = np.array([weight for _, _, weight in edges], dtype=np.float64)
+    degrees = np.zeros(n)
+    for i, j, weight in edges:
+        degrees[i] += weight
+        degrees[j] += weight
+    return StructuredGraph(n, k, u, v, w, degrees, float(degrees.sum()))
+
+
+def edges_of(g: StructuredGraph) -> list:
+    """The (i, j, weight) triples of a graph, i < j."""
+    return list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))

@@ -18,15 +18,16 @@ from oracles import (
     canonical_labels,
     dbscan_bruteforce,
     nmi_contingency_oracle,
+    partition_entropy_oracle,
 )
 
-from conftest import benchmark_csv
+from conftest import benchmark_csv, edges_of, make_graph
 
 from ardbscan.cli_harness import cmd_cluster, cmd_online, main
 from ardbscan.config import RunConfig
 from ardbscan.dataset import Dataset, load_csv, normalize
 from ardbscan.dbscan_core import ClusterResult, DbscanParams, run_dbscan
-from ardbscan.encoding_tree import EncodingTree, optimize_two_level, tree_entropy
+from ardbscan.encoding_tree import EncodingTree, node_entropy, optimize_two_level
 from ardbscan.metrics import ari, nmi
 from ardbscan.recursive_search import first_layer, next_layer
 from ardbscan.search_env import (
@@ -39,12 +40,7 @@ from ardbscan.search_env import (
     episode_rewards,
     td3_update,
 )
-from ardbscan.structured_graph import (
-    StructuredGraph,
-    build_knn_graph,
-    one_dim_se,
-    select_k,
-)
+from ardbscan.structured_graph import one_dim_se, select_k
 
 
 # ---------------------------------------------------------------------------
@@ -112,18 +108,23 @@ def test_criterion_3_entropy_identities():
         n = int(rng.integers(8, 31))
         points = rng.random((n, 2))
         k = int(rng.integers(2, 6))
-        graph = build_knn_graph(points, k)
+        graph = select_k(points, cap=k).graph
 
         singletons = EncodingTree(graph, np.arange(graph.n), graph.degrees,
                                   graph.degrees)
-        one_dim = tree_entropy(singletons)
+        # node ids: n leaves, then one singleton community per vertex
+        one_dim = sum(node_entropy(singletons, nid)
+                      for nid in range(2 * graph.n))
         assert abs(one_dim - one_dim_se(graph)) < 1e-9
         tree = optimize_two_level(graph)
         trace = tree.entropy_trace
         assert abs(trace[0] - one_dim) < 1e-9
         for before, after in zip(trace, trace[1:]):
             assert after < before
-        assert abs(trace[-1] - tree_entropy(tree)) < 1e-9
+        parts = [np.flatnonzero(tree.community == c).tolist()
+                 for c in range(len(tree.intermediates()))]
+        assert abs(trace[-1] - partition_entropy_oracle(
+            graph.n, edges_of(graph), parts)) < 1e-9
 
         for c in range(len(tree.intermediates())):
             members = np.flatnonzero(tree.community == c)
@@ -146,7 +147,7 @@ def test_criterion_4_two_clique_recovery():
             for j in range(i + 1, base + 5):
                 edges.append((i, j, 1.0))
     edges.append((4, 5, 0.1))
-    graph = StructuredGraph.from_edges(10, edges)
+    graph = make_graph(10, edges)
 
     started = time.perf_counter()
     tree = optimize_two_level(graph)
@@ -158,7 +159,7 @@ def test_criterion_4_two_clique_recovery():
     assert parts == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
 
     best_h, best_parts = best_two_level_partition(10, edges)
-    assert abs(tree_entropy(tree) - best_h) < 1e-6
+    assert abs(partition_entropy_oracle(10, edges, parts) - best_h) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,7 @@ def test_criterion_6_recursion_algebra():
     eps_steps = [layer.theta_eps]
     mp_steps = [layer.theta_minpts]
     for _ in range(2):
-        layer = next_layer(layer, layer.start)
+        layer = next_layer(layer, layer.start, cfg)
         eps_steps.append(layer.theta_eps)
         mp_steps.append(layer.theta_minpts)
     root2 = math.sqrt(2)
@@ -228,7 +229,7 @@ def test_criterion_6_recursion_algebra():
                                  layer.bounds.minpts_hi + 1)),
             )
             prev = layer
-            layer = next_layer(layer, p_o)
+            layer = next_layer(layer, p_o, cfg)
             b = layer.bounds
             assert outer.eps_lo <= b.eps_lo <= b.eps_hi <= outer.eps_hi
             assert outer.minpts_lo <= b.minpts_lo <= b.minpts_hi \

@@ -118,6 +118,14 @@ def test_config_rejects_unknown_keys():
         {"single_agent": "false"},
         {"label_proportion": 0},
         {"seeds": [-1]},
+        # wrong-typed numbers are rejected here, not run or left to fail
+        # with a TypeError later
+        {"round_budget": 7.5},
+        {"episodes": True},
+        {"pi_eps": "5"},
+        {"hidden_width": 2.5},
+        {"k_sweep_cap": "16"},
+        {"gamma": True},
     ],
 )
 def test_config_rejects_bad_values(bad):
@@ -451,6 +459,16 @@ def test_missing_dataset_path_is_config_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seeds": [0]}))
     assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_out_naming_a_file_is_config_error(workspace, capsys, below):
+    tmp, data, cfg = workspace
+    taken = tmp / "taken.txt"
+    taken.write_text("")
+    out = taken / "run" if below else taken
+    assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_nonexistent_dataset_is_data_error(tmp_path):

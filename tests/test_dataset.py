@@ -20,7 +20,7 @@ def write(tmp_path, text, name="data.csv"):
 
 def test_load_csv_with_labels(tmp_path):
     ds = load_csv(write(tmp_path, "0,0,1\n1,0,1\n0,1,2\n"), has_labels=True)
-    assert ds.n == 3 and ds.d == 2
+    assert ds.n == 3 and ds.points.shape == (3, 2)
     assert ds.labels.tolist() == [1, 1, 2]
     assert ds.points[2].tolist() == [0.0, 1.0]
 

@@ -10,14 +10,15 @@ from ardbscan.encoding_tree import (
     information_uncertainty,
     node_entropy,
     optimize_two_level,
-    tree_entropy,
     _cluster_uncertainties,
     _merge_delta,
 )
-from ardbscan.structured_graph import StructuredGraph, build_knn_graph, one_dim_se
+from ardbscan.structured_graph import StructuredGraph, one_dim_se
 
+from conftest import edges_of, make_graph
 from oracles import (
     best_two_level_partition,
+    knn_graph_oracle,
     partition_entropy_oracle,
 )
 
@@ -30,19 +31,19 @@ def two_cliques(bridge=0.1, w=1.0):
             for j in range(i + 1, 5):
                 edges.append((base + i, base + j, w))
     edges.append((4, 5, bridge))
-    return StructuredGraph.from_edges(10, edges)
+    return make_graph(10, edges)
 
 
 def barbell():
     edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0),
              (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0),
              (2, 3, 0.2)]
-    return StructuredGraph.from_edges(6, edges)
+    return make_graph(6, edges)
 
 
 def random_graph(seed, n=18, k=3):
     pts = np.random.default_rng(seed).random((n, 2))
-    return build_knn_graph(pts, k=k)
+    return make_graph(n, knn_graph_oracle(pts.tolist(), k), k)
 
 
 def members(tree: EncodingTree, nid: int) -> list:
@@ -62,7 +63,7 @@ def tree_of(g: StructuredGraph, parts) -> EncodingTree:
         community[list(part)] = c
     cut = np.zeros(len(parts))
     volume = np.zeros(len(parts))
-    for u, v, w in g.edge_list():
+    for u, v, w in edges_of(g):
         volume[community[u]] += w
         volume[community[v]] += w
         if community[u] != community[v]:
@@ -75,14 +76,14 @@ def merge_deltas(g: StructuredGraph, parts, a: int, b: int):
     """(_merge_delta, oracle difference) for merging parts[a] and parts[b]."""
     t = tree_of(g, parts)
     ca, cb = t.community[parts[a][0]], t.community[parts[b][0]]
-    w_ab = sum(w for u, v, w in g.edge_list()
+    w_ab = sum(w for u, v, w in edges_of(g)
                if {t.community[u], t.community[v]} == {ca, cb})
     got = _merge_delta(g.volume, t.volume[ca], t.cut[ca],
                        np.array([t.volume[cb]]), np.array([t.cut[cb]]),
                        np.array([w_ab]))
     merged = [p for i, p in enumerate(parts) if i not in (a, b)]
     merged.append(list(parts[a]) + list(parts[b]))
-    edges = g.edge_list()
+    edges = edges_of(g)
     expected = (partition_entropy_oracle(g.n, edges, merged)
                 - partition_entropy_oracle(g.n, edges, parts))
     return float(got[0]), expected
@@ -91,14 +92,20 @@ def merge_deltas(g: StructuredGraph, parts, a: int, b: int):
 def scratch_entropy(tree: EncodingTree) -> float:
     g = tree.graph
     parts = [members(tree, nid) for nid in tree.intermediates()]
-    return partition_entropy_oracle(g.n, g.edge_list(), parts)
+    return partition_entropy_oracle(g.n, edges_of(g), parts)
+
+
+def node_entropy_sum(tree: EncodingTree) -> float:
+    """Tree entropy as the sum of every non-root node's term."""
+    n = tree.graph.n
+    return sum(node_entropy(tree, nid) for nid in range(n + tree.cut.size))
 
 
 def test_flat_tree_entropy_equals_one_dim():
     for seed in range(5):
         g = random_graph(seed)
         t = singletons(g)
-        assert tree_entropy(t) == pytest.approx(one_dim_se(g), abs=1e-9)
+        assert node_entropy_sum(t) == pytest.approx(one_dim_se(g), abs=1e-9)
 
 
 def test_node_entropy_root_rejected():
@@ -108,20 +115,20 @@ def test_node_entropy_root_rejected():
 
 
 def test_single_intermediate_holding_everything():
-    g = StructuredGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     t = tree_of(g, [[0, 1, 2]])
     inter = t.intermediates()[0]
     # the lone intermediate has no cut edges, so its own term vanishes
     assert node_entropy(t, inter) == pytest.approx(0.0, abs=1e-12)
-    expected = partition_entropy_oracle(3, g.edge_list(), [[0, 1, 2]])
-    assert tree_entropy(t) == pytest.approx(expected, abs=1e-12)
+    expected = partition_entropy_oracle(3, edges_of(g), [[0, 1, 2]])
+    assert node_entropy_sum(t) == pytest.approx(expected, abs=1e-12)
 
 
 def test_manual_two_level_matches_oracle_on_barbell():
     g = barbell()
     t = tree_of(g, [[0, 1, 2], [3, 4, 5]])
-    expected = partition_entropy_oracle(6, g.edge_list(), [[0, 1, 2], [3, 4, 5]])
-    assert tree_entropy(t) == pytest.approx(expected, abs=1e-12)
+    expected = partition_entropy_oracle(6, edges_of(g), [[0, 1, 2], [3, 4, 5]])
+    assert node_entropy_sum(t) == pytest.approx(expected, abs=1e-12)
 
 
 def test_operator_deltas_match_scratch_recomputation():
@@ -132,7 +139,7 @@ def test_operator_deltas_match_scratch_recomputation():
 
 
 def test_merge_of_unconnected_parts_never_helps():
-    g = StructuredGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    g = make_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     got, expected = merge_deltas(g, [[0, 1], [2, 3]], 0, 1)
     assert got >= -1e-12
     assert got == pytest.approx(expected, abs=1e-12)
@@ -154,14 +161,14 @@ def test_two_clique_recovery():
     assert elapsed < 1.0
     parts = {frozenset(members(t, i)) for i in t.intermediates()}
     assert parts == {frozenset(range(5)), frozenset(range(5, 10))}
-    opt_h, opt_parts = best_two_level_partition(10, g.edge_list())
-    assert tree_entropy(t) == pytest.approx(opt_h, abs=1e-6)
+    opt_h, opt_parts = best_two_level_partition(10, edges_of(g))
+    assert scratch_entropy(t) == pytest.approx(opt_h, abs=1e-6)
 
 
 def test_star_never_worse_than_flat():
-    g = StructuredGraph.from_edges(5, [(0, i, 1.0) for i in range(1, 5)])
+    g = make_graph(5, [(0, i, 1.0) for i in range(1, 5)])
     t = optimize_two_level(g)
-    assert tree_entropy(t) <= one_dim_se(g) + 1e-12
+    assert scratch_entropy(t) <= one_dim_se(g) + 1e-12
 
 
 def test_strict_descent_and_consistency():
@@ -171,11 +178,11 @@ def test_strict_descent_and_consistency():
         trace = t.entropy_trace
         assert all(b < a - 1e-12 for a, b in zip(trace, trace[1:]))
         assert trace[0] == pytest.approx(one_dim_se(g), abs=1e-9)
-        assert trace[-1] == pytest.approx(tree_entropy(t), abs=1e-9)
+        assert trace[-1] == pytest.approx(scratch_entropy(t), abs=1e-9)
         # incremental cut/volume bookkeeping vs. from-scratch recomputation
         w_between = {}
         deg = np.zeros(g.n)
-        for u, v, w in g.edge_list():
+        for u, v, w in edges_of(g):
             w_between[(u, v)] = w
             deg[u] += w
             deg[v] += w
@@ -189,7 +196,7 @@ def test_strict_descent_and_consistency():
             )
             assert t.volume[c] == pytest.approx(vol, abs=1e-9)
             assert t.cut[c] == pytest.approx(cut, abs=1e-9)
-        assert tree_entropy(t) == pytest.approx(scratch_entropy(t), abs=1e-9)
+        assert node_entropy_sum(t) == pytest.approx(scratch_entropy(t), abs=1e-9)
 
 
 def test_greedy_gap_versus_exhaustive_small():
@@ -197,15 +204,15 @@ def test_greedy_gap_versus_exhaustive_small():
     for seed in range(6):
         g = random_graph(seed + 50, n=7, k=2)
         t = optimize_two_level(g)
-        opt_h, _ = best_two_level_partition(g.n, g.edge_list())
-        gap = tree_entropy(t) - opt_h
+        opt_h, _ = best_two_level_partition(g.n, edges_of(g))
+        gap = scratch_entropy(t) - opt_h
         assert gap >= -1e-9
         worst = max(worst, gap)
     print(f"worst greedy-vs-exhaustive gap over 6 graphs: {worst:.3e}")
 
 
 def test_isolated_vertex_survives_as_singleton():
-    g = StructuredGraph.from_edges(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+    g = make_graph(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
     t = optimize_two_level(g)
     parts = [frozenset(members(t, i)) for i in t.intermediates()]
     assert frozenset([3]) in parts
@@ -226,7 +233,7 @@ def test_information_uncertainty_arithmetic():
 
 
 def test_uncertainty_zero_when_no_cut():
-    g = StructuredGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    g = make_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     t = optimize_two_level(g)
     for nid in t.intermediates():
         assert information_uncertainty(t, nid, 1) == 0.0
@@ -250,7 +257,7 @@ def test_allocate_agents_covers_vertices():
 
 
 def test_allocate_single_intermediate_gives_one_agent():
-    g = StructuredGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     t = tree_of(g, [[0, 1, 2]])
     assert len(t.intermediates()) == 1
     alloc = allocate_agents(t, g.k, 0.3, 1)
@@ -266,7 +273,7 @@ def test_allocation_separates_far_uncertainties():
         for j in range(i + 1, 5):
             edges.append((i, j, 1.0))
     edges += [(5, 6, 1.0), (5, 7, 1.0), (6, 7, 1.0), (4, 5, 0.05)]
-    g = StructuredGraph.from_edges(8, edges)
+    g = make_graph(8, edges)
     t = optimize_two_level(g)
     uncs = sorted(information_uncertainty(t, nid, g.k)
                   for nid in t.intermediates())

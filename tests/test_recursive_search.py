@@ -93,7 +93,7 @@ def test_eps_step_divides_by_pi_each_layer():
     layer = first_layer(2, 163, cfg)
     want = math.sqrt(2) / 5
     for _ in range(2):
-        layer = next_layer(layer, layer.start)
+        layer = next_layer(layer, layer.start, cfg)
         want /= 5
         assert abs(layer.theta_eps - want) < 1e-12
 
@@ -102,11 +102,11 @@ def test_minpts_step_sequence_ten_three_one():
     cfg = offline_config()
     layer = first_layer(2, 163, cfg)
     assert layer.theta_minpts == 10
-    layer = next_layer(layer, layer.start)
+    layer = next_layer(layer, layer.start, cfg)
     assert layer.theta_minpts == 3
-    layer = next_layer(layer, layer.start)
+    layer = next_layer(layer, layer.start, cfg)
     assert layer.theta_minpts == 1
-    layer = next_layer(layer, layer.start)
+    layer = next_layer(layer, layer.start, cfg)
     assert layer.theta_minpts == 1
 
 
@@ -114,7 +114,7 @@ def test_next_layer_centers_on_previous_best():
     cfg = offline_config()
     layer0 = first_layer(2, 163, cfg)
     p_o = DbscanParams(0.6, 21)
-    layer1 = next_layer(layer0, p_o)
+    layer1 = next_layer(layer0, p_o, cfg)
     assert layer1.index == 1
     assert layer1.start == p_o
     half_e = 2.5 * layer1.theta_eps
@@ -129,13 +129,13 @@ def test_next_layer_clips_to_layer_zero_bounds():
     cfg = offline_config()
     layer0 = first_layer(2, 163, cfg)
     p_o = DbscanParams(math.sqrt(2) - 0.01, 40)
-    layer1 = next_layer(layer0, p_o)
+    layer1 = next_layer(layer0, p_o, cfg)
     assert layer1.bounds.eps_hi == layer0.bounds.eps_hi
     assert layer1.bounds.minpts_hi == 41
     assert layer1.bounds.minpts_lo == 34
 
     p_lo = DbscanParams(0.01, 2)
-    layer1 = next_layer(layer0, p_lo)
+    layer1 = next_layer(layer0, p_lo, cfg)
     assert layer1.bounds.eps_lo == 0.0
     assert layer1.bounds.minpts_lo == 1
 
@@ -168,7 +168,7 @@ def test_layers_nest_and_steps_shrink(dim, size, frac, pi_e, pi_m, data):
             )
         )
         prev = layer
-        layer = next_layer(layer, DbscanParams(eps, mp))
+        layer = next_layer(layer, DbscanParams(eps, mp), cfg)
         b = layer.bounds
         assert outer.eps_lo <= b.eps_lo <= b.eps_hi <= outer.eps_hi
         assert outer.minpts_lo <= b.minpts_lo <= b.minpts_hi <= outer.minpts_hi

@@ -53,7 +53,7 @@ def make_env(round_budget=30, seed=3, start=DbscanParams(0.5, 3),
     bounds = Bounds(0.0, 1.0, 1, 5)
     return SearchEnv(
         evaluator=ev,
-        layer=SearchLayer(0, bounds, bounds, 0.1, 1, start, 5, 4),
+        layer=SearchLayer(0, bounds, bounds, 0.1, 1, start),
         networks=nets,
         buffer=ReplayBuffer(CONFIG.buffer_capacity),
         config=RunConfig(max_steps=max_steps),

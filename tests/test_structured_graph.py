@@ -7,15 +7,9 @@ from hypothesis import strategies as st
 
 from ardbscan import structured_graph
 from ardbscan.config import RunConfig
-from ardbscan.structured_graph import (
-    StructuredGraph,
-    build_knn_graph,
-    normalized_one_dim_se,
-    one_dim_se,
-    pairwise_distances,
-    select_k,
-)
+from ardbscan.structured_graph import one_dim_se, select_k
 
+from conftest import edges_of, make_graph
 from oracles import knn_graph_oracle, one_dim_entropy_oracle
 
 CAP = RunConfig().k_sweep_cap
@@ -27,35 +21,22 @@ def blobs(seed=0, n_per=20, centers=((0.0, 0.0), (1.0, 1.0)), scale=0.05):
     return np.clip(np.vstack(parts), 0.0, 1.0)
 
 
-def test_pairwise_three_four_five():
-    d = pairwise_distances(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    assert d[0, 1] == pytest.approx(5.0)
-    assert d[0, 0] == 0.0
-
-
-def test_pairwise_symmetric_zero_diag():
-    pts = np.random.default_rng(1).random((50, 3))
-    d = pairwise_distances(pts)
-    assert np.allclose(d, d.T)
-    assert np.all(np.diag(d) == 0)
+def knn_graph(pts, k):
+    """The graph ``select_k`` chooses when k is its only candidate."""
+    g = select_k(pts, cap=k).graph
+    assert g.k == k
+    return g
 
 
 def test_equilateral_weights_are_exp_minus_one():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
-    g = build_knn_graph(pts, k=1)
+    g = knn_graph(pts, 1)
     assert np.allclose(g.w, math.exp(-1))
-
-
-def test_two_points_single_edge():
-    g = build_knn_graph(np.array([[0.0, 0.0], [0.3, 0.0]]), k=1)
-    assert g.edge_count == 1
-    assert g.w[0] == pytest.approx(math.exp(-1))
-    assert g.volume == pytest.approx(2 * math.exp(-1))
 
 
 def test_collinear_path_weights():
     pts = np.array([[0.0], [1.0], [2.0], [3.0]])
-    g = build_knn_graph(pts, k=1)
+    g = knn_graph(pts, 1)
     # nearest neighbors (ties to the lower index) chain into a 3-edge path
     edges = {tuple(sorted(e)) for e in zip(g.u.tolist(), g.v.tolist())}
     assert edges == {(0, 1), (1, 2), (2, 3)}
@@ -67,61 +48,56 @@ def test_union_mutualization():
     # p0 picks p2 but p2 prefers p3; the union rule keeps the one-sided
     # pick (0, 2) as an edge anyway
     pts = np.array([[0.0], [2.2], [1.0], [1.4]])
-    g = build_knn_graph(pts, k=1)
+    g = knn_graph(pts, 1)
     edges = {tuple(sorted(e)) for e in zip(g.u.tolist(), g.v.tolist())}
     assert (2, 3) in edges
     assert (0, 2) in edges
 
 
-def test_knn_k_out_of_range():
-    pts = np.zeros((4, 2))
-    with pytest.raises(ValueError):
-        build_knn_graph(pts, k=0)
-    with pytest.raises(ValueError):
-        build_knn_graph(pts, k=4)
-
-
 def test_one_dim_se_regular_graph():
-    g = StructuredGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
+    g = make_graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
     assert one_dim_se(g) == pytest.approx(2.0)
 
 
 def test_one_dim_se_single_edge():
-    g = StructuredGraph.from_edges(2, [(0, 1, 0.7)])
+    g = make_graph(2, [(0, 1, 0.7)])
     assert one_dim_se(g) == pytest.approx(1.0)
 
 
 def test_one_dim_se_degenerate():
-    g = StructuredGraph.from_edges(3, [])
+    g = make_graph(3, [])
     with pytest.raises(ValueError, match="degenerate graph"):
         one_dim_se(g)
 
 
 def test_one_dim_se_matches_direct_summation():
     pts = np.random.default_rng(7).random((20, 2))
-    g = build_knn_graph(pts, k=3)
-    expected = one_dim_entropy_oracle(g.n, list(zip(g.u, g.v, g.w)))
+    g = select_k(pts, cap=3).graph
+    expected = one_dim_entropy_oracle(g.n, edges_of(g))
     assert one_dim_se(g) == pytest.approx(expected, abs=1e-12)
 
 
 def test_normalized_arithmetic():
-    g = StructuredGraph.from_edges(
-        4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)], k=1
-    )
-    assert normalized_one_dim_se(g) == pytest.approx(0.5)
+    # unit square: the 2-NN graph is the 4-cycle of equal weights, whose
+    # entropy 2 bits normalizes to 2 / (k * n) = 0.25
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    res = select_k(pts, cap=2)
+    assert res.ks.tolist() == [1, 2]
+    assert res.h_norm[1] == pytest.approx(0.25)
 
 
 def test_normalization_scales_inverse_with_k():
     pts = np.random.default_rng(3).random((30, 2))
-    g2 = build_knn_graph(pts, k=2)
-    assert normalized_one_dim_se(g2) == pytest.approx(one_dim_se(g2) / (2 * 30))
+    res = select_k(pts, CAP)
+    at_k = res.h_norm[int(np.searchsorted(res.ks, res.k))]
+    assert at_k == pytest.approx(one_dim_se(res.graph) / (res.k * 30))
 
 
 def test_weight_exponent_identity():
     # the exponents D*|E|/sum(D) sum to |E| by construction
     pts = np.random.default_rng(9).random((40, 2))
-    g = build_knn_graph(pts, k=4)
-    d = pairwise_distances(pts)[g.u, g.v]
+    g = select_k(pts, cap=4).graph
+    d = np.linalg.norm(pts[g.u] - pts[g.v], axis=1)
     exponents = d * g.edge_count / d.sum()
     assert exponents.sum() == pytest.approx(g.edge_count, abs=1e-9)
     assert np.allclose(g.w, np.exp(-exponents))
@@ -129,7 +105,7 @@ def test_weight_exponent_identity():
 
 def test_volume_bookkeeping():
     pts = np.random.default_rng(13).random((60, 2))
-    g = build_knn_graph(pts, k=5)
+    g = select_k(pts, cap=5).graph
     assert g.volume == pytest.approx(2 * g.w.sum(), abs=1e-9)
     assert g.degrees.sum() == pytest.approx(g.volume, abs=1e-9)
     assert np.all(g.w > 0) and np.all(g.w <= 1.0)
@@ -139,7 +115,7 @@ def test_volume_bookkeeping():
 @given(st.integers(0, 10_000), st.integers(1, 6))
 def test_entropy_bounds(seed, k):
     pts = np.random.default_rng(seed).random((12, 2))
-    g = build_knn_graph(pts, k=k)
+    g = select_k(pts, cap=k).graph
     h = one_dim_se(g)
     assert -1e-12 <= h <= math.log2(12) + 1e-12
 
@@ -177,14 +153,10 @@ def assert_agrees_with_naive_scan(pts):
     assert result.ks.tolist() == list(range(1, n))
     assert np.allclose(result.h_norm, h, atol=1e-9)
 
-    def same_graph(g, oracle):
-        mine = sorted(g.edge_list())
-        assert [e[:2] for e in mine] == [e[:2] for e in oracle]
-        assert np.allclose([e[2] for e in mine], [e[2] for e in oracle], atol=1e-12)
-
-    same_graph(graph, graphs[k_star - 1])
-    for k in range(1, n):
-        same_graph(build_knn_graph(pts, k), graphs[k - 1])
+    mine = sorted(edges_of(graph))
+    oracle = graphs[k_star - 1]
+    assert [e[:2] for e in mine] == [e[:2] for e in oracle]
+    assert np.allclose([e[2] for e in mine], [e[2] for e in oracle], atol=1e-12)
 
 
 def test_select_k_agrees_with_naive_scan():
@@ -218,7 +190,7 @@ def test_identical_points_give_unit_weights():
     res = select_k(pts, CAP)
     assert np.all(np.isfinite(res.h_norm))
     assert np.all(res.graph.w == 1.0)
-    assert np.all(build_knn_graph(pts, 3).w == 1.0)
+    assert np.all(select_k(pts, cap=3).graph.w == 1.0)
 
 
 def test_heavy_duplicates_give_finite_weights():
@@ -226,8 +198,8 @@ def test_heavy_duplicates_give_finite_weights():
     res = select_k(pts, CAP)
     assert np.all(np.isfinite(res.h_norm))
     assert np.all(np.isfinite(res.graph.w))
-    # every 7-NN edge joins two copies of one point
-    assert np.all(build_knn_graph(pts, 7).w == 1.0)
+    # up to k = 7, every edge joins two copies of one point
+    assert np.all(select_k(pts, cap=7).graph.w == 1.0)
 
 
 def test_select_k_strided_matches_exact_on_small_input():
@@ -242,7 +214,8 @@ def test_grid_sweep_picks_the_full_sweep_stable_point(monkeypatch):
     # value at k_max = 59: the stable point 21 must win on both paths
     pts = np.random.default_rng(4).random((60, 2))
     n = pts.shape[0]
-    edges_at = [build_knn_graph(pts, k).edge_count for k in range(1, n)]
+    rows = pts.tolist()
+    edges_at = [len(knn_graph_oracle(rows, k)) for k in range(1, n)]
     assert all(a < b for a, b in zip(edges_at, edges_at[1:]))
     k_of = {m: k for k, m in enumerate(edges_at, 1)}
 

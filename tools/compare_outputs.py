@@ -6,7 +6,8 @@ Each tree runs the same ``ardbscan`` commands on the same inputs, in fresh
 processes with that tree on ``PYTHONPATH`` and BLAS on one thread:
 
 - a 60-point three-blob CSV with a small config and seeds 0 and 1:
-  ``cluster --trace``, ``allocate``, ``online`` and ``baseline``;
+  ``cluster --trace``, ``cluster --single_agent``, ``allocate``,
+  ``online`` and ``baseline``;
 - the benchmark's ``agents-500`` workload, draw 0, benchmark seed 1:
   ``cluster --trace`` and ``allocate``;
 - the benchmark's ``single-2k`` workload, draw 0, benchmark seed 1:
@@ -51,6 +52,7 @@ BLOB_CONFIG = {
 # (input, command, extra flags)
 RUNS = [
     ("blobs", "cluster", ["--trace"]),
+    ("blobs", "cluster", ["--single_agent"]),
     ("blobs", "allocate", []),
     ("blobs", "online", ["--num_blocks", "3"]),
     ("blobs", "baseline", []),
@@ -88,7 +90,8 @@ def run_tree(src: Path, configs: dict, out_root: Path) -> None:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     for name, command, flags in RUNS:
-        out = out_root / f"{name}_{command}"
+        out = out_root / "_".join([name, command,
+                                   *(flag.lstrip("-") for flag in flags)])
         out.mkdir(parents=True)
         done = subprocess.run(
             [sys.executable, "-m", "ardbscan", command,
