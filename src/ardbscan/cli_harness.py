@@ -7,7 +7,9 @@ pipeline per stream block, and ``baseline`` scores uniform random
 parameter draws for the same round budget.  ``cluster``, ``online`` and
 ``baseline`` run their seeds through one driver (``_run_seeds`` and
 ``_run_seed``) and differ only in the search policy they pass it:
-``run_agent`` or ``run_random_search``.
+``run_agent`` or ``run_random_search``.  Each agent's result carries
+the episodes its search ran; the report's stop-reason counts and the
+``cluster --trace`` files are both read from them.
 
 Exit codes: 0 success, 1 config error, 2 data error.
 """
@@ -22,7 +24,9 @@ import time
 from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple
+from types import UnionType
+from typing import (Any, Callable, List, Optional, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
 import numpy as np
 
@@ -85,7 +89,7 @@ def _agent_summary(res: AgentResult) -> dict:
         "labeled_nmi": float(res.reward),
         "rounds_used": int(res.rounds_used),
         "layers_run": len(res.layer_history),
-        "stop_reasons": dict(res.stop_reasons),
+        "stop_reasons": dict(Counter(t.stop_reason for t in res.episodes)),
     }
 
 
@@ -114,8 +118,6 @@ def _aggregate(per_seed: List[dict]) -> dict:
 def _check_dataset(ds: Dataset) -> None:
     if ds.points.shape[0] < 2:
         raise DataError("dataset too small")
-    if ds.labels is None:
-        raise DataError("labels are required for weak supervision and scoring")
 
 
 def _run_seed(norm: Dataset, partitions: List[np.ndarray], config: RunConfig,
@@ -123,16 +125,17 @@ def _run_seed(norm: Dataset, partitions: List[np.ndarray], config: RunConfig,
               trace_dir: Optional[Path] = None) -> Tuple[dict, np.ndarray]:
     """One seed: sample the labeled subset, run ``search`` (``run_agent``
     or ``run_random_search``) once per partition with a seed derived from
-    ``seed``, merge and score."""
+    ``seed``, merge and score; with ``trace_dir`` set, write the
+    agents' episode traces there."""
     labeled = sample_labeled_subset(norm, config.label_proportion, seed)
     seed_rng = np.random.default_rng(seed)
     results = []
     for pid, part in enumerate(partitions):
         agent_seed = int(seed_rng.integers(2 ** 63))
-        sink = _trace_sink(trace_dir, seed, pid) if trace_dir is not None \
-            else None
         results.append(search(part, norm, labeled, config, agent_seed,
-                              partition_id=pid, trace_sink=sink))
+                              partition_id=pid))
+    if trace_dir is not None:
+        _write_traces(trace_dir, seed, results)
     merged = merge_agent_results(results, norm.n, num_rounds=config.round_budget)
     nmi_series, ari_series = best_round_series(merged.round_assignments,
                                                norm.labels)
@@ -218,10 +221,11 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _write_assignment(path: Path, assignment: np.ndarray) -> None:
+def _write_assignment(path: Path, assignment: np.ndarray,
+                      column: str = "cluster_id") -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["point_index", "cluster_id"])
+        writer.writerow(["point_index", column])
         for i, c in enumerate(assignment):
             writer.writerow([i, int(c)])
 
@@ -252,33 +256,36 @@ def _write_svg(path: Path, points: np.ndarray, assignment: np.ndarray) -> None:
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def _trace_sink(trace_dir: Path, seed: int, pid: int):
-    counter = {"episode": 0}
-
-    def sink(layer_index, episode_index, trace):
-        payload = {
-            "agent": pid,
-            "layer": layer_index,
-            "episode_in_layer": episode_index,
-            "start": {"eps": trace.start.eps, "min_pts": trace.start.min_pts},
-            "stop_reason": trace.stop_reason,
-            "steps": [
-                {
-                    "action": step.action.name,
-                    "eps": step.params.eps,
-                    "min_pts": step.params.min_pts,
-                    "immediate": step.immediate,
-                    "num_clusters": step.num_clusters,
-                }
-                for step in trace.steps
-            ],
-            "episode_rewards": list(trace.rewards),
-        }
-        out = trace_dir / f"trace_{seed}_{pid}_{counter['episode']}.json"
-        _write_json(out, payload)
-        counter["episode"] += 1
-
-    return sink
+def _write_traces(trace_dir: Path, seed: int,
+                  results: List[AgentResult]) -> None:
+    """One ``trace_{seed}_{agent}_{i}.json`` per episode, ``i`` being the
+    episode's position in the agent's ``episodes``."""
+    for res in results:
+        in_layer: Counter = Counter()
+        for i, trace in enumerate(res.episodes):
+            payload = {
+                "agent": res.partition_id,
+                "layer": trace.layer,
+                "episode_in_layer": in_layer[trace.layer],
+                "start": {"eps": trace.start.eps,
+                          "min_pts": trace.start.min_pts},
+                "stop_reason": trace.stop_reason,
+                "steps": [
+                    {
+                        "action": step.action.name,
+                        "eps": step.params.eps,
+                        "min_pts": step.params.min_pts,
+                        "immediate": step.immediate,
+                        "num_clusters": step.num_clusters,
+                    }
+                    for step in trace.steps
+                ],
+                "episode_rewards": list(trace.rewards),
+            }
+            in_layer[trace.layer] += 1
+            _write_json(
+                trace_dir / f"trace_{seed}_{res.partition_id}_{i}.json",
+                payload)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +299,7 @@ def _load_dataset(config: RunConfig) -> Dataset:
     if not path.exists():
         raise DataError(f"dataset not found: {path}")
     try:
-        return load_csv(path, has_labels=True)
+        return load_csv(path)
     except ValueError as exc:
         raise DataError(f"unreadable dataset {path}: {exc}") from exc
 
@@ -328,15 +335,6 @@ def cmd_allocate(config: RunConfig, out_dir: Path) -> dict:
     started = time.perf_counter()
     norm, sel, tree, alloc = _set_up(raw, config)
 
-    node_rows = []
-    for node in tree.export_nodes(sel.k):
-        node_rows.append({
-            "id": node["id"],
-            "parent": node["parent"],
-            "num_vertices": len(node["vertices"]),
-            "entropy": node["entropy"],
-            "uncertainty": node.get("uncertainty"),
-        })
     partitions = []
     for pid, part in enumerate(alloc.partitions):
         members = sorted(nid for nid, p in alloc.node_to_partition.items()
@@ -354,19 +352,14 @@ def cmd_allocate(config: RunConfig, out_dir: Path) -> dict:
         "stable_points": [int(k) for k in sel.stable_ks],
         "num_agents": len(alloc.partitions),
         "partitions": partitions,
-        "tree_nodes": node_rows,
+        "tree_nodes": tree.export_nodes(sel.k),
         "wall_clock_seconds": time.perf_counter() - started,
     }
     _write_json(out_dir / "allocation.json", report)
     agent_of = np.full(norm.n, -1, dtype=np.int64)
     for pid, part in enumerate(alloc.partitions):
         agent_of[part] = pid
-    with open(out_dir / "allocation.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point_index", "agent_id"])
-        for i, a in enumerate(agent_of):
-            writer.writerow([i, int(a)])
+    _write_assignment(out_dir / "allocation.csv", agent_of, column="agent_id")
     return report
 
 
@@ -417,32 +410,24 @@ def _parse_seeds(text: str) -> List[int]:
     return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
-_FLAG_TYPES = {
-    "seeds": _parse_seeds,
-    "dataset": str,
-    "mode": str,
-    "l_max": int,
-    "minpts_cap_fraction": float,
-}
+def _flag_kwargs(hint: Any) -> dict:
+    """How a flag parses the config field annotated ``hint``: ``bool`` as
+    ``--x/--no-x``, ``list[int]`` as comma-separated ints, ``X | None``
+    as ``X`` and any other type by calling it."""
+    if hint is bool:
+        return {"action": argparse.BooleanOptionalAction}
+    if get_origin(hint) is list:
+        return {"type": _parse_seeds}
+    if get_origin(hint) in (Union, UnionType):
+        (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    return {"type": hint}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = RunConfig()
-    for f in fields(RunConfig):
-        flag = "--" + f.name
-        if f.name == "single_agent":
-            parser.add_argument(flag, dest=f.name,
-                                action=argparse.BooleanOptionalAction,
-                                default=argparse.SUPPRESS,
-                                help="override config key single_agent")
-            continue
-        caster = _FLAG_TYPES.get(f.name)
-        if caster is None:
-            caster = {int: int, float: float}.get(
-                type(getattr(defaults, f.name)), float)
-        parser.add_argument(flag, dest=f.name, type=caster,
-                            default=argparse.SUPPRESS,
-                            help=f"override config key {f.name}")
+    for name, hint in get_type_hints(RunConfig).items():
+        parser.add_argument("--" + name, dest=name, default=argparse.SUPPRESS,
+                            help=f"override config key {name}",
+                            **_flag_kwargs(hint))
 
 
 def _build_parser() -> argparse.ArgumentParser:

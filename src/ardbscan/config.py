@@ -10,6 +10,7 @@ later.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from types import UnionType
 from typing import Any, Union, get_args, get_origin, get_type_hints
@@ -114,7 +115,8 @@ class RunConfig:
     def _check_types(self) -> None:
         """Check each scalar field against its annotation.  An ``int``
         field takes no bool, float or string, a ``float`` field also takes
-        an int, and an ``X | None`` field also takes None."""
+        an int but no NaN or infinity, and an ``X | None`` field also takes
+        None."""
         hints = get_type_hints(type(self))
         for f in fields(self):
             hint, value = hints[f.name], getattr(self, f.name)
@@ -127,6 +129,8 @@ class RunConfig:
             if (isinstance(value, bool) and bool not in allowed
                     or not isinstance(value, allowed)):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
     def resolved_l_max(self) -> int:
         if self.l_max is not None:

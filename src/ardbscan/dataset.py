@@ -2,7 +2,9 @@
 sequential block splitting for streaming evaluation.
 
 CSV format: comma separated, no header, one row per point, '.' decimal
-separator, optionally a trailing integer label column.
+separator, feature columns followed by one integer label column.  Every
+dataset is labeled: the labels drive the weak supervision and the
+scoring.
 """
 
 from __future__ import annotations
@@ -16,28 +18,27 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Dataset:
-    """An immutable point set with optional ground-truth labels.
+    """An immutable point set with its ground-truth labels.
 
     Attributes:
         points: float array of shape (n, d).
-        labels: int array of shape (n,), or None when unlabeled.
+        labels: int array of shape (n,).
     """
 
     points: np.ndarray
-    labels: np.ndarray | None = None
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2:
             raise ValueError("points must be a 2-D array")
-        object.__setattr__(self, "points", pts)
-        if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=np.int64)
-            if lab.shape != (pts.shape[0],):
-                raise ValueError("labels must align with points")
-            lab.setflags(write=False)
-            object.__setattr__(self, "labels", lab)
+        lab = np.asarray(self.labels, dtype=np.int64)
+        if lab.shape != (pts.shape[0],):
+            raise ValueError("labels must align with points")
         pts.setflags(write=False)
+        lab.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "labels", lab)
 
     @property
     def n(self) -> int:
@@ -49,7 +50,6 @@ class LabeledSubset:
     """Indices of the points whose labels the search may consult."""
 
     indices: np.ndarray
-    proportion: float
 
     def __post_init__(self) -> None:
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -57,8 +57,8 @@ class LabeledSubset:
         object.__setattr__(self, "indices", idx)
 
 
-def load_csv(path: str | Path, has_labels: bool = False) -> Dataset:
-    """Parse a headerless CSV of points, optionally with a final label column.
+def load_csv(path: str | Path) -> Dataset:
+    """Parse a headerless CSV of points with a final label column.
 
     Raises ValueError naming the offending 1-based line on any malformed or
     non-finite row, and on empty input.
@@ -74,7 +74,7 @@ def load_csv(path: str | Path, has_labels: bool = False) -> Dataset:
             fields = line.split(",")
             if width is None:
                 width = len(fields)
-                if has_labels and width < 2:
+                if width < 2:
                     raise ValueError(
                         f"line {lineno}: need at least one feature column "
                         "before the label"
@@ -83,20 +83,18 @@ def load_csv(path: str | Path, has_labels: bool = False) -> Dataset:
                 raise ValueError(
                     f"line {lineno}: expected {width} columns, got {len(fields)}"
                 )
-            feat_fields = fields[:-1] if has_labels else fields
             try:
-                row = [float(f) for f in feat_fields]
+                row = [float(f) for f in fields[:-1]]
             except ValueError:
                 raise ValueError(f"line {lineno}: non-numeric feature value") from None
             if not all(map(math.isfinite, row)):
                 raise ValueError(f"line {lineno}: non-finite feature value")
             rows.append(row)
-            if has_labels:
-                labels.append(_parse_label(fields[-1], lineno))
+            labels.append(_parse_label(fields[-1], lineno))
     if not rows:
         raise ValueError("empty dataset")
-    points = np.asarray(rows, dtype=np.float64)
-    return Dataset(points, np.asarray(labels, dtype=np.int64) if has_labels else None)
+    return Dataset(np.asarray(rows, dtype=np.float64),
+                   np.asarray(labels, dtype=np.int64))
 
 
 def _parse_label(field: str, lineno: int) -> int:
@@ -132,14 +130,12 @@ def sample_labeled_subset(ds: Dataset, proportion: float, seed: int) -> LabeledS
 
     The subset size is floor(proportion * n + 0.5). Deterministic per seed.
     """
-    if ds.labels is None:
-        raise ValueError("weak supervision requires labels")
     if not 0 < proportion <= 1:
         raise ValueError("proportion must be in (0, 1]")
     size = int(np.floor(proportion * ds.n + 0.5))
     rng = np.random.default_rng(seed)
     indices = np.sort(rng.choice(ds.n, size=size, replace=False))
-    return LabeledSubset(indices, proportion)
+    return LabeledSubset(indices)
 
 
 def split_blocks(ds: Dataset, num_blocks: int) -> list[Dataset]:
@@ -157,8 +153,6 @@ def split_blocks(ds: Dataset, num_blocks: int) -> list[Dataset]:
     for b in range(num_blocks):
         size = base + (1 if b < extra else 0)
         sl = slice(start, start + size)
-        blocks.append(
-            Dataset(ds.points[sl], ds.labels[sl] if ds.labels is not None else None)
-        )
+        blocks.append(Dataset(ds.points[sl], ds.labels[sl]))
         start += size
     return blocks

@@ -73,22 +73,21 @@ class EncodingTree:
         n = self.graph.n
         return list(range(n, n + self.cut.size))
 
-    def export_nodes(self, k: Optional[int] = None) -> List[dict]:
-        """Plain-dict dump of the tree, suitable for JSON output."""
+    def export_nodes(self, k: int) -> List[dict]:
+        """One plain-dict row per node, suitable for JSON output: ``id``,
+        ``parent``, ``num_vertices``, ``entropy`` and ``uncertainty`` at
+        graph degree ``k`` (null for the root and the leaves)."""
         n = self.graph.n
-        rows = [{"id": ROOT, "parent": None, "vertices": list(range(n)),
-                 "entropy": None}]
+        rows = [{"id": ROOT, "parent": None, "num_vertices": n,
+                 "entropy": None, "uncertainty": None}]
         for v in range(n):
             rows.append({"id": v, "parent": n + int(self.community[v]),
-                         "vertices": [v], "entropy": node_entropy(self, v)})
-        by_community = np.argsort(self.community, kind="stable")
-        groups = np.split(by_community, np.cumsum(self.size)[:-1])
-        for nid, members in zip(self.intermediates(), groups):
-            row = {"id": nid, "parent": ROOT, "vertices": members.tolist(),
-                   "entropy": node_entropy(self, nid)}
-            if k is not None:
-                row["uncertainty"] = information_uncertainty(self, nid, k)
-            rows.append(row)
+                         "num_vertices": 1, "entropy": node_entropy(self, v),
+                         "uncertainty": None})
+        for nid, size in zip(self.intermediates(), self.size):
+            rows.append({"id": nid, "parent": ROOT, "num_vertices": int(size),
+                         "entropy": node_entropy(self, nid),
+                         "uncertainty": information_uncertainty(self, nid, k)})
         return rows
 
 

@@ -5,16 +5,16 @@ Every agent walks the same recursion: a coarse layer spanning the full
 centered on the best parameters seen so far.  ``run_random_search`` is
 the reference policy with the same signature: uniform draws over the
 coarse layer's box.  Both spend one ``ClusterEvaluator``'s budget and
-read their result off it.  Per-agent results merge back into one
-labeling by offsetting cluster ids.
+read their result off it; an agent's result also carries every episode
+its search ran, each tagged with its layer.  Per-agent results merge
+back into one labeling by offsetting cluster ids.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -33,8 +33,6 @@ from .search_env import (
     run_episode,
 )
 
-TraceSink = Callable[[int, int, EpisodeTrace], None]
-
 
 @dataclass(frozen=True)
 class AgentResult:
@@ -43,7 +41,8 @@ class AgentResult:
     ``assignment`` and the per-round assignments are local: entry i
     labels the point ``partition[i]``.  ``round_rewards`` is the
     best-so-far labeled-subset score after each paid clustering round,
-    as the agent's ``ClusterEvaluator`` recorded it.
+    as the agent's ``ClusterEvaluator`` recorded it.  ``episodes`` holds
+    every episode the search ran, in order.
     """
 
     partition_id: int
@@ -55,7 +54,7 @@ class AgentResult:
     round_rewards: List[float]
     rounds_used: int
     layer_history: Tuple[DbscanParams, ...]
-    stop_reasons: Dict[str, int]
+    episodes: Tuple[EpisodeTrace, ...]
 
 
 @dataclass(frozen=True)
@@ -111,18 +110,18 @@ def next_layer(prev: SearchLayer, p_o: DbscanParams,
                        theta_minpts, p_o)
 
 
-Policy = Callable[[ClusterEvaluator, RunConfig, int, Optional[TraceSink]],
-                  Tuple[Tuple[DbscanParams, ...], Dict[str, int]]]
+Policy = Callable[[ClusterEvaluator, RunConfig, int],
+                  Tuple[Tuple[DbscanParams, ...], Tuple[EpisodeTrace, ...]]]
 
 
 def _search(policy: Policy, partition: np.ndarray, dataset: Dataset,
             labeled: LabeledSubset, config: RunConfig, seed: int,
-            partition_id: int, trace_sink: Optional[TraceSink]) -> AgentResult:
+            partition_id: int) -> AgentResult:
     """Run one search policy on a partition's evaluator and build the
     result from the evaluator's record of its best round so far.
 
     ``policy`` spends the round budget and returns the layer history and
-    stop-reason counts.  A partition holding none of the labeled points
+    the episodes it ran.  A partition holding none of the labeled points
     cannot score candidates, so it skips the policy and takes the
     snapped layer-0 midpoint: one round, reward 0.
     """
@@ -132,12 +131,11 @@ def _search(policy: Policy, partition: np.ndarray, dataset: Dataset,
         dataset.points[part], np.searchsorted(part, global_labeled),
         dataset.labels[global_labeled], config.round_budget)
     if global_labeled.size:
-        layer_history, stop_reasons = policy(evaluator, config, seed,
-                                             trace_sink)
+        layer_history, episodes = policy(evaluator, config, seed)
     else:
         start = first_layer(evaluator.points.shape[1], part.size, config).start
         evaluator.evaluate(start)
-        layer_history, stop_reasons = (start,), {}
+        layer_history, episodes = (start,), ()
     best_result, best_reward = evaluator.cache[evaluator.best_key]
     return AgentResult(
         partition_id=partition_id,
@@ -149,20 +147,19 @@ def _search(policy: Policy, partition: np.ndarray, dataset: Dataset,
         round_rewards=list(evaluator.round_rewards),
         rounds_used=evaluator.rounds_used,
         layer_history=layer_history,
-        stop_reasons=stop_reasons,
+        episodes=episodes,
     )
 
 
-def _lattice_walk(evaluator: ClusterEvaluator, config: RunConfig, seed: int,
-                  trace_sink: Optional[TraceSink]
-                  ) -> Tuple[Tuple[DbscanParams, ...], Dict[str, int]]:
+def _lattice_walk(evaluator: ClusterEvaluator, config: RunConfig, seed: int
+                  ) -> Tuple[Tuple[DbscanParams, ...], Tuple[EpisodeTrace, ...]]:
     points = evaluator.points
     dim = points.shape[1]
     layer = first_layer(dim, points.shape[0], config)
     root_rng = np.random.default_rng(seed)
 
     layer_history: List[DbscanParams] = []
-    stop_counts: Counter = Counter()
+    episodes: List[EpisodeTrace] = []
 
     for layer_index in range(config.resolved_l_max()):
         if layer_index > 0:
@@ -176,22 +173,18 @@ def _lattice_walk(evaluator: ClusterEvaluator, config: RunConfig, seed: int,
             frac = episode / max(config.episodes - 1, 1)
             explore = config.epsilon_start - frac * (
                 config.epsilon_start - config.epsilon_end)
-            trace = run_episode(env, explore)
-            if trace_sink is not None:
-                trace_sink(layer_index, episode, trace)
-            stop_counts[trace.stop_reason] += 1
+            episodes.append(run_episode(env, explore))
             if evaluator.exhausted:
                 break
 
         layer_history.append(evaluator.best_params)
         if evaluator.exhausted:
             break
-    return tuple(layer_history), dict(stop_counts)
+    return tuple(layer_history), tuple(episodes)
 
 
-def _random_draws(evaluator: ClusterEvaluator, config: RunConfig, seed: int,
-                  trace_sink: Optional[TraceSink]
-                  ) -> Tuple[Tuple[DbscanParams, ...], Dict[str, int]]:
+def _random_draws(evaluator: ClusterEvaluator, config: RunConfig, seed: int
+                  ) -> Tuple[Tuple[DbscanParams, ...], Tuple[EpisodeTrace, ...]]:
     bounds = layer_zero_bounds(evaluator.points.shape[1],
                                evaluator.points.shape[0],
                                config.resolved_minpts_cap_fraction())
@@ -201,12 +194,11 @@ def _random_draws(evaluator: ClusterEvaluator, config: RunConfig, seed: int,
             rng.uniform(bounds.eps_lo, bounds.eps_hi),
             int(rng.integers(bounds.minpts_lo, bounds.minpts_hi + 1)),
         ))
-    return (evaluator.best_params,), {}
+    return (evaluator.best_params,), ()
 
 
 def run_agent(partition: np.ndarray, dataset: Dataset, labeled: LabeledSubset,
-              config: RunConfig, seed: int, partition_id: int = 0,
-              trace_sink: Optional[TraceSink] = None) -> AgentResult:
+              config: RunConfig, seed: int, partition_id: int = 0) -> AgentResult:
     """Search (eps, min_pts) for one partition with the TD3-driven
     coarse-to-fine lattice walk and return its labeling.
 
@@ -216,18 +208,17 @@ def run_agent(partition: np.ndarray, dataset: Dataset, labeled: LabeledSubset,
     are also the agent's result.
     """
     return _search(_lattice_walk, partition, dataset, labeled, config, seed,
-                   partition_id, trace_sink)
+                   partition_id)
 
 
 def run_random_search(partition: np.ndarray, dataset: Dataset,
                       labeled: LabeledSubset, config: RunConfig, seed: int,
-                      partition_id: int = 0,
-                      trace_sink: Optional[TraceSink] = None) -> AgentResult:
+                      partition_id: int = 0) -> AgentResult:
     """Reference policy with ``run_agent``'s signature: uniform draws over
     the layer-0 box until the round budget is spent.  It runs no
-    episodes, so ``trace_sink`` is never called."""
+    episodes, so its ``episodes`` is empty."""
     return _search(_random_draws, partition, dataset, labeled, config, seed,
-                   partition_id, trace_sink)
+                   partition_id)
 
 
 def _scatter(n: int, results: List[AgentResult],
@@ -243,13 +234,14 @@ def _scatter(n: int, results: List[AgentResult],
 
 
 def merge_agent_results(results: List[AgentResult], n: int,
-                        num_rounds: Optional[int] = None) -> MergedResult:
-    """Combine per-partition labelings into one global labeling.
+                        num_rounds: int) -> MergedResult:
+    """Combine per-partition labelings into one global labeling per round.
 
     Cluster ids are offset agent by agent (in partition-id order) so
     they stay disjoint; noise stays noise.  Round series are aligned by
     repeating an early stopper's last round, padded out to
-    ``num_rounds`` when given.
+    ``num_rounds``.  An agent's last round holds its best assignment, so
+    the final labeling is the last merged round.
     """
     results = sorted(results, key=lambda r: r.partition_id)
     all_idx = np.concatenate([r.partition for r in results]) if results else \
@@ -260,16 +252,11 @@ def merge_agent_results(results: List[AgentResult], n: int,
     if uniq.size != n or (n > 0 and (uniq[0] != 0 or uniq[-1] != n - 1)):
         raise ValueError("agent partitions do not cover all points")
 
-    final = _scatter(n, results, [r.assignment for r in results])
+    total = max([num_rounds] + [len(r.round_assignments) for r in results])
+    rounds = [_scatter(n, results,
+                       [r.round_assignments[min(i, len(r.round_assignments) - 1)]
+                        for r in results])
+              for i in range(total)]
+    final = rounds[-1]
     num_clusters = int(final.max()) + 1 if (final != NOISE).any() else 0
-
-    total = max(len(r.round_assignments) for r in results)
-    if num_rounds is not None:
-        total = max(total, num_rounds)
-    rounds: List[np.ndarray] = []
-    for i in range(total):
-        pick = [r.round_assignments[min(i, len(r.round_assignments) - 1)]
-                for r in results]
-        rounds.append(_scatter(n, results, pick))
-
     return MergedResult(ClusterResult(final, num_clusters), rounds)

@@ -502,6 +502,7 @@ class EpisodeStep:
 
 @dataclass(frozen=True)
 class EpisodeTrace:
+    layer: int  # index of the SearchLayer the episode ran on
     steps: List[EpisodeStep]
     rewards: List[float]
     stop_reason: str
@@ -519,7 +520,7 @@ def run_episode(env: SearchEnv, epsilon: float) -> EpisodeTrace:
     layer = env.layer
     first = env.evaluator.evaluate(layer.start)
     if first is None:
-        return EpisodeTrace([], [], "budget", layer.start)
+        return EpisodeTrace(layer.index, [], [], "budget", layer.start)
     clustering, _ = first
     state = build_state(env.networks, layer.start, layer.bounds, clustering,
                         env.evaluator.points)
@@ -560,4 +561,4 @@ def run_episode(env: SearchEnv, epsilon: float) -> EpisodeTrace:
                               env.config.delta) if steps else []
     for (before, action, after), reward in zip(transitions, rewards):
         env.buffer.insert(RLTuple(before.vector, action, after.vector, reward))
-    return EpisodeTrace(steps, rewards, stop_reason, layer.start)
+    return EpisodeTrace(layer.index, steps, rewards, stop_reason, layer.start)

@@ -167,7 +167,7 @@ def test_criterion_4_two_clique_recovery():
 
 
 def _run_select_k(name):
-    raw = load_csv(benchmark_csv(name), has_labels=True)
+    raw = load_csv(benchmark_csv(name))
     norm = normalize(raw)
     started = time.perf_counter()
     sel = select_k(norm.points, cap=2048)

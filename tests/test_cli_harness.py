@@ -126,6 +126,17 @@ def test_config_rejects_unknown_keys():
         {"hidden_width": 2.5},
         {"k_sweep_cap": "16"},
         {"gamma": True},
+        # every comparison with NaN is false, so range checks alone let
+        # it through; JSON configs may spell NaN and Infinity
+        {"learning_rate": float("nan")},
+        {"alloc_eps": float("nan")},
+        {"noise_clip": float("nan")},
+        {"minpts_cap_fraction": float("nan")},
+        {"learning_rate": float("inf")},
+        {"alloc_eps": float("inf")},
+        {"minpts_cap_fraction": float("inf")},
+        *(json.loads(text) for text in ('{"noise_sigma": NaN}',
+                                        '{"noise_clip": Infinity}')),
     ],
 )
 def test_config_rejects_bad_values(bad):
@@ -266,22 +277,33 @@ def test_cluster_trace_files(workspace):
 def test_cluster_trace_files_are_kept_per_seed(workspace):
     tmp, data, cfg = workspace
     out = tmp / "out"
+    # 16 rounds: enough for the search to reach its second layer
     assert main(["cluster", "--config", str(cfg), "--out", str(out),
-                 "--seeds", "0,1", "--trace"]) == 0
+                 "--seeds", "0,1", "--round_budget", "16", "--trace"]) == 0
     report = json.loads((out / "report.json").read_text())
-    episodes = Counter()
+    traces = {}
     for path in out.glob("trace_*.json"):
         match = re.fullmatch(r"trace_(\d+)_(\d+)_(\d+)\.json", path.name)
         assert match, path.name
-        seed, agent, _ = (int(g) for g in match.groups())
-        assert json.loads(path.read_text())["agent"] == agent
-        episodes[seed, agent] += 1
-    expect = Counter({
-        (s["seed"], a["partition_id"]): sum(a["stop_reasons"].values())
-        for s in report["per_seed"] for a in s["agents"]
-    })
-    assert {seed for seed, _ in expect} == {0, 1}
-    assert episodes == expect
+        seed, agent, index = (int(g) for g in match.groups())
+        payload = json.loads(path.read_text())
+        assert payload["agent"] == agent
+        traces.setdefault((seed, agent), {})[index] = payload
+    agents = {(s["seed"], a["partition_id"]): a
+              for s in report["per_seed"] for a in s["agents"]}
+    assert {seed for seed, _ in agents} == {0, 1}
+    assert traces.keys() == agents.keys()
+    assert max(a["layers_run"] for a in agents.values()) > 1
+    for key, by_index in traces.items():
+        assert sorted(by_index) == list(range(len(by_index)))
+        assert len(by_index) == sum(agents[key]["stop_reasons"].values())
+        layers = [by_index[i]["layer"] for i in range(len(by_index))]
+        assert layers == sorted(layers)
+        assert len(set(layers)) == agents[key]["layers_run"]
+        for layer in set(layers):
+            in_layer = [by_index[i]["episode_in_layer"]
+                        for i in range(len(by_index)) if layers[i] == layer]
+            assert in_layer == list(range(len(in_layer)))
 
 
 @pytest.mark.parametrize("command", ["allocate", "online", "baseline"])
@@ -471,6 +493,14 @@ def test_out_naming_a_file_is_config_error(workspace, capsys, below):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_flag_is_config_error(workspace, capsys, value):
+    tmp, data, cfg = workspace
+    assert main(["cluster", "--config", str(cfg), "--out", str(tmp / "out"),
+                 "--alloc_eps", value]) == 1
+    assert "alloc_eps must be finite" in capsys.readouterr().err
+
+
 def test_nonexistent_dataset_is_data_error(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", tmp_path / "missing.csv")
     assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -532,13 +562,3 @@ def test_too_many_blocks_is_data_error(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", data, mode="online",
                        num_blocks=100)
     assert main(["online", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-
-
-def test_cmd_cluster_requires_labels(tmp_path):
-    # cmd_cluster is reachable with an unlabeled Dataset only through the
-    # library API; the CLI loader always parses a label column
-    points, _ = synthetic_points()
-    cfg = RunConfig(**{**SMALL, "dataset": "unused"})
-    from ardbscan.cli_harness import run_offline_pipeline, DataError
-    with pytest.raises(DataError, match="labels"):
-        run_offline_pipeline(Dataset(points, None), cfg)

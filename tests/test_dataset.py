@@ -12,6 +12,12 @@ from ardbscan.dataset import (
 )
 
 
+def zero_labeled(points):
+    """A dataset over ``points`` whose labels are all 0."""
+    points = np.asarray(points, dtype=float)
+    return Dataset(points, np.zeros(len(points), dtype=int))
+
+
 def write(tmp_path, text, name="data.csv"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -19,16 +25,10 @@ def write(tmp_path, text, name="data.csv"):
 
 
 def test_load_csv_with_labels(tmp_path):
-    ds = load_csv(write(tmp_path, "0,0,1\n1,0,1\n0,1,2\n"), has_labels=True)
+    ds = load_csv(write(tmp_path, "0,0,1\n1,0,1\n0,1,2\n"))
     assert ds.n == 3 and ds.points.shape == (3, 2)
     assert ds.labels.tolist() == [1, 1, 2]
     assert ds.points[2].tolist() == [0.0, 1.0]
-
-
-def test_load_csv_without_labels(tmp_path):
-    ds = load_csv(write(tmp_path, "0.5,1.5\n2.5,3.5\n"))
-    assert ds.labels is None
-    assert ds.points.shape == (2, 2)
 
 
 def test_load_csv_empty_file(tmp_path):
@@ -38,7 +38,13 @@ def test_load_csv_empty_file(tmp_path):
 
 def test_load_csv_bad_feature_names_line(tmp_path):
     with pytest.raises(ValueError, match="line 1"):
-        load_csv(write(tmp_path, "a,b,1\n"), has_labels=True)
+        load_csv(write(tmp_path, "a,b,1\n"))
+
+
+def test_load_csv_needs_a_feature_column(tmp_path):
+    # the last column is always the label
+    with pytest.raises(ValueError, match="line 1: need at least one feature"):
+        load_csv(write(tmp_path, "1\n2\n"))
 
 
 def test_load_csv_ragged_row(tmp_path):
@@ -47,13 +53,13 @@ def test_load_csv_ragged_row(tmp_path):
 
 
 def test_load_csv_float_integer_labels_ok(tmp_path):
-    ds = load_csv(write(tmp_path, "0,0,2.0\n1,1,3\n"), has_labels=True)
+    ds = load_csv(write(tmp_path, "0,0,2.0\n1,1,3\n"))
     assert ds.labels.tolist() == [2, 3]
 
 
 def test_load_csv_fractional_label_rejected(tmp_path):
     with pytest.raises(ValueError, match="line 1"):
-        load_csv(write(tmp_path, "0,0,2.5\n"), has_labels=True)
+        load_csv(write(tmp_path, "0,0,2.5\n"))
 
 
 @pytest.mark.parametrize("text", [
@@ -64,27 +70,27 @@ def test_load_csv_fractional_label_rejected(tmp_path):
 ])
 def test_load_csv_non_finite_rejected_with_line(tmp_path, text):
     with pytest.raises(ValueError, match="line 2: .*finite"):
-        load_csv(write(tmp_path, text), has_labels=True)
+        load_csv(write(tmp_path, text))
 
 
 def test_points_are_immutable():
-    ds = Dataset(np.zeros((2, 2)))
+    ds = zero_labeled(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         ds.points[0, 0] = 1.0
 
 
 def test_normalize_linear_map():
-    ds = normalize(Dataset(np.array([[2.0], [4.0], [6.0]])))
+    ds = normalize(zero_labeled([[2.0], [4.0], [6.0]]))
     assert ds.points[:, 0].tolist() == [0.0, 0.5, 1.0]
 
 
 def test_normalize_constant_column():
-    ds = normalize(Dataset(np.array([[5.0, 1.0], [5.0, 3.0]])))
+    ds = normalize(zero_labeled([[5.0, 1.0], [5.0, 3.0]]))
     assert ds.points[:, 0].tolist() == [0.0, 0.0]
 
 
 def test_normalize_max_distance_is_sqrt_d():
-    ds = normalize(Dataset(np.array([[0.0, 0.0], [1.0, 1.0]])))
+    ds = normalize(zero_labeled([[0.0, 0.0], [1.0, 1.0]]))
     dist = np.linalg.norm(ds.points[0] - ds.points[1])
     assert dist == pytest.approx(np.sqrt(2))
 
@@ -98,7 +104,7 @@ def test_normalize_max_distance_is_sqrt_d():
     ).filter(lambda rows: len({len(r) for r in rows}) == 1)
 )
 def test_normalize_idempotent_and_bounded(rows):
-    ds = normalize(Dataset(np.array(rows)))
+    ds = normalize(zero_labeled(rows))
     assert ds.points.min() >= 0.0 and ds.points.max() <= 1.0
     again = normalize(ds)
     assert np.allclose(again.points, ds.points, atol=1e-12)
@@ -125,11 +131,6 @@ def test_subset_deterministic():
     assert a.indices.tolist() == b.indices.tolist()
 
 
-def test_subset_requires_labels():
-    with pytest.raises(ValueError, match="weak supervision requires labels"):
-        sample_labeled_subset(Dataset(np.zeros((4, 2))), 0.2, seed=0)
-
-
 def test_split_blocks_even():
     blocks = split_blocks(labeled(8), 8)
     assert [b.n for b in blocks] == [1] * 8
@@ -141,7 +142,7 @@ def test_split_blocks_remainder():
 
 
 def test_split_blocks_stream_scale():
-    blocks = split_blocks(Dataset(np.zeros((29928, 2))), 8)
+    blocks = split_blocks(zero_labeled(np.zeros((29928, 2))), 8)
     assert [b.n for b in blocks] == [3741] * 8
 
 

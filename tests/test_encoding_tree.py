@@ -288,13 +288,18 @@ def test_export_nodes_schema():
     g = two_cliques()
     t = optimize_two_level(g)
     rows = t.export_nodes(k=g.k)
-    ids = {r["id"] for r in rows}
-    assert ROOT in ids
+    assert sorted(r["id"] for r in rows) == \
+        [ROOT] + list(range(g.n)) + t.intermediates()
     for r in rows:
-        assert {"id", "parent", "vertices", "entropy"} <= set(r)
-        if r["id"] in t.intermediates():
-            assert "uncertainty" in r
-            assert r["vertices"] == members(t, r["id"])
-        elif r["id"] != ROOT:
-            assert r["vertices"] == [r["id"]]
+        assert set(r) == {"id", "parent", "num_vertices", "entropy",
+                          "uncertainty"}
+        if r["id"] == ROOT:
+            assert (r["parent"], r["num_vertices"]) == (None, g.n)
+            assert r["entropy"] is None and r["uncertainty"] is None
+        elif r["id"] in t.intermediates():
+            assert r["parent"] == ROOT
+            assert r["num_vertices"] == len(members(t, r["id"]))
+            assert r["uncertainty"] == information_uncertainty(t, r["id"], g.k)
+        else:
+            assert r["num_vertices"] == 1 and r["uncertainty"] is None
             assert r["id"] in members(t, r["parent"])

@@ -205,7 +205,7 @@ def small_config(**overrides):
 
 def test_run_agent_keeps_perfect_start_params():
     ds = two_blob_dataset()
-    sub = LabeledSubset(np.arange(20), 1.0)
+    sub = LabeledSubset(np.arange(20))
     res = run_agent(np.arange(20), ds, sub, small_config(), seed=7)
     # the layer-0 midpoint already scores a perfect labeled NMI, and
     # ties break toward the earliest evaluation
@@ -216,7 +216,7 @@ def test_run_agent_keeps_perfect_start_params():
 
 def test_run_agent_is_deterministic():
     ds = two_blob_dataset()
-    sub = LabeledSubset(np.arange(0, 20, 3), 0.35)
+    sub = LabeledSubset(np.arange(0, 20, 3))
     a = run_agent(np.arange(20), ds, sub, small_config(), seed=11)
     b = run_agent(np.arange(20), ds, sub, small_config(), seed=11)
     assert a.params == b.params
@@ -230,7 +230,7 @@ def test_run_agent_is_deterministic():
 
 def test_run_agent_respects_round_budget():
     ds = two_blob_dataset()
-    sub = LabeledSubset(np.arange(20), 1.0)
+    sub = LabeledSubset(np.arange(20))
     cfg = small_config(round_budget=5)
     res = run_agent(np.arange(20), ds, sub, cfg, seed=3)
     assert res.rounds_used <= 5
@@ -240,7 +240,7 @@ def test_run_agent_respects_round_budget():
 
 def test_run_agent_round_series_is_nondecreasing():
     ds = two_blob_dataset()
-    sub = LabeledSubset(np.arange(0, 20, 2), 0.5)
+    sub = LabeledSubset(np.arange(0, 20, 2))
     res = run_agent(np.arange(20), ds, sub, small_config(), seed=5)
     for earlier, later in zip(res.round_rewards, res.round_rewards[1:]):
         assert later >= earlier
@@ -250,7 +250,7 @@ def test_run_agent_round_series_is_nondecreasing():
 def test_run_agent_partition_subset_of_dataset():
     ds = two_blob_dataset()
     part = np.arange(10)  # only the low blob
-    sub = LabeledSubset(np.array([0, 3, 6, 14, 17]), 0.25)
+    sub = LabeledSubset(np.array([0, 3, 6, 14, 17]))
     res = run_agent(part, ds, sub, small_config(), seed=2)
     assert res.assignment.shape == (10,)
     assert all(len(a) == 10 for a in res.round_assignments)
@@ -259,7 +259,7 @@ def test_run_agent_partition_subset_of_dataset():
 def test_run_agent_degenerate_without_labels():
     ds = two_blob_dataset()
     part = np.arange(10)
-    sub = LabeledSubset(np.array([15, 16]), 0.1)  # none fall in the partition
+    sub = LabeledSubset(np.array([15, 16]))  # none fall in the partition
     res = run_agent(part, ds, sub, small_config(), seed=4)
     assert res.rounds_used == 1
     assert res.reward == 0.0
@@ -288,7 +288,7 @@ def test_run_agent_params_are_earliest_paid_maximum(monkeypatch, seed):
     points = np.round(np.concatenate([rng.normal(c, 0.08, (15, 2))
                                       for c in (0.2, 0.5, 0.8)]), 1)
     ds = Dataset(points, np.repeat([0, 1, 2], 15))
-    sub = LabeledSubset(np.arange(0, 45, 4), 0.25)
+    sub = LabeledSubset(np.arange(0, 45, 4))
     res = run_agent(np.arange(45), ds, sub, small_config(l_max=3), seed=seed)
     rewards = [r for _, r in paid]
     assert res.params == paid[rewards.index(max(rewards))][0]
@@ -299,7 +299,7 @@ def test_run_agent_params_are_earliest_paid_maximum(monkeypatch, seed):
 def test_run_agent_single_point_partition():
     ds = two_blob_dataset()
     part = np.array([0])
-    sub = LabeledSubset(np.array([0]), 0.05)
+    sub = LabeledSubset(np.array([0]))
     res = run_agent(part, ds, sub, small_config(), seed=9)
     assert res.assignment.tolist() == [0]
     assert res.reward == pytest.approx(1.0)
@@ -307,7 +307,7 @@ def test_run_agent_single_point_partition():
 
 def test_run_agent_layer_history_length():
     ds = two_blob_dataset()
-    sub = LabeledSubset(np.arange(20), 1.0)
+    sub = LabeledSubset(np.arange(20))
     cfg = small_config(l_max=3, round_budget=30)
     res = run_agent(np.arange(20), ds, sub, cfg, seed=1)
     assert 1 <= len(res.layer_history) <= 3
@@ -326,13 +326,11 @@ def three_blob_dataset():
 
 
 def test_run_agent_episodes_stop_at_max_steps():
-    traces = []
     cfg = small_config(max_steps=3, round_budget=40, episodes=10)
-    run_agent(np.arange(60), three_blob_dataset(),
-              LabeledSubset(np.arange(0, 60, 3), 0.35), cfg, seed=0,
-              trace_sink=lambda layer, episode, trace: traces.append(trace))
-    assert any(t.stop_reason == "timeout" for t in traces)
-    assert max(len(t.steps) for t in traces) == 3
+    res = run_agent(np.arange(60), three_blob_dataset(),
+                    LabeledSubset(np.arange(0, 60, 3)), cfg, seed=0)
+    assert any(t.stop_reason == "timeout" for t in res.episodes)
+    assert max(len(t.steps) for t in res.episodes) == 3
 
 
 TD3_KEYS = ("gamma", "batch_size", "tau", "actor_delay", "noise_sigma",
@@ -354,7 +352,7 @@ def test_run_agent_trains_with_the_run_td3_values(monkeypatch):
                noise_sigma=0.3, noise_clip=0.7)
     cfg = small_config(round_budget=40, episodes=10, **run)
     run_agent(np.arange(60), three_blob_dataset(),
-              LabeledSubset(np.arange(0, 60, 3), 0.35), cfg, seed=0)
+              LabeledSubset(np.arange(0, 60, 3)), cfg, seed=0)
     assert any(trained for _, trained in seen)
     assert {values for values, _ in seen} == {tuple(run[k] for k in TD3_KEYS)}
 
@@ -376,14 +374,14 @@ def stub_result(partition_id, partition, assignment, rounds=None):
         round_rewards=[0.0] * len(rounds),
         rounds_used=len(rounds),
         layer_history=(DbscanParams(0.5, 1),),
-        stop_reasons={},
+        episodes=(),
     )
 
 
 def test_merge_offsets_cluster_ids():
     a = stub_result(0, [0, 1, 2], [0, 1, 0])
     b = stub_result(1, [3, 4, 5, 6], [0, 1, 2, NOISE])
-    merged = merge_agent_results([a, b], 7)
+    merged = merge_agent_results([a, b], 7, num_rounds=1)
     assert merged.final.assignment.tolist() == [0, 1, 0, 2, 3, 4, NOISE]
     assert merged.final.num_clusters == 5
 
@@ -391,7 +389,7 @@ def test_merge_offsets_cluster_ids():
 def test_merge_all_noise_agent_adds_no_clusters():
     a = stub_result(0, [0, 1, 2], [0, 1, 0])
     b = stub_result(1, [3, 4, 5, 6], [NOISE] * 4)
-    merged = merge_agent_results([a, b], 7)
+    merged = merge_agent_results([a, b], 7, num_rounds=1)
     assert merged.final.assignment.tolist() == [0, 1, 0, NOISE, NOISE, NOISE, NOISE]
     assert merged.final.num_clusters == 2
 
@@ -399,7 +397,7 @@ def test_merge_all_noise_agent_adds_no_clusters():
 def test_merge_scatters_through_interleaved_partitions():
     a = stub_result(0, [0, 2, 4], [0, 0, 1])
     b = stub_result(1, [1, 3, 5], [0, NOISE, 0])
-    merged = merge_agent_results([a, b], 6)
+    merged = merge_agent_results([a, b], 6, num_rounds=1)
     assert merged.final.assignment.tolist() == [0, 2, 0, NOISE, 1, 2]
 
 
@@ -408,7 +406,7 @@ def test_merge_aligns_rounds_by_repeating_last():
     b_rounds = [[NOISE, 0], [0, 0], [0, 1], [1, 0]]
     a = stub_result(0, [0, 1, 2], [0, 1, NOISE], rounds=a_rounds)
     b = stub_result(1, [3, 4], [1, 0], rounds=b_rounds)
-    merged = merge_agent_results([a, b], 5)
+    merged = merge_agent_results([a, b], 5, num_rounds=1)
     assert len(merged.round_assignments) == 4
     # rounds 3 and 4 reuse agent A's final round
     assert merged.round_assignments[2].tolist()[:3] == [0, 1, NOISE]
@@ -429,18 +427,18 @@ def test_merge_rejects_overlapping_partitions():
     a = stub_result(0, [0, 1, 2], [0, 0, 0])
     b = stub_result(1, [2, 3], [0, 0])
     with pytest.raises(ValueError, match="overlap"):
-        merge_agent_results([a, b], 4)
+        merge_agent_results([a, b], 4, num_rounds=1)
 
 
 def test_merge_rejects_uncovered_points():
     a = stub_result(0, [0, 1], [0, 0])
     b = stub_result(1, [3], [0])
     with pytest.raises(ValueError, match="cover"):
-        merge_agent_results([a, b], 4)
+        merge_agent_results([a, b], 4, num_rounds=1)
 
 
 def test_merge_orders_agents_by_partition_id():
     b = stub_result(1, [3, 4, 5, 6], [0, 1, 2, NOISE])
     a = stub_result(0, [0, 1, 2], [0, 1, 0])
-    merged = merge_agent_results([b, a], 7)
+    merged = merge_agent_results([b, a], 7, num_rounds=1)
     assert merged.final.assignment.tolist() == [0, 1, 0, 2, 3, 4, NOISE]

@@ -6,8 +6,9 @@ Each tree runs the same ``ardbscan`` commands on the same inputs, in fresh
 processes with that tree on ``PYTHONPATH`` and BLAS on one thread:
 
 - a 60-point three-blob CSV with a small config and seeds 0 and 1:
-  ``cluster --trace``, ``cluster --single_agent``, ``allocate``,
-  ``online`` and ``baseline``;
+  ``cluster --trace``, ``cluster --single_agent``, ``cluster --mode
+  online`` (the mode-resolved layer count and ``min_pts`` cap),
+  ``allocate``, ``online`` and ``baseline``;
 - the benchmark's ``agents-500`` workload, draw 0, benchmark seed 1:
   ``cluster --trace`` and ``allocate``;
 - the benchmark's ``single-2k`` workload, draw 0, benchmark seed 1:
@@ -53,6 +54,7 @@ BLOB_CONFIG = {
 RUNS = [
     ("blobs", "cluster", ["--trace"]),
     ("blobs", "cluster", ["--single_agent"]),
+    ("blobs", "cluster", ["--mode", "online"]),
     ("blobs", "allocate", []),
     ("blobs", "online", ["--num_blocks", "3"]),
     ("blobs", "baseline", []),
