@@ -97,6 +97,9 @@ def load_csv(path: str | Path) -> Dataset:
                    np.asarray(labels, dtype=np.int64))
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _parse_label(field: str, lineno: int) -> int:
     # Published benchmark files sometimes store labels as floats ("2.0");
     # accept those but reject genuinely fractional values.
@@ -108,7 +111,10 @@ def _parse_label(field: str, lineno: int) -> int:
         raise ValueError(f"line {lineno}: label {field!r} is not finite")
     if value != int(value):
         raise ValueError(f"line {lineno}: label {field!r} is not an integer")
-    return int(value)
+    label = int(value)
+    if not _INT64.min <= label <= _INT64.max:
+        raise ValueError(f"line {lineno}: label {field!r} does not fit int64")
+    return label
 
 
 def normalize(ds: Dataset) -> Dataset:

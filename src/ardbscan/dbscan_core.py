@@ -1,24 +1,45 @@
-"""Exact DBSCAN over a point set.
+"""Exact DBSCAN over a point set, answered from one MST per min_pts.
 
-Neighborhoods are closed Euclidean balls and include the point itself.
-Squared distances are summed from coordinate differences at every n, with no
-dot-product identity and so no cancellation: duplicate points are exactly 0
-apart and co-cluster even at eps 0. Border points attach to the
-earliest-discovered adjacent cluster, where clusters are numbered by their
-smallest core index; this equals the classic index-ordered scan-and-expand
-formulation and makes results fully deterministic.
+Neighborhoods are closed Euclidean balls and include the point itself: ``j``
+is a neighbor of ``i`` when ``sqeuclidean(i, j) <= eps * eps``. Every squared
+distance comes from ``cdist(..., "sqeuclidean")``, which sums coordinate
+differences (no dot-product identity, so no cancellation): duplicate points
+are exactly 0 apart and co-cluster even at eps 0, and a pair's distance is
+the same whichever rows it is computed among.
+
+For a fixed ``min_pts`` a :class:`DbscanIndex` computes, once, each point's
+squared core distance (its ``min_pts``-th smallest squared distance, itself
+included) and a minimum spanning tree over the mutual-reachability weights
+``max(core_a, core_b, sqeuclidean(a, b))``. A point is core at eps exactly
+when its core distance is ``<= eps*eps``, and two core points are
+eps-connected exactly when the tree path between them has no edge above
+``eps*eps``: the tree keeps a minimax path between every pair, and an edge
+touching a non-core point always weighs more than ``eps*eps``. So cutting
+the tree's heavier edges gives DBSCAN's core clusters exactly, at every eps
+(Campello, Moulavi & Sander, *Density-Based Clustering Based on
+Hierarchical Density Estimates*, PAKDD 2013). Clusters are numbered by their
+smallest core index, and a non-core point within eps of a core point joins
+the adjacent cluster with the smallest id; this equals the classic
+index-ordered scan-and-expand formulation (Schubert et al., *DBSCAN
+Revisited, Revisited*, TODS 2017) and makes results fully deterministic.
+
+No n-by-n array is ever held: the tree is built by Prim's method, which
+recomputes one distance row per step, and core distances and the border
+test run over blocks of ``_BLOCK`` rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 NOISE = -1
+_BLOCK = 256  # rows per distance block; temporaries stay _BLOCK x n
 
 
 @dataclass(frozen=True)
@@ -41,42 +62,115 @@ class ClusterResult:
     num_clusters: int
 
 
-def run_dbscan(points: np.ndarray, params: DbscanParams) -> ClusterResult:
-    """Cluster points.
+def _core_distances(points: np.ndarray, min_pts: int) -> np.ndarray:
+    """Each point's ``min_pts``-th smallest squared distance, itself
+    included (requires ``min_pts <= n``)."""
+    out = np.empty(points.shape[0])
+    for lo in range(0, points.shape[0], _BLOCK):
+        block = cdist(points[lo:lo + _BLOCK], points, "sqeuclidean")
+        block.partition(min_pts - 1, axis=1)
+        out[lo:lo + _BLOCK] = block[:, min_pts - 1]
+    return out
+
+
+def _prim_mst(points: np.ndarray,
+              core: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``n - 1`` edges (u, v, weight) of a minimum spanning tree over
+    ``max(core_u, core_v, sqeuclidean(u, v))``, grown from vertex 0.
+
+    Zero-weight edges (duplicate points) are kept like any other.
+    """
+    n = points.shape[0]
+    src = np.zeros(n - 1, dtype=np.int64)
+    dst = np.zeros(n - 1, dtype=np.int64)
+    weight = np.zeros(n - 1)
+    # lightest known edge from each vertex into the tree; inf once inside
+    best = np.full(n, np.inf)
+    parent = np.zeros(n, dtype=np.int64)
+    outside = np.ones(n, dtype=bool)
+    u = 0
+    for step in range(n - 1):
+        outside[u] = False
+        best[u] = np.inf
+        reach = np.maximum(cdist(points[u:u + 1], points, "sqeuclidean")[0],
+                           core)
+        np.maximum(reach, core[u], out=reach)
+        closer = outside & (reach < best)
+        best[closer] = reach[closer]
+        parent[closer] = u
+        u = int(np.argmin(best))
+        src[step], dst[step], weight[step] = parent[u], u, best[u]
+    return src, dst, weight
+
+
+class DbscanIndex:
+    """Exact DBSCAN queries on one point set.
+
+    For each ``min_pts`` it is asked for, the index keeps the squared core
+    distances and the mutual-reachability MST; any eps is then answered by
+    cutting the tree. Build one per point set that is clustered repeatedly.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self.points = np.asarray(points, dtype=np.float64)
+        self._trees: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     np.ndarray]] = {}
+
+    def _tree(self, min_pts: int):
+        tree = self._trees.get(min_pts)
+        if tree is None:
+            core = _core_distances(self.points, min_pts)
+            tree = (core, *_prim_mst(self.points, core))
+            self._trees[min_pts] = tree
+        return tree
+
+    def query(self, params: DbscanParams) -> ClusterResult:
+        points = self.points
+        n = points.shape[0]
+        assignment = np.full(n, NOISE, dtype=np.int64)
+        if params.min_pts > n:
+            return ClusterResult(assignment, 0)
+        eps2 = params.eps * params.eps
+        core_d2, src, dst, weight = self._tree(params.min_pts)
+        core_idx = np.flatnonzero(core_d2 <= eps2)
+        if core_idx.size == 0:
+            return ClusterResult(assignment, 0)
+
+        keep = weight <= eps2
+        graph = coo_matrix((np.ones(int(keep.sum())), (src[keep], dst[keep])),
+                           shape=(n, n))
+        _, comp = connected_components(graph, directed=False)
+        # renumber components by first occurrence over ascending core index,
+        # so cluster ids ascend with each cluster's smallest core point
+        _, first_idx, comp = np.unique(comp[core_idx], return_index=True,
+                                       return_inverse=True)
+        num = first_idx.size
+        renum = np.empty(num, dtype=np.int64)
+        renum[np.argsort(first_idx, kind="stable")] = np.arange(num)
+        comp = renum[comp]
+        assignment[core_idx] = comp
+
+        core_points = points[core_idx]
+        non_core = np.flatnonzero(core_d2 > eps2)
+        for lo in range(0, non_core.size, _BLOCK):
+            rows = non_core[lo:lo + _BLOCK]
+            reach = cdist(points[rows], core_points, "sqeuclidean") <= eps2
+            nearest = np.where(reach, comp[None, :], num).min(axis=1)
+            border = nearest < num
+            assignment[rows[border]] = nearest[border]
+        return ClusterResult(assignment, int(num))
+
+
+def run_dbscan(points: np.ndarray, params: DbscanParams,
+               index: Optional[DbscanIndex] = None) -> ClusterResult:
+    """Cluster points, through ``index`` when one is built over them.
 
     The result is a partition into clusters with contiguous ids 0..k-1 plus
     NOISE; ids ascend with each cluster's smallest core index.
     """
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    if n == 0:
-        return ClusterResult(np.empty(0, dtype=np.int64), 0)
-    within = cdist(points, points, "sqeuclidean") <= params.eps * params.eps
-    core = within.sum(axis=1) >= params.min_pts
-    assignment = np.full(n, NOISE, dtype=np.int64)
-    core_idx = np.flatnonzero(core)
-    if core_idx.size == 0:
-        return ClusterResult(assignment, 0)
-
-    adj = within[np.ix_(core_idx, core_idx)]
-    num, comp = connected_components(csr_matrix(adj), directed=False)
-    # renumber components by first occurrence over ascending core index, so
-    # cluster ids ascend with each cluster's smallest core point
-    _, first_idx = np.unique(comp, return_index=True)
-    renum = np.empty(num, dtype=np.int64)
-    renum[np.argsort(first_idx, kind="stable")] = np.arange(num)
-    comp = renum[comp]
-    assignment[core_idx] = comp
-
-    non_core = np.flatnonzero(~core)
-    if non_core.size:
-        reach = within[np.ix_(non_core, core_idx)]
-        has_core = reach.any(axis=1)
-        if has_core.any():
-            rows = non_core[has_core]
-            cand = np.where(reach[has_core], comp[None, :], num)
-            assignment[rows] = cand.min(axis=1)
-    return ClusterResult(assignment, int(num))
+    if index is None:
+        index = DbscanIndex(points)
+    return index.query(params)
 
 
 def cluster_centers(

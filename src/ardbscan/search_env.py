@@ -39,7 +39,8 @@ from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import RunConfig
-from .dbscan_core import ClusterResult, DbscanParams, cluster_centers, run_dbscan
+from .dbscan_core import (ClusterResult, DbscanIndex, DbscanParams,
+                          cluster_centers, run_dbscan)
 from .metrics import nmi
 
 
@@ -436,11 +437,14 @@ class ClusterEvaluator:
     higher reward, so the earliest paid round wins ties, and appends the
     running best's assignment and reward to ``round_assignments`` and
     ``round_rewards``.  With no labeled points every reward is 0.
+    One :class:`~ardbscan.dbscan_core.DbscanIndex` over the points serves
+    every round, so each ``min_pts`` builds its spanning tree once.
     """
 
     def __init__(self, points: np.ndarray, labeled_idx: np.ndarray,
                  labeled_truth: np.ndarray, round_budget: int):
         self.points = np.asarray(points, dtype=np.float64)
+        self.index = DbscanIndex(self.points)
         self.labeled_idx = np.asarray(labeled_idx)
         self.labeled_truth = np.asarray(labeled_truth)
         self.round_budget = round_budget
@@ -467,7 +471,7 @@ class ClusterEvaluator:
             return hit
         if self.exhausted:
             return None
-        result = run_dbscan(self.points, params)
+        result = run_dbscan(self.points, params, self.index)
         reward = nmi(result.assignment[self.labeled_idx], self.labeled_truth) \
             if self.labeled_idx.size else 0.0
         self.rounds_used += 1

@@ -557,6 +557,15 @@ def test_non_finite_dataset_is_data_error(tmp_path, capsys, bad_row):
     assert "line 4" in capsys.readouterr().err
 
 
+def test_label_outside_int64_is_data_error(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    data.write_text("0.1,0.1,1e20\n0.5,0.5,0\n0.9,0.9,1\n")
+    cfg = write_config(tmp_path / "cfg.json", data)
+    assert main(["allocate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "line 1" in err
+
+
 def test_too_many_blocks_is_data_error(tmp_path):
     data = write_dataset(tmp_path / "d.csv")
     cfg = write_config(tmp_path / "cfg.json", data, mode="online",

@@ -62,6 +62,12 @@ def test_load_csv_fractional_label_rejected(tmp_path):
         load_csv(write(tmp_path, "0,0,2.5\n"))
 
 
+@pytest.mark.parametrize("label", ["1e20", "-1e20", "9223372036854775808"])
+def test_load_csv_label_outside_int64_rejected(tmp_path, label):
+    with pytest.raises(ValueError, match="line 2: .*int64"):
+        load_csv(write(tmp_path, f"0,0,1\n1,1,{label}\n"))
+
+
 @pytest.mark.parametrize("text", [
     "0,0,1\n1,1,inf\n",
     "0,0,1\n1,1,nan\n",

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ardbscan.dbscan_core import (
     NOISE,
     ClusterResult,
+    DbscanIndex,
     DbscanParams,
     cluster_centers,
     run_dbscan,
@@ -168,3 +171,61 @@ def test_matches_bruteforce_above_1024_points_with_duplicates(eps, min_pts):
     mine = run_dbscan(pts, DbscanParams(eps, min_pts))
     theirs = dbscan_bruteforce(pts.tolist(), eps, min_pts)
     assert canonical_labels(mine.assignment) == canonical_labels(theirs)
+
+
+@st.composite
+def point_sets(draw):
+    """(points, on_grid): 1 to 40 points in 1 to 8 dimensions, picked with
+    repetition from up to 40 distinct ones, so most sets hold exact
+    duplicates. Grid points lie on multiples of 1/4 in [0, 1]; the others
+    are seeded random floats."""
+    d = draw(st.integers(1, 8))
+    distinct = draw(st.integers(1, 40))
+    grid = draw(st.booleans())
+    if grid:
+        quarters = st.lists(st.integers(0, 4), min_size=d, max_size=d)
+        base = np.array(draw(st.lists(quarters, min_size=distinct,
+                                      max_size=distinct))) / 4.0
+    else:
+        seed = draw(st.integers(0, 2**32 - 1))
+        base = np.random.default_rng(seed).random((distinct, d))
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=1,
+                          max_size=40))
+    return base[picks], grid
+
+
+# a point at 0.5 within 0.25 of two clusters it is not core of
+_BORDER_OF_TWO = np.array([[0.5], [1.0], [1.0], [1.0], [0.75], [0.25], [0.0],
+                           [0.0], [0.0]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    point_set=point_sets(),
+    queries=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                               st.integers(1, 45)),
+                     min_size=1, max_size=8),
+)
+@example(point_set=(np.zeros((1, 3)), False),
+         queries=[(0.0, 1), (0.5, 1), (0.5, 2)])
+@example(point_set=(_BORDER_OF_TWO, True),
+         queries=[(0.25, 4), (0.0, 3), (0.25, 10), (0.5, 4)])
+def test_index_matches_bruteforce_over_query_sequences(point_set, queries):
+    pts, grid = point_set
+    index = DbscanIndex(pts)
+    for eps, min_pts in queries:
+        if grid:
+            # on the 1/4 grid, squared distances and eps*eps are exact, so
+            # the oracle's math.dist <= eps agrees with the squared predicate
+            eps = round(eps * 4) / 4
+        res = run_dbscan(pts, DbscanParams(eps, min_pts), index)
+        expected = dbscan_bruteforce(pts.tolist(), eps, min_pts)
+        assert canonical_labels(res.assignment) == canonical_labels(expected)
+        assert res.num_clusters == max(expected) + 1
+        # ids ascend with each cluster's smallest core index
+        within = [[math.dist(p, q) <= eps for q in pts.tolist()]
+                  for p in pts.tolist()]
+        core = np.array([sum(row) >= min_pts for row in within])
+        first_core = [int(np.flatnonzero(core & (res.assignment == cid))[0])
+                      for cid in range(res.num_clusters)]
+        assert first_core == sorted(first_core)

@@ -1,9 +1,11 @@
 import copy
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ardbscan import dbscan_core
 from ardbscan.config import RunConfig
 from ardbscan.dbscan_core import ClusterResult, DbscanParams, run_dbscan
 from ardbscan.metrics import nmi
@@ -530,6 +532,34 @@ def test_evaluator_cache_is_free():
     assert first[1] == again[1]
     assert ev.best_key == (0.2, 2)
     assert ev.round_rewards == [first[1]]
+
+
+def test_evaluator_builds_each_min_pts_tree_once(monkeypatch):
+    points = np.random.default_rng(5).random((40, 2))
+    queries = [DbscanParams(eps, min_pts) for min_pts in (2, 3, 2)
+               for eps in (0.05, 0.1, 0.2, 0.4)]
+    expected = [run_dbscan(points, params).assignment for params in queries]
+
+    cores, trees = Counter(), []
+    core_distances, prim_mst = dbscan_core._core_distances, dbscan_core._prim_mst
+
+    def counted_core_distances(points, min_pts):
+        cores[min_pts] += 1
+        return core_distances(points, min_pts)
+
+    def counted_prim_mst(points, core):
+        trees.append(core)
+        return prim_mst(points, core)
+
+    monkeypatch.setattr(dbscan_core, "_core_distances", counted_core_distances)
+    monkeypatch.setattr(dbscan_core, "_prim_mst", counted_prim_mst)
+    ev = ClusterEvaluator(points, np.arange(10), np.zeros(10, dtype=int),
+                          round_budget=12)
+    for params, want in zip(queries, expected):
+        np.testing.assert_array_equal(ev.evaluate(params)[0].assignment, want)
+    assert ev.rounds_used == 8
+    assert cores == Counter({2: 1, 3: 1})
+    assert len(trees) == 2
 
 
 def test_evaluator_records_earliest_best_per_paid_round():

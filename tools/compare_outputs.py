@@ -9,6 +9,9 @@ processes with that tree on ``PYTHONPATH`` and BLAS on one thread:
   ``cluster --trace``, ``cluster --single_agent``, ``cluster --mode
   online`` (the mode-resolved layer count and ``min_pts`` cap),
   ``allocate``, ``online`` and ``baseline``;
+- 4 distinct points each repeated 8 times (n = 32), with the same config:
+  ``cluster`` and ``baseline``.  Exact duplicates give zero-weight edges
+  in DBSCAN's spanning trees;
 - the benchmark's ``agents-500`` workload, draw 0, benchmark seed 1:
   ``cluster --trace`` and ``allocate``;
 - the benchmark's ``single-2k`` workload, draw 0, benchmark seed 1:
@@ -58,6 +61,8 @@ RUNS = [
     ("blobs", "allocate", []),
     ("blobs", "online", ["--num_blocks", "3"]),
     ("blobs", "baseline", []),
+    ("duplicates", "cluster", []),
+    ("duplicates", "baseline", []),
     ("agents-500", "cluster", ["--trace"]),
     ("agents-500", "allocate", []),
     ("single-2k", "cluster", []),
@@ -79,8 +84,22 @@ def write_blobs(out_dir: Path) -> Path:
     return config
 
 
+def write_duplicates(out_dir: Path) -> Path:
+    """4 distinct points, each repeated 8 times in turn, labeled by point;
+    returns the config path."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    corners = [(0.1, 0.2), (0.8, 0.1), (0.3, 0.9), (0.7, 0.7)]
+    data = out_dir / "duplicates.csv"
+    data.write_text("".join(f"{x},{y},{i % 4}\n" for i, (x, y) in
+                            enumerate(corners * 8)))
+    config = out_dir / "config.json"
+    config.write_text(json.dumps({**BLOB_CONFIG, "dataset": str(data)}))
+    return config
+
+
 def write_inputs(in_dir: Path) -> dict:
-    configs = {"blobs": write_blobs(in_dir / "blobs")}
+    configs = {"blobs": write_blobs(in_dir / "blobs"),
+               "duplicates": write_duplicates(in_dir / "duplicates")}
     for name in ("agents-500", "single-2k"):
         configs[name] = workloads.write(workloads.WORKLOADS[name], 1, 0,
                                         in_dir / name)
