@@ -47,7 +47,7 @@ from .recursive_search import (
     run_agent,
     run_random_search,
 )
-from .structured_graph import SelectKResult, select_k
+from .structured_graph import InsufficientMemoryError, SelectKResult, select_k
 
 
 class DataError(Exception):
@@ -156,13 +156,17 @@ def _set_up(raw: Dataset, config: RunConfig, allocate: bool = True
                        Optional[AgentAllocation]]:
     """Check and normalize the data, select k and, when ``allocate`` is
     set, build the encoding tree and the agent allocation.  k selection
-    needs at least 3 points."""
+    needs at least 3 points and its dense arrays must fit in the memory
+    available."""
     _check_dataset(raw)
     if raw.n < 3:
         raise DataError(f"dataset too small for k selection: {raw.n} points, "
                         "need at least 3")
     norm = normalize(raw)
-    sel = select_k(norm.points, cap=config.k_sweep_cap)
+    try:
+        sel = select_k(norm.points, cap=config.k_sweep_cap)
+    except InsufficientMemoryError as exc:
+        raise DataError(str(exc)) from exc
     if not allocate:
         return norm, sel, None, None
     tree = optimize_two_level(sel.graph)

@@ -141,12 +141,15 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
         raise ValueError("degenerate graph (volume is zero)")
     vol = graph.volume
 
-    # symmetric adjacency in CSR form, indexed by initial community id
+    # symmetric adjacency in CSR form, indexed by initial community id;
+    # a stable sort of keys no wider than 16 bits is a radix sort, and each
+    # array is gathered in turn so that one unsorted copy is alive at a time
     src = np.concatenate([graph.u, graph.v])
-    dst = np.concatenate([graph.v, graph.u]).astype(np.int64)
-    wts = np.concatenate([graph.w, graph.w]).astype(np.float64)
-    order = np.argsort(src, kind="stable")
-    src, dst, wts = src[order], dst[order], wts[order]
+    order = np.argsort(src.astype(np.min_scalar_type(n)), kind="stable")
+    src = src[order]
+    dst = np.concatenate([graph.v, graph.u])[order].astype(np.int64, copy=False)
+    wts = np.concatenate([graph.w, graph.w])[order].astype(np.float64, copy=False)
+    del order
     starts = np.searchsorted(src, np.arange(n))
     ends = np.searchsorted(src, np.arange(n), side="right")
 
@@ -183,8 +186,9 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
             keep = r != c
             r, w = r[keep], w[keep]
             if r.size:
-                uniq, inv = np.unique(r, return_inverse=True)
-                w = np.bincount(inv, weights=w, minlength=uniq.size)
+                # a weighted bincount adds each root's weights in list order
+                uniq = np.flatnonzero(np.bincount(r, minlength=cap))
+                w = np.bincount(r, weights=w, minlength=cap)[uniq]
                 r = uniq
             d = r
         adj[c] = (d, w)
@@ -197,10 +201,20 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
         if d.size == 0:
             return
         delta = _merge_delta(vol, volume[c], cut[c], volume[d], cut[d], w)
-        k1 = np.minimum(minv[c], minv[d])
-        k2 = np.maximum(minv[c], minv[d])
-        i = np.lexsort((k2, k1, delta))[0]
-        heapq.heappush(heap, (float(delta[i]), int(k1[i]), int(k2[i]), c, int(d[i])))
+        # the first of lexsort((k2, k1, delta)), sorting only the exact
+        # ties of the smallest delta; argmin meets a NaN first exactly when
+        # one is present, and then every candidate is sorted (NaNs last)
+        i = int(np.argmin(delta))
+        if np.isnan(delta[i]):
+            cand = np.arange(d.size)
+        else:
+            cand = np.flatnonzero(delta == delta[i])
+        if cand.size > 1:
+            k1 = np.minimum(minv[c], minv[d[cand]])
+            k2 = np.maximum(minv[c], minv[d[cand]])
+            i = int(cand[np.lexsort((k2, k1, delta[cand]))[0]])
+        lo, hi = sorted((int(minv[c]), int(minv[d[i]])))
+        heapq.heappush(heap, (float(delta[i]), lo, hi, c, int(d[i])))
 
     trace = [one_dim_se(graph)]
     for c in list(adj):

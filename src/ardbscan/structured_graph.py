@@ -14,6 +14,8 @@ of candidate edges and materializes the graph at the chosen k.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,10 @@ from scipy.spatial.distance import cdist
 
 # total edge visits allowed in one k sweep before the sweep strides
 DEFAULT_OP_BUDGET = 200_000_000
+
+
+class InsufficientMemoryError(MemoryError):
+    """The dense k sweep would need more memory than is available."""
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,10 @@ class StructuredGraph:
         return int(self.u.shape[0])
 
 
+def _rank_dtype(n: int):
+    return np.int16 if n <= 32767 else np.int32
+
+
 def _mutual_rank_edges(dist: np.ndarray, cap: int):
     """All vertex pairs that become edges for some k <= cap, sorted by the
     smallest such k.
@@ -48,20 +58,23 @@ def _mutual_rank_edges(dist: np.ndarray, cap: int):
     n = dist.shape[0]
     order = np.argsort(dist, kind="stable", axis=1)
     order = order[order != np.arange(n)[:, None]].reshape(n, n - 1)
-    dtype = np.int16 if n <= 32767 else np.int32
+    dtype = _rank_dtype(n)
     rank = np.empty((n, n), dtype=dtype)
-    rows = np.repeat(np.arange(n), n - 1)
-    rank[rows, order.ravel()] = np.tile(np.arange(1, n, dtype=dtype), n)
+    np.put_along_axis(rank, order, np.arange(1, n, dtype=dtype)[None, :], axis=1)
+    del order
     rank[np.diag_indices(n)] = n  # self pairs never become edges
     k_edge = np.minimum(rank, rank.T)
+    del rank
 
     mask = k_edge <= cap
     mask &= np.arange(n)[:, None] < np.arange(n)[None, :]
     u, v = np.nonzero(mask)
-    ke = k_edge[u, v].astype(np.int64)
-    de = dist[u, v].astype(np.float64)
+    del mask
+    # a stable sort of 16-bit keys is a radix sort; grade before widening
+    ke = k_edge[u, v]
     grade = np.argsort(ke, kind="stable")
-    return u[grade], v[grade], ke[grade], de[grade]
+    u, v = u[grade], v[grade]
+    return u, v, ke[grade].astype(np.int64), dist[u, v]
 
 
 def _graph_from_prefix(n, k, u, v, d, m) -> StructuredGraph:
@@ -103,13 +116,85 @@ class SelectKResult:
 
 
 def _entropies_for(u, v, prefix_d, d, n, ms):
+    """One-dimensional structural entropy of the graph on each edge-table
+    prefix length in ``ms``.
+
+    The lengths are dealt round-robin to one thread per CPU of the
+    process (numpy's ``exp`` and ``bincount`` release the GIL).  Each
+    thread fills its own slots of the result, using a weight buffer the
+    calling thread allocated; every value is the one a single thread
+    computes, bit for bit.
+    """
     out = np.empty(len(ms), dtype=np.float64)
-    for i, m in enumerate(ms):
-        total = prefix_d[m - 1]
-        w = np.exp(-d[:m] * (m / total)) if total > 0 else np.ones(m)
-        deg = np.bincount(u[:m], w, minlength=n) + np.bincount(v[:m], w, minlength=n)
-        out[i] = _degree_entropy(deg, deg.sum())
+    workers = min(_sweep_workers(), len(ms))
+    if workers == 0:
+        return out
+
+    def run(slots, buf):
+        for i in slots:
+            m = int(ms[i])
+            total = prefix_d[m - 1]
+            w = buf[:m]
+            if total > 0:
+                # -(d * s) == d * -s bit for bit: negation is exact
+                np.multiply(d[:m], -(m / total), out=w)
+                np.exp(w, out=w)
+            else:
+                w.fill(1.0)
+            deg = np.bincount(u[:m], w, minlength=n)
+            deg += np.bincount(v[:m], w, minlength=n)
+            out[i] = _degree_entropy(deg, deg.sum())
+
+    # the buffers come from this thread, so a worker allocates nothing
+    # large: memory freed in a worker's malloc arena can stay resident
+    shares = [range(t, len(ms), workers) for t in range(workers)]
+    buffers = [np.empty(int(ms[t::workers].max())) for t in range(workers)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for done in [pool.submit(run, share, buf)
+                     for share, buf in zip(shares, buffers)]:
+            done.result()
     return out
+
+
+def _sweep_workers() -> int:
+    """Threads of the k sweep: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def dense_bytes(n: int, k_max: int, workers: int) -> int:
+    """Peak bytes ``select_k`` holds at once for n points and k up to
+    k_max, from the arrays it allocates.  The edge count E is bounded by
+    n * k_max and by the n(n-1)/2 pairs.
+
+    - argsort of the float64 distances by row: distances, the int64
+      order, its self-pair mask and its compacted copy, 25 n^2;
+    - rank table and k_edge (int16 or int32, s bytes each) beside the
+      distances, then k_edge's mask and edge arrays: (8 + s) n^2 +
+      (40 + 2s) E;
+    - the sweep: the int64/float64 edge table, its cumulative sums and a
+      float64 weight buffer per thread: (40 + 8 * workers) E.
+    """
+    s = np.dtype(_rank_dtype(n)).itemsize
+    edges = min(n * (n - 1) // 2, n * k_max)
+    return max(25 * n * n,
+               (8 + s) * n * n + (40 + 2 * s) * edges,
+               (40 + 8 * workers) * edges)
+
+
+def _mem_available() -> int | None:
+    """``MemAvailable`` of /proc/meminfo in bytes; None where the kernel
+    does not report it."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
 
 
 def _stable_points(ks: np.ndarray, h: np.ndarray) -> list[int]:
@@ -138,12 +223,22 @@ def select_k(
     Over the evaluated k in ascending order, the result is the stable point
     with the smallest value or, when there is none, the minimum; equal
     values go to the smaller k, with no tolerance.
+
+    Raises :class:`InsufficientMemoryError` before any O(n^2) allocation
+    when :func:`dense_bytes` exceeds the memory the kernel reports
+    available.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if n < 3:
         raise ValueError("too few points for stable-point detection")
     k_max = min(n - 1, cap)
+    need = dense_bytes(n, k_max, min(_sweep_workers(), k_max))
+    avail = _mem_available()
+    if avail is not None and need > avail:
+        raise InsufficientMemoryError(
+            f"k selection over {n} points needs about {need / 2**20:.1f} "
+            f"MiB, but only {avail / 2**20:.1f} MiB are available")
     u, v, ke, de = _mutual_rank_edges(cdist(points, points), k_max)
     prefix_d = np.cumsum(de)
 

@@ -8,7 +8,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ardbscan import cli_harness, encoding_tree, recursive_search, search_env
+from ardbscan import (
+    cli_harness,
+    encoding_tree,
+    recursive_search,
+    search_env,
+    structured_graph,
+)
 from ardbscan.cli_harness import (
     _run_seed,
     best_round_series,
@@ -521,6 +527,24 @@ def test_two_point_dataset_is_data_error(tmp_path, capsys, command):
     cfg = write_config(tmp_path / "cfg.json", data)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "at least 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cluster", "allocate"])
+def test_k_selection_beyond_available_memory_is_data_error(
+        tmp_path, capsys, monkeypatch, command):
+    # 600 points at k_sweep_cap 16 need 25 * 600^2 bytes (8.6 MiB) for the
+    # row argsort; the guard refuses before any of it is allocated
+    data = tmp_path / "d.csv"
+    points = np.random.default_rng(0).random((600, 2))
+    data.write_text("".join(f"{x},{y},0\n" for x, y in points))
+    cfg = write_config(tmp_path / "cfg.json", data)
+    monkeypatch.setattr(structured_graph, "_mem_available", lambda: 4 << 20)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "600 points needs about 8.6 MiB, but only 4.0 MiB are available" in err
+    assert not (out / "report.json").exists()
 
 
 def test_two_point_online_blocks_are_data_error(tmp_path):

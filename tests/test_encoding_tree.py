@@ -303,3 +303,83 @@ def test_export_nodes_schema():
         else:
             assert r["num_vertices"] == 1 and r["uncertainty"] is None
             assert r["id"] in members(t, r["parent"])
+
+
+def unit_cycle(n=12):
+    return make_graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+
+
+def unit_grid(side=5):
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            i = side * r + c
+            if c + 1 < side:
+                edges.append((i, i + 1, 1.0))
+            if r + 1 < side:
+                edges.append((i, i + side, 1.0))
+    return make_graph(side * side, edges)
+
+
+def mixed_pentagon():
+    """Weights 1 and 2: a community's best bids tie between a merged
+    community and a leaf of higher vertex id, so picking the first tied
+    root id instead of the smallest minimum-vertex id changes the tree."""
+    return make_graph(5, [(0, 1, 2.0), (0, 2, 1.0), (0, 4, 2.0),
+                          (1, 4, 2.0), (2, 3, 1.0), (3, 4, 2.0)])
+
+
+# Unit and few-valued weights make many merge deltas exact ties, so these
+# trees are decided by the tie rule: smallest delta, then the
+# lexicographically smallest pair of community minimum-vertex ids.
+TIE_GOLDEN = {
+    "pentagon": (
+        mixed_pentagon,
+        [0, 0, 0, 1, 1],
+        ["0x1.4000000000000p+2"] * 2,
+        ["0x1.6000000000000p+3", "0x1.2000000000000p+3"],
+        ["0x1.1d3614f174991p+1", "0x1.ff70a0f0a9d85p+0",
+         "0x1.c47517fe6a7e8p+0", "0x1.bd33420924036p+0"],
+    ),
+    "cycle": (
+        unit_cycle,
+        [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5],
+        ["0x1.0000000000000p+1"] * 6,
+        ["0x1.0000000000000p+2"] * 6,
+        ["0x1.cae00d1cfdeb4p+1", "0x1.af4d615a936d0p+1",
+         "0x1.93bab59828eecp+1", "0x1.782809d5be708p+1",
+         "0x1.5c955e1353f24p+1", "0x1.4102b250e9740p+1",
+         "0x1.2570068e7ef5cp+1"],
+    ),
+    "grid": (
+        unit_grid,
+        [0, 0, 0, 1, 1, 2, 2, 0, 1, 1, 2, 2, 3, 1, 1, 4, 4, 3, 5, 5,
+         4, 4, 4, 5, 5],
+        ["0x1.8000000000000p+2", "0x1.4000000000000p+2",
+         "0x1.8000000000000p+2", "0x1.8000000000000p+2",
+         "0x1.4000000000000p+2", "0x1.0000000000000p+2"],
+        ["0x1.8000000000000p+3", "0x1.3000000000000p+4",
+         "0x1.c000000000000p+3", "0x1.0000000000000p+3",
+         "0x1.e000000000000p+3", "0x1.8000000000000p+3"],
+        ["0x1.26f4dbbee0c6ap+2", "0x1.208e75587a604p+2",
+         "0x1.1a280ef213f9ep+2", "0x1.13c1a88bad938p+2",
+         "0x1.0d5b4225472d2p+2", "0x1.076098e6f205cp+2",
+         "0x1.0165efa89cde6p+2", "0x1.f6d68cd48f6e1p+1",
+         "0x1.eb97696a19fb2p+1", "0x1.e05845ffa4884p+1",
+         "0x1.d55bb9110a5a0p+1", "0x1.caba6640734bdp+1",
+         "0x1.c019136fdc3dap+1", "0x1.b577c09f452f7p+1",
+         "0x1.abdea50f7d8d8p+1", "0x1.a245897fb5eb9p+1",
+         "0x1.9ae618616e005p+1", "0x1.9463aa6cccc47p+1",
+         "0x1.92293cc7a9b1ap+1", "0x1.90b0a450f1b90p+1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIE_GOLDEN))
+def test_tie_rule_golden(name):
+    build, community, cut, volume, trace = TIE_GOLDEN[name]
+    t = optimize_two_level(build())
+    assert t.community.tolist() == community
+    assert [float(x).hex() for x in t.cut] == cut
+    assert [float(x).hex() for x in t.volume] == volume
+    assert [float(x).hex() for x in t.entropy_trace] == trace

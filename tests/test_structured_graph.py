@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from ardbscan import structured_graph
 from ardbscan.config import RunConfig
-from ardbscan.structured_graph import one_dim_se, select_k
+from ardbscan.structured_graph import DEFAULT_OP_BUDGET, one_dim_se, select_k
 
 from conftest import edges_of, make_graph
 from oracles import knn_graph_oracle, one_dim_entropy_oracle
@@ -167,9 +169,72 @@ def test_select_k_agrees_with_naive_scan_on_lattice():
     assert_agrees_with_naive_scan(lattice())
 
 
+def sweep_bytes(res):
+    """Everything a k selection decides, as bytes."""
+    g = res.graph
+    return (res.k, res.stable_ks, res.ks.tobytes(), res.h_norm.tobytes(),
+            g.u.tobytes(), g.v.tobytes(), g.w.tobytes(), g.degrees.tobytes(),
+            g.volume)
+
+
 def test_select_k_deterministic():
     pts = blobs(seed=2, n_per=15)
-    assert select_k(pts, CAP).k == select_k(pts, CAP).k
+    assert sweep_bytes(select_k(pts, CAP)) == sweep_bytes(select_k(pts, CAP))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sweep_is_bit_identical_across_thread_counts(monkeypatch, workers):
+    # a complete sweep over rank and weight ties, and a strided one (two
+    # sweep calls); 3 threads on fewer cores, switching often, must write
+    # every value the default thread count writes, bit for bit
+    cases = [(lattice(), DEFAULT_OP_BUDGET), (blobs(seed=8, n_per=30), 30_000)]
+    results = [select_k(pts, CAP, budget) for pts, budget in cases]
+    assert results[1].ks.size < 59  # the budget forces a stride
+    reference = [sweep_bytes(res) for res in results]
+    monkeypatch.setattr(structured_graph, "_sweep_workers", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [sweep_bytes(select_k(pts, CAP, budget)) for pts, budget in cases]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == reference
+
+
+def test_dense_bytes_matches_traced_peak():
+    pts = np.random.default_rng(0).random((600, 2))
+    for cap in (CAP, 20):
+        tracemalloc.start()
+        try:
+            select_k(pts, cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        workers = min(structured_graph._sweep_workers(), cap)
+        need = structured_graph.dense_bytes(600, min(599, cap), workers)
+        assert abs(need - peak) <= 0.03 * peak
+
+
+def test_memory_guard(monkeypatch):
+    # an estimate that just fits, or no MemAvailable to compare with, runs
+    # the sweep unchanged; one byte short refuses before any distance
+    pts = lattice()
+    n = pts.shape[0]
+    workers = min(structured_graph._sweep_workers(), n - 1)
+    need = structured_graph.dense_bytes(n, n - 1, workers)
+    expected = sweep_bytes(select_k(pts, CAP))
+    for avail in (need, None):
+        monkeypatch.setattr(structured_graph, "_mem_available", lambda: avail)
+        assert sweep_bytes(select_k(pts, CAP)) == expected
+
+    def no_cdist(*args, **kwargs):
+        raise AssertionError("distances computed after the guard refused")
+
+    monkeypatch.setattr(structured_graph, "cdist", no_cdist)
+    monkeypatch.setattr(structured_graph, "_mem_available", lambda: need - 1)
+    with pytest.raises(structured_graph.InsufficientMemoryError,
+                       match=f"over {n} points needs about"):
+        select_k(pts, CAP)
 
 
 def test_select_k_too_few_points():

@@ -12,10 +12,14 @@ processes with that tree on ``PYTHONPATH`` and BLAS on one thread:
 - 4 distinct points each repeated 8 times (n = 32), with the same config:
   ``cluster`` and ``baseline``.  Exact duplicates give zero-weight edges
   in DBSCAN's spanning trees;
+- a 30 x 30 unit lattice labelled by quadrant, with the same config:
+  ``cluster`` and ``allocate``.  Equal distances tie many neighbor ranks,
+  edge weights and merge deltas;
 - the benchmark's ``agents-500`` workload, draw 0, benchmark seed 1:
   ``cluster --trace`` and ``allocate``;
 - the benchmark's ``single-2k`` workload, draw 0, benchmark seed 1:
-  ``cluster``.
+  ``cluster`` and ``allocate`` (every tree node's entropy and uncertainty
+  at n = 2000).
 
 The benchmark draws come from ``perfbench/workloads.py``, imported and not
 modified.  ``wall_clock_seconds`` is dropped from every JSON output; every
@@ -63,9 +67,12 @@ RUNS = [
     ("blobs", "baseline", []),
     ("duplicates", "cluster", []),
     ("duplicates", "baseline", []),
+    ("lattice", "cluster", []),
+    ("lattice", "allocate", []),
     ("agents-500", "cluster", ["--trace"]),
     ("agents-500", "allocate", []),
     ("single-2k", "cluster", []),
+    ("single-2k", "allocate", []),
 ]
 
 
@@ -97,9 +104,23 @@ def write_duplicates(out_dir: Path) -> Path:
     return config
 
 
+def write_lattice(out_dir: Path, side: int = 30) -> Path:
+    """Integer grid points, labelled by quadrant; returns the config
+    path."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    half = side // 2
+    data = out_dir / "lattice.csv"
+    data.write_text("".join(f"{x},{y},{(x >= half) + 2 * (y >= half)}\n"
+                            for x in range(side) for y in range(side)))
+    config = out_dir / "config.json"
+    config.write_text(json.dumps({**BLOB_CONFIG, "dataset": str(data)}))
+    return config
+
+
 def write_inputs(in_dir: Path) -> dict:
     configs = {"blobs": write_blobs(in_dir / "blobs"),
-               "duplicates": write_duplicates(in_dir / "duplicates")}
+               "duplicates": write_duplicates(in_dir / "duplicates"),
+               "lattice": write_lattice(in_dir / "lattice")}
     for name in ("agents-500", "single-2k"):
         configs[name] = workloads.write(workloads.WORKLOADS[name], 1, 0,
                                         in_dir / name)
