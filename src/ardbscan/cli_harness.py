@@ -7,7 +7,10 @@ pipeline per stream block, and ``baseline`` scores uniform random
 parameter draws for the same round budget.  ``cluster``, ``online`` and
 ``baseline`` run their seeds through one driver (``_run_seeds`` and
 ``_run_seed``) and differ only in the search policy they pass it:
-``run_agent`` or ``run_random_search``.  Each agent's result carries
+``run_agent`` or ``run_random_search``.  ``_run_seeds`` builds one DBSCAN
+index per partition and every seed's search of that partition shares it,
+so each (partition, ``min_pts``) spanning tree is built once per run, by
+the first round that asks for it.  Each agent's result carries
 the episodes its search ran; the report's stop-reason counts and the
 ``cluster --trace`` files are both read from them.
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from .config import RunConfig
 from .dataset import Dataset, load_csv, normalize, sample_labeled_subset, split_blocks
-from .dbscan_core import NOISE
+from .dbscan_core import NOISE, DbscanIndex
 from .dbscan_core import run_dbscan  # noqa: F401 (perfbench --trace wraps it)
 from .encoding_tree import (
     AgentAllocation,
@@ -44,6 +47,7 @@ from .metrics import ari, nmi
 from .recursive_search import (
     AgentResult,
     merge_agent_results,
+    partition_index,
     run_agent,
     run_random_search,
 )
@@ -122,18 +126,23 @@ def _check_dataset(ds: Dataset) -> None:
 
 def _run_seed(norm: Dataset, partitions: List[np.ndarray], config: RunConfig,
               seed: int, search: Callable[..., AgentResult],
-              trace_dir: Optional[Path] = None) -> Tuple[dict, np.ndarray]:
+              trace_dir: Optional[Path] = None,
+              indexes: Optional[List[DbscanIndex]] = None
+              ) -> Tuple[dict, np.ndarray]:
     """One seed: sample the labeled subset, run ``search`` (``run_agent``
     or ``run_random_search``) once per partition with a seed derived from
-    ``seed``, merge and score; with ``trace_dir`` set, write the
+    ``seed`` and the partition's index from ``indexes`` (a fresh one
+    when None), merge and score; with ``trace_dir`` set, write the
     agents' episode traces there."""
     labeled = sample_labeled_subset(norm, config.label_proportion, seed)
     seed_rng = np.random.default_rng(seed)
+    if indexes is None:
+        indexes = [None] * len(partitions)
     results = []
-    for pid, part in enumerate(partitions):
+    for pid, (part, index) in enumerate(zip(partitions, indexes)):
         agent_seed = int(seed_rng.integers(2 ** 63))
         results.append(search(part, norm, labeled, config, agent_seed,
-                              partition_id=pid))
+                              partition_id=pid, index=index))
     if trace_dir is not None:
         _write_traces(trace_dir, seed, results)
     merged = merge_agent_results(results, norm.n, num_rounds=config.round_budget)
@@ -156,15 +165,15 @@ def _set_up(raw: Dataset, config: RunConfig, allocate: bool = True
                        Optional[AgentAllocation]]:
     """Check and normalize the data, select k and, when ``allocate`` is
     set, build the encoding tree and the agent allocation.  k selection
-    needs at least 3 points and its dense arrays must fit in the memory
-    available."""
+    needs at least 3 points, and its dense arrays, and the tree's when
+    one is built, must fit in the memory available."""
     _check_dataset(raw)
     if raw.n < 3:
         raise DataError(f"dataset too small for k selection: {raw.n} points, "
                         "need at least 3")
     norm = normalize(raw)
     try:
-        sel = select_k(norm.points, cap=config.k_sweep_cap)
+        sel = select_k(norm.points, cap=config.k_sweep_cap, tree=allocate)
     except InsufficientMemoryError as exc:
         raise DataError(str(exc)) from exc
     if not allocate:
@@ -178,15 +187,16 @@ def _run_seeds(norm: Dataset, sel: Optional[SelectKResult],
                partitions: List[np.ndarray], config: RunConfig,
                search: Callable[..., AgentResult],
                trace_dir: Optional[Path] = None) -> Tuple[dict, np.ndarray]:
-    """Every configured seed through ``_run_seed``; returns the report
-    body and the first seed's merged assignment.  Without a k selection
-    (``sel`` None) the body reports ``selected_k`` null and no stable
-    points."""
+    """Every configured seed through ``_run_seed``, all sharing one DBSCAN
+    index per partition; returns the report body and the first seed's
+    merged assignment.  Without a k selection (``sel`` None) the body
+    reports ``selected_k`` null and no stable points."""
+    indexes = [partition_index(norm, part) for part in partitions]
     per_seed = []
     first_assignment: Optional[np.ndarray] = None
     for seed in config.seeds:
         summary, assignment = _run_seed(norm, partitions, config, seed,
-                                        search, trace_dir)
+                                        search, trace_dir, indexes)
         per_seed.append(summary)
         if first_assignment is None:
             first_assignment = assignment

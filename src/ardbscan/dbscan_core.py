@@ -26,6 +26,11 @@ Revisited, Revisited*, TODS 2017) and makes results fully deterministic.
 No n-by-n array is ever held: the tree is built by Prim's method, which
 recomputes one distance row per step, and core distances and the border
 test run over blocks of ``_BLOCK`` rows.
+
+A tree depends only on the points and ``min_pts``, so a run builds one
+index per agent partition and shares it among all its seeds' searches
+(``cli_harness._run_seeds``); each tree is built lazily, by the first
+query that asks for its ``min_pts``.
 """
 
 from __future__ import annotations
@@ -88,17 +93,20 @@ def _prim_mst(points: np.ndarray,
     best = np.full(n, np.inf)
     parent = np.zeros(n, dtype=np.int64)
     outside = np.ones(n, dtype=bool)
+    closer = np.empty(n, dtype=bool)
     u = 0
     for step in range(n - 1):
         outside[u] = False
         best[u] = np.inf
-        reach = np.maximum(cdist(points[u:u + 1], points, "sqeuclidean")[0],
-                           core)
+        reach = cdist(points[u:u + 1], points, "sqeuclidean")[0]
+        np.maximum(reach, core, out=reach)
         np.maximum(reach, core[u], out=reach)
-        closer = outside & (reach < best)
-        best[closer] = reach[closer]
-        parent[closer] = u
-        u = int(np.argmin(best))
+        # masked in-place updates; argmin keeps the first of equal minima
+        np.less(reach, best, out=closer)
+        closer &= outside
+        np.copyto(best, reach, where=closer)
+        np.copyto(parent, u, where=closer)
+        u = int(best.argmin())
         src[step], dst[step], weight[step] = parent[u], u, best[u]
     return src, dst, weight
 
@@ -108,7 +116,10 @@ class DbscanIndex:
 
     For each ``min_pts`` it is asked for, the index keeps the squared core
     distances and the mutual-reachability MST; any eps is then answered by
-    cutting the tree. Build one per point set that is clustered repeatedly.
+    cutting the tree. Building the index computes nothing: each tree is
+    built by the first query with its ``min_pts``. Build one per point set
+    that is clustered repeatedly, and share it among everything that
+    clusters that set.
     """
 
     def __init__(self, points: np.ndarray):

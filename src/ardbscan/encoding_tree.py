@@ -134,24 +134,36 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
     globally best merge by its entropy delta at every step, and stops
     when no remaining merge is strictly negative.  Ties are broken by
     the lexicographically smallest pair of community minimum-vertex
-    ids, which keeps the result independent of heap internals.
+    ids, which keeps the result independent of heap internals.  A vertex
+    of degree 0 (every edge weight underflowed to 0) stays a singleton.
     """
     n = graph.n
     if graph.volume <= 0.0:
         raise ValueError("degenerate graph (volume is zero)")
     vol = graph.volume
 
-    # symmetric adjacency in CSR form, indexed by initial community id;
-    # a stable sort of keys no wider than 16 bits is a radix sort, and each
-    # array is gathered in turn so that one unsorted copy is alive at a time
-    src = np.concatenate([graph.u, graph.v])
-    order = np.argsort(src.astype(np.min_scalar_type(n)), kind="stable")
-    src = src[order]
-    dst = np.concatenate([graph.v, graph.u])[order].astype(np.int64, copy=False)
-    wts = np.concatenate([graph.w, graph.w])[order].astype(np.float64, copy=False)
-    del order
-    starts = np.searchsorted(src, np.arange(n))
-    ends = np.searchsorted(src, np.arange(n), side="right")
+    # symmetric adjacency in CSR form, indexed by initial community id: the
+    # stable order of the source ends (u, then v), a radix sort for keys no
+    # wider than 16 bits, gathered from each half of the edge list in turn
+    # so that neither the sources nor a doubled edge list is ever built
+    edges = graph.edge_count
+    key = np.empty(2 * edges, dtype=np.min_scalar_type(n))
+    key[:edges], key[edges:] = graph.u, graph.v
+    order = np.argsort(key, kind="stable")
+    del key
+    dst = np.empty(2 * edges, dtype=np.int64)
+    wts = np.empty(2 * edges, dtype=np.float64)
+    half = order < edges
+    for far_end, offset in ((graph.v, 0), (graph.u, edges)):
+        picked = order[half]
+        picked -= offset
+        dst[half] = far_end[picked]
+        wts[half] = graph.w[picked]
+        np.logical_not(half, out=half)
+    del order, half, picked
+    ends = np.cumsum(np.bincount(graph.u, minlength=n)
+                     + np.bincount(graph.v, minlength=n))
+    starts = np.concatenate([[0], ends[:-1]])
 
     cap = 2 * n
     parent = np.arange(cap, dtype=np.int64)
@@ -197,18 +209,23 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
     heap: List[Tuple[float, int, int, int, int]] = []
 
     def push_best(c: int) -> None:
+        # a community of volume 0 (a vertex whose edge weights all underflow
+        # to 0) neither bids nor is bid for: a merge with it changes the
+        # entropy by 0 in the limit, which is never a strict descent
+        if volume[c] == 0.0:
+            return
         d, w = clean(c)
+        v_d = volume[d]
+        live = v_d > 0.0
+        if not live.all():
+            d, w, v_d = d[live], w[live], v_d[live]
         if d.size == 0:
             return
-        delta = _merge_delta(vol, volume[c], cut[c], volume[d], cut[d], w)
+        delta = _merge_delta(vol, volume[c], cut[c], v_d, cut[d], w)
         # the first of lexsort((k2, k1, delta)), sorting only the exact
-        # ties of the smallest delta; argmin meets a NaN first exactly when
-        # one is present, and then every candidate is sorted (NaNs last)
+        # ties of the smallest delta
         i = int(np.argmin(delta))
-        if np.isnan(delta[i]):
-            cand = np.arange(d.size)
-        else:
-            cand = np.flatnonzero(delta == delta[i])
+        cand = np.flatnonzero(delta == delta[i])
         if cand.size > 1:
             k1 = np.minimum(minv[c], minv[d[cand]])
             k2 = np.maximum(minv[c], minv[d[cand]])

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .config import RunConfig
 from .dataset import Dataset, LabeledSubset
-from .dbscan_core import NOISE, ClusterResult, DbscanParams
+from .dbscan_core import NOISE, ClusterResult, DbscanIndex, DbscanParams
 from .dbscan_core import run_dbscan  # noqa: F401 (perfbench --trace wraps it)
 from .search_env import (
     Bounds,
@@ -114,22 +114,32 @@ Policy = Callable[[ClusterEvaluator, RunConfig, int],
                   Tuple[Tuple[DbscanParams, ...], Tuple[EpisodeTrace, ...]]]
 
 
+def partition_index(dataset: Dataset, partition: np.ndarray) -> DbscanIndex:
+    """A DBSCAN index over a partition's points in ascending index order,
+    the order every search over that partition clusters them in.  It
+    computes nothing until a round asks for a ``min_pts``."""
+    return DbscanIndex(
+        dataset.points[np.sort(np.asarray(partition, dtype=np.int64))])
+
+
 def _search(policy: Policy, partition: np.ndarray, dataset: Dataset,
             labeled: LabeledSubset, config: RunConfig, seed: int,
-            partition_id: int) -> AgentResult:
+            partition_id: int, index: Optional[DbscanIndex]) -> AgentResult:
     """Run one search policy on a partition's evaluator and build the
     result from the evaluator's record of its best round so far.
 
     ``policy`` spends the round budget and returns the layer history and
-    the episodes it ran.  A partition holding none of the labeled points
-    cannot score candidates, so it skips the policy and takes the
-    snapped layer-0 midpoint: one round, reward 0.
+    the episodes it ran.  ``index``, from :func:`partition_index`, lets
+    searches of the same partition share their spanning trees; without
+    one the evaluator builds its own.  A partition holding none of the
+    labeled points cannot score candidates, so it skips the policy and
+    takes the snapped layer-0 midpoint: one round, reward 0.
     """
     part = np.sort(np.asarray(partition, dtype=np.int64))
     global_labeled = labeled.indices[np.isin(labeled.indices, part)]
     evaluator = ClusterEvaluator(
         dataset.points[part], np.searchsorted(part, global_labeled),
-        dataset.labels[global_labeled], config.round_budget)
+        dataset.labels[global_labeled], config.round_budget, index)
     if global_labeled.size:
         layer_history, episodes = policy(evaluator, config, seed)
     else:
@@ -198,7 +208,8 @@ def _random_draws(evaluator: ClusterEvaluator, config: RunConfig, seed: int
 
 
 def run_agent(partition: np.ndarray, dataset: Dataset, labeled: LabeledSubset,
-              config: RunConfig, seed: int, partition_id: int = 0) -> AgentResult:
+              config: RunConfig, seed: int, partition_id: int = 0,
+              index: Optional[DbscanIndex] = None) -> AgentResult:
     """Search (eps, min_pts) for one partition with the TD3-driven
     coarse-to-fine lattice walk and return its labeling.
 
@@ -208,17 +219,18 @@ def run_agent(partition: np.ndarray, dataset: Dataset, labeled: LabeledSubset,
     are also the agent's result.
     """
     return _search(_lattice_walk, partition, dataset, labeled, config, seed,
-                   partition_id)
+                   partition_id, index)
 
 
 def run_random_search(partition: np.ndarray, dataset: Dataset,
                       labeled: LabeledSubset, config: RunConfig, seed: int,
-                      partition_id: int = 0) -> AgentResult:
+                      partition_id: int = 0,
+                      index: Optional[DbscanIndex] = None) -> AgentResult:
     """Reference policy with ``run_agent``'s signature: uniform draws over
     the layer-0 box until the round budget is spent.  It runs no
     episodes, so its ``episodes`` is empty."""
     return _search(_random_draws, partition, dataset, labeled, config, seed,
-                   partition_id)
+                   partition_id, index)
 
 
 def _scatter(n: int, results: List[AgentResult],

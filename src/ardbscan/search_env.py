@@ -438,13 +438,21 @@ class ClusterEvaluator:
     running best's assignment and reward to ``round_assignments`` and
     ``round_rewards``.  With no labeled points every reward is 0.
     One :class:`~ardbscan.dbscan_core.DbscanIndex` over the points serves
-    every round, so each ``min_pts`` builds its spanning tree once.
+    every round, so each ``min_pts`` builds its spanning tree once.  A run
+    passes ``index`` to share one index, and its trees, across the seeds
+    that search the same points; without one the evaluator builds its
+    own.  An index over other points is rejected.
     """
 
     def __init__(self, points: np.ndarray, labeled_idx: np.ndarray,
-                 labeled_truth: np.ndarray, round_budget: int):
+                 labeled_truth: np.ndarray, round_budget: int,
+                 index: Optional[DbscanIndex] = None):
         self.points = np.asarray(points, dtype=np.float64)
-        self.index = DbscanIndex(self.points)
+        if index is None:
+            index = DbscanIndex(self.points)
+        elif not np.array_equal(index.points, self.points):
+            raise ValueError("the DBSCAN index is built over other points")
+        self.index = index
         self.labeled_idx = np.asarray(labeled_idx)
         self.labeled_truth = np.asarray(labeled_truth)
         self.round_budget = round_budget

@@ -164,6 +164,11 @@ def _sweep_workers() -> int:
         return os.cpu_count() or 1
 
 
+def _edge_bound(n: int, k_max: int) -> int:
+    """Most edges a k-NN graph over n points can have for k <= k_max."""
+    return min(n * (n - 1) // 2, n * k_max)
+
+
 def dense_bytes(n: int, k_max: int, workers: int) -> int:
     """Peak bytes ``select_k`` holds at once for n points and k up to
     k_max, from the arrays it allocates.  The edge count E is bounded by
@@ -178,10 +183,25 @@ def dense_bytes(n: int, k_max: int, workers: int) -> int:
       float64 weight buffer per thread: (40 + 8 * workers) E.
     """
     s = np.dtype(_rank_dtype(n)).itemsize
-    edges = min(n * (n - 1) // 2, n * k_max)
+    edges = _edge_bound(n, k_max)
     return max(25 * n * n,
                (8 + s) * n * n + (40 + 2 * s) * edges,
                (40 + 8 * workers) * edges)
+
+
+def tree_bytes(n: int, edges: int) -> int:
+    """Peak bytes held while ``encoding_tree.optimize_two_level`` runs on a
+    graph of n vertices and E edges: the graph's own u, v, w and degrees,
+    24 E + 8 n, beside the larger of the optimizer's two phases.
+
+    - building the CSR adjacency: the int64 sort order, its half mask,
+      the int64 far ends and float64 weights, and one half's int64 gather
+      indices and gathered values, 66 E;
+    - every vertex's first bid: the CSR arrays, a coalesced copy of each
+      neighbor list, and about 640 bytes of Python objects per vertex
+      (the list's arrays, its dict entry and its heap entry), 64 E + 640 n.
+    """
+    return 24 * edges + 8 * n + max(66 * edges, 64 * edges + 640 * n)
 
 
 def _mem_available() -> int | None:
@@ -210,6 +230,8 @@ def select_k(
     points: np.ndarray,
     cap: int,
     op_budget: int = DEFAULT_OP_BUDGET,
+    *,
+    tree: bool = False,
 ) -> SelectKResult:
     """Sweep k, find stable points of the normalized entropy, pick the best.
 
@@ -226,7 +248,8 @@ def select_k(
 
     Raises :class:`InsufficientMemoryError` before any O(n^2) allocation
     when :func:`dense_bytes` exceeds the memory the kernel reports
-    available.
+    available or, with ``tree`` set (the caller builds the encoding tree
+    on the result), when :func:`tree_bytes` at the edge bound does.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -234,10 +257,13 @@ def select_k(
         raise ValueError("too few points for stable-point detection")
     k_max = min(n - 1, cap)
     need = dense_bytes(n, k_max, min(_sweep_workers(), k_max))
+    if tree:
+        need = max(need, tree_bytes(n, _edge_bound(n, k_max)))
     avail = _mem_available()
     if avail is not None and need > avail:
+        stages = "k selection with the encoding tree" if tree else "k selection"
         raise InsufficientMemoryError(
-            f"k selection over {n} points needs about {need / 2**20:.1f} "
+            f"{stages} over {n} points needs about {need / 2**20:.1f} "
             f"MiB, but only {avail / 2**20:.1f} MiB are available")
     u, v, ke, de = _mutual_rank_edges(cdist(points, points), k_max)
     prefix_d = np.cumsum(de)

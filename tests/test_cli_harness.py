@@ -10,6 +10,7 @@ import pytest
 
 from ardbscan import (
     cli_harness,
+    dbscan_core,
     encoding_tree,
     recursive_search,
     search_env,
@@ -347,6 +348,51 @@ def test_cluster_calls_search_through_module_globals(workspace, monkeypatch):
         assert callable(getattr(module, "run_dbscan"))
 
 
+def test_cluster_builds_each_spanning_tree_once_per_run(workspace,
+                                                       monkeypatch):
+    # three seeds search the same partitions; every (partition, min_pts)
+    # tree is built once, by whichever seed asks for it first
+    tmp, data, cfg = workspace
+    seed_no, queried, built = [0], [], Counter()
+    original_subset = cli_harness.sample_labeled_subset
+    original_query = dbscan_core.DbscanIndex.query
+    core_distances = dbscan_core._core_distances
+    prim_mst = dbscan_core._prim_mst
+
+    def next_seed(*args, **kwargs):
+        seed_no[0] += 1
+        return original_subset(*args, **kwargs)
+
+    def query(self, params):
+        queried.append((seed_no[0], self.points.tobytes(), params.min_pts))
+        return original_query(self, params)
+
+    def counted_core_distances(points, min_pts):
+        built[points.tobytes(), min_pts] += 1
+        return core_distances(points, min_pts)
+
+    def counted_prim_mst(points, core):
+        built["prim"] += 1
+        return prim_mst(points, core)
+
+    monkeypatch.setattr(cli_harness, "sample_labeled_subset", next_seed)
+    monkeypatch.setattr(dbscan_core.DbscanIndex, "query", query)
+    monkeypatch.setattr(dbscan_core, "_core_distances", counted_core_distances)
+    monkeypatch.setattr(dbscan_core, "_prim_mst", counted_prim_mst)
+    assert main(["cluster", "--config", str(cfg), "--out", str(tmp / "out"),
+                 "--seeds", "0,1,2", "--alloc_eps", "1e-12",
+                 "--k_sweep_cap", "2048"]) == 0
+    assert seed_no[0] == 3
+    seeds_of = {}
+    for seed, points, min_pts in queried:
+        seeds_of.setdefault((points, min_pts), set()).add(seed)
+    assert len(json.loads((tmp / "out" / "report.json").read_text())
+               ["partition_sizes"]) == 3
+    assert any(len(seeds) > 1 for seeds in seeds_of.values())
+    assert built.pop("prim") == len(seeds_of)
+    assert built == Counter(dict.fromkeys(seeds_of, 1))
+
+
 def test_cluster_single_agent_flag_reuses_whole_dataset(workspace):
     tmp, data, cfg = workspace
     out = tmp / "out"
@@ -547,6 +593,25 @@ def test_k_selection_beyond_available_memory_is_data_error(
     assert not (out / "report.json").exists()
 
 
+def test_tree_beyond_available_memory_is_data_error(tmp_path, capsys,
+                                                    monkeypatch):
+    # 600 points at the default cap: the sweep needs 11.0 MiB and fits,
+    # the encoding tree over the complete graph needs 15.5 MiB and does not
+    data = tmp_path / "d.csv"
+    points = np.random.default_rng(0).random((600, 2))
+    data.write_text("".join(f"{x},{y},0\n" for x, y in points))
+    cfg = write_config(tmp_path / "cfg.json", data,
+                       k_sweep_cap=RunConfig().k_sweep_cap)
+    monkeypatch.setattr(structured_graph, "_mem_available", lambda: 14 << 20)
+    out = tmp_path / "out"
+    assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert ("k selection with the encoding tree over 600 points needs about "
+            "15.5 MiB, but only 14.0 MiB are available") in err
+    assert not (out / "allocation.json").exists()
+
+
 def test_two_point_online_blocks_are_data_error(tmp_path):
     data = write_dataset(tmp_path / "d.csv")
     cfg = write_config(tmp_path / "cfg.json", data, mode="online",
@@ -588,6 +653,25 @@ def test_label_outside_int64_is_data_error(tmp_path, capsys):
     assert main(["allocate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "line 1" in err
+
+
+def test_allocate_with_an_underflowing_outlier(tmp_path):
+    # at k = n - 1 the outlier's edges are 800 times the mean edge length,
+    # so exp(-d * m / sum d) is 0 and its degree is 0; the tree keeps it a
+    # singleton instead of taking log2(0)
+    data = tmp_path / "outlier.csv"
+    data.write_text("0.5,0.5,0\n" * 1599 + "100.0,100.0,1\n")
+    cfg = write_config(tmp_path / "cfg.json", data,
+                       k_sweep_cap=RunConfig().k_sweep_cap)
+    out = tmp_path / "out"
+    assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "allocation.json").read_text())
+    assert report["selected_k"] == 1599
+    outlier = report["tree_nodes"][1 + 1599]
+    assert outlier["id"] == 1599 and outlier["entropy"] == 0.0
+    singleton = [row for row in report["tree_nodes"]
+                 if row["id"] == outlier["parent"]]
+    assert singleton[0]["num_vertices"] == 1
 
 
 def test_too_many_blocks_is_data_error(tmp_path):

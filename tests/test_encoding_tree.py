@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,22 @@ def test_isolated_vertex_survives_as_singleton():
     parts = [frozenset(members(t, i)) for i in t.intermediates()]
     assert frozenset([3]) in parts
     assert sorted(v for p in parts for v in p) == [0, 1, 2, 3]
+
+
+def test_zero_volume_vertex_survives_as_singleton():
+    # vertex 3's only edge weighs 0, so its volume is 0: it neither bids
+    # nor is bid for, and no log of 0 is taken (warnings are errors here);
+    # the tree is the one without that edge
+    triangle = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
+    g = make_graph(4, triangle + [(2, 3, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = optimize_two_level(g)
+    parts = [frozenset(members(t, i)) for i in t.intermediates()]
+    assert frozenset([3]) in parts
+    without = optimize_two_level(make_graph(4, triangle))
+    np.testing.assert_array_equal(t.community, without.community)
+    assert t.entropy_trace == without.entropy_trace
 
 
 def test_information_uncertainty_arithmetic():

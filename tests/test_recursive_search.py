@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ardbscan import search_env
 from ardbscan.config import RunConfig
 from ardbscan.dataset import Dataset, LabeledSubset
-from ardbscan.dbscan_core import NOISE, DbscanParams, run_dbscan
+from ardbscan.dbscan_core import NOISE, DbscanIndex, DbscanParams, run_dbscan
 from ardbscan.metrics import nmi
 from ardbscan.recursive_search import (
     AgentResult,
@@ -18,6 +18,7 @@ from ardbscan.recursive_search import (
     layer_zero_bounds,
     merge_agent_results,
     next_layer,
+    partition_index,
     run_agent,
 )
 from ardbscan.search_env import ClusterEvaluator
@@ -254,6 +255,38 @@ def test_run_agent_partition_subset_of_dataset():
     res = run_agent(part, ds, sub, small_config(), seed=2)
     assert res.assignment.shape == (10,)
     assert all(len(a) == 10 for a in res.round_assignments)
+
+
+def test_run_agent_shares_a_partition_index():
+    # a shared index gives each seed the result a fresh one gives, and
+    # keeps the spanning trees the earlier seeds built
+    ds = two_blob_dataset()
+    sub = LabeledSubset(np.arange(0, 20, 3))
+    part = np.array([12, 3, 0, 7, 19, 5, 10, 15])  # any order
+    index = partition_index(ds, part)
+    assert not index._trees  # built lazily, by the first round
+    trees = []
+    for seed in (4, 9):
+        shared = run_agent(part, ds, sub, small_config(), seed, index=index)
+        alone = run_agent(part, ds, sub, small_config(), seed)
+        assert shared.params == alone.params
+        assert shared.round_rewards == alone.round_rewards
+        for x, y in zip(shared.round_assignments, alone.round_assignments):
+            np.testing.assert_array_equal(x, y)
+        trees.append(dict(index._trees))
+    assert trees[0] and all(trees[1][m] is tree for m, tree in trees[0].items())
+
+
+def test_run_agent_rejects_an_index_over_other_points():
+    ds = Dataset(np.random.default_rng(3).random((20, 2)),
+                 np.repeat([0, 1], 10))
+    sub = LabeledSubset(np.arange(20))
+    for index in (DbscanIndex(ds.points[:10] + 1e-9),
+                  DbscanIndex(ds.points[10:]),
+                  DbscanIndex(ds.points[:10][::-1])):
+        with pytest.raises(ValueError, match="other points"):
+            run_agent(np.arange(10), ds, sub, small_config(), seed=1,
+                      index=index)
 
 
 def test_run_agent_degenerate_without_labels():

@@ -16,16 +16,20 @@ processes with that tree on ``PYTHONPATH`` and BLAS on one thread:
   ``cluster`` and ``allocate``.  Equal distances tie many neighbor ranks,
   edge weights and merge deltas;
 - the benchmark's ``agents-500`` workload, draw 0, benchmark seed 1:
-  ``cluster --trace`` and ``allocate``;
+  ``cluster --trace``, ``allocate`` and ``baseline --seeds 0,1,2``
+  (three seeds' random ``min_pts`` draws over one whole-set DBSCAN
+  index);
 - the benchmark's ``single-2k`` workload, draw 0, benchmark seed 1:
-  ``cluster`` and ``allocate`` (every tree node's entropy and uncertainty
-  at n = 2000).
+  ``cluster``, ``cluster --seeds 0,1,2,3`` (later seeds reach the spanning
+  trees earlier seeds built, at other layers) and ``allocate`` (every
+  tree node's entropy and uncertainty at n = 2000).
 
 The benchmark draws come from ``perfbench/workloads.py``, imported and not
 modified.  ``wall_clock_seconds`` is dropped from every JSON output; every
 other file, and each command's exit code, must match byte for byte.  Every
 file that differs or exists on one side only is listed, and the exit code
-is 1 if there is any.  A full comparison takes about a minute on 2 vCPUs.
+is 1 if there is any.  A full comparison takes a little over a minute on
+2 vCPUs.
 """
 
 from __future__ import annotations
@@ -71,7 +75,9 @@ RUNS = [
     ("lattice", "allocate", []),
     ("agents-500", "cluster", ["--trace"]),
     ("agents-500", "allocate", []),
+    ("agents-500", "baseline", ["--seeds", "0,1,2"]),
     ("single-2k", "cluster", []),
+    ("single-2k", "cluster", ["--seeds", "0,1,2,3"]),
     ("single-2k", "allocate", []),
 ]
 
