@@ -6,10 +6,11 @@ by a flag of the same name): ``cluster`` runs the full offline pipeline,
 pipeline per stream block, and ``baseline`` scores uniform random
 parameter draws for the same round budget.  ``cluster``, ``online`` and
 ``baseline`` run their seeds through one driver (``_run_seeds`` and
-``_run_seed``) and differ only in the search policy they pass it:
-``run_agent`` or ``run_random_search``.  ``_run_seeds`` builds one DBSCAN
-index per partition and every seed's search of that partition shares it,
-so each (partition, ``min_pts``) spanning tree is built once per run, by
+``_run_seed``), which runs every agent through ``run_agent``; they differ
+only in the search policy they pass it: ``lattice_walk`` or
+``random_draws``.  ``_run_seeds`` builds one ``partition_index`` record
+per partition and every seed's search of that partition shares it, so
+each (partition, ``min_pts``) spanning tree is built once per run, by
 the first round that asks for it.  Each agent's result carries
 the episodes its search ran; the report's stop-reason counts and the
 ``cluster --trace`` files are both read from them.
@@ -28,14 +29,14 @@ from collections import Counter
 from dataclasses import asdict, fields
 from pathlib import Path
 from types import UnionType
-from typing import (Any, Callable, List, Optional, Tuple, Union, get_args,
-                    get_origin, get_type_hints)
+from typing import (Any, List, Optional, Tuple, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
 from .config import RunConfig
 from .dataset import Dataset, load_csv, normalize, sample_labeled_subset, split_blocks
-from .dbscan_core import NOISE, DbscanIndex
+from .dbscan_core import NOISE
 from .dbscan_core import run_dbscan  # noqa: F401 (perfbench --trace wraps it)
 from .encoding_tree import (
     AgentAllocation,
@@ -46,10 +47,13 @@ from .encoding_tree import (
 from .metrics import ari, nmi
 from .recursive_search import (
     AgentResult,
+    PartitionIndex,
+    Policy,
+    lattice_walk,
     merge_agent_results,
     partition_index,
+    random_draws,
     run_agent,
-    run_random_search,
 )
 from .structured_graph import InsufficientMemoryError, SelectKResult, select_k
 
@@ -119,30 +123,20 @@ def _aggregate(per_seed: List[dict]) -> dict:
 # pipeline
 
 
-def _check_dataset(ds: Dataset) -> None:
-    if ds.points.shape[0] < 2:
-        raise DataError("dataset too small")
-
-
-def _run_seed(norm: Dataset, partitions: List[np.ndarray], config: RunConfig,
-              seed: int, search: Callable[..., AgentResult],
-              trace_dir: Optional[Path] = None,
-              indexes: Optional[List[DbscanIndex]] = None
-              ) -> Tuple[dict, np.ndarray]:
-    """One seed: sample the labeled subset, run ``search`` (``run_agent``
-    or ``run_random_search``) once per partition with a seed derived from
-    ``seed`` and the partition's index from ``indexes`` (a fresh one
-    when None), merge and score; with ``trace_dir`` set, write the
-    agents' episode traces there."""
+def _run_seed(norm: Dataset, partitions: List[PartitionIndex],
+              config: RunConfig, seed: int, policy: Policy,
+              trace_dir: Optional[Path] = None) -> Tuple[dict, np.ndarray]:
+    """One seed: sample the labeled subset, run ``policy`` on each
+    partition through ``run_agent`` with a seed derived from ``seed``,
+    merge and score; with ``trace_dir`` set, write the agents' episode
+    traces there."""
     labeled = sample_labeled_subset(norm, config.label_proportion, seed)
     seed_rng = np.random.default_rng(seed)
-    if indexes is None:
-        indexes = [None] * len(partitions)
     results = []
-    for pid, (part, index) in enumerate(zip(partitions, indexes)):
+    for pid, part in enumerate(partitions):
         agent_seed = int(seed_rng.integers(2 ** 63))
-        results.append(search(part, norm, labeled, config, agent_seed,
-                              partition_id=pid, index=index))
+        results.append(run_agent(part, norm, labeled, config, agent_seed,
+                                 policy, pid))
     if trace_dir is not None:
         _write_traces(trace_dir, seed, results)
     merged = merge_agent_results(results, norm.n, num_rounds=config.round_budget)
@@ -167,7 +161,6 @@ def _set_up(raw: Dataset, config: RunConfig, allocate: bool = True
     set, build the encoding tree and the agent allocation.  k selection
     needs at least 3 points, and its dense arrays, and the tree's when
     one is built, must fit in the memory available."""
-    _check_dataset(raw)
     if raw.n < 3:
         raise DataError(f"dataset too small for k selection: {raw.n} points, "
                         "need at least 3")
@@ -185,18 +178,18 @@ def _set_up(raw: Dataset, config: RunConfig, allocate: bool = True
 
 def _run_seeds(norm: Dataset, sel: Optional[SelectKResult],
                partitions: List[np.ndarray], config: RunConfig,
-               search: Callable[..., AgentResult],
+               policy: Policy,
                trace_dir: Optional[Path] = None) -> Tuple[dict, np.ndarray]:
-    """Every configured seed through ``_run_seed``, all sharing one DBSCAN
-    index per partition; returns the report body and the first seed's
-    merged assignment.  Without a k selection (``sel`` None) the body
-    reports ``selected_k`` null and no stable points."""
-    indexes = [partition_index(norm, part) for part in partitions]
+    """Every configured seed through ``_run_seed``, all sharing one
+    ``partition_index`` record per partition; returns the report body and
+    the first seed's merged assignment.  Without a k selection (``sel``
+    None) the body reports ``selected_k`` null and no stable points."""
+    records = [partition_index(norm, part) for part in partitions]
     per_seed = []
     first_assignment: Optional[np.ndarray] = None
     for seed in config.seeds:
-        summary, assignment = _run_seed(norm, partitions, config, seed,
-                                        search, trace_dir, indexes)
+        summary, assignment = _run_seed(norm, records, config, seed,
+                                        policy, trace_dir)
         per_seed.append(summary)
         if first_assignment is None:
             first_assignment = assignment
@@ -221,7 +214,7 @@ def run_offline_pipeline(raw: Dataset, config: RunConfig,
     norm, sel, _, alloc = _set_up(raw, config,
                                   allocate=not config.single_agent)
     partitions = [np.arange(norm.n)] if alloc is None else list(alloc.partitions)
-    body, assignment = _run_seeds(norm, sel, partitions, config, run_agent,
+    body, assignment = _run_seeds(norm, sel, partitions, config, lattice_walk,
                                   trace_dir)
     return body, assignment, norm
 
@@ -380,7 +373,6 @@ def cmd_allocate(config: RunConfig, out_dir: Path) -> dict:
 def cmd_online(config: RunConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = _load_dataset(config)
-    _check_dataset(raw)
     started = time.perf_counter()
     try:
         blocks = split_blocks(raw, config.num_blocks)
@@ -405,14 +397,16 @@ def cmd_online(config: RunConfig, out_dir: Path) -> dict:
 
 def cmd_baseline_random(config: RunConfig, out_dir: Path) -> dict:
     """Random-draw reference: the whole dataset is one partition searched
-    by ``run_random_search``; k selection and allocation are skipped."""
+    by ``run_agent`` with ``random_draws``; k selection and allocation are
+    skipped, so 2 points are enough."""
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = _load_dataset(config)
-    _check_dataset(raw)
+    if raw.n < 2:
+        raise DataError(f"dataset too small: {raw.n} points, need at least 2")
     started = time.perf_counter()
     norm = normalize(raw)
     body, assignment = _run_seeds(norm, None, [np.arange(norm.n)], config,
-                                  run_random_search)
+                                  random_draws)
     return _write_run(out_dir, config, body, assignment, norm, started)
 
 
@@ -452,8 +446,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("cluster", "allocate", "online", "baseline"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="run a single seed instead of the config's list")
         p.add_argument("--out", default=".", help="output directory")
         if name == "cluster":
             p.add_argument("--trace", action="store_true",
@@ -472,10 +464,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         for f in fields(RunConfig)
         if hasattr(args, f.name)
     }
-    merged = {**raw, **overrides}
-    if args.seed is not None:
-        merged["seeds"] = [args.seed]
-    return RunConfig.from_dict(merged)
+    return RunConfig.from_dict({**raw, **overrides})
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -1,20 +1,22 @@
 """Coarse-to-fine parameter search run independently by each agent.
 
-Every agent walks the same recursion: a coarse layer spanning the full
-(eps, min_pts) box for its partition, then progressively finer layers
-centered on the best parameters seen so far.  ``run_random_search`` is
-the reference policy with the same signature: uniform draws over the
-coarse layer's box.  Both spend one ``ClusterEvaluator``'s budget and
-read their result off it; an agent's result also carries every episode
-its search ran, each tagged with its layer.  Per-agent results merge
-back into one labeling by offsetting cluster ids.
+``run_agent`` is the one entry into a search.  It takes a partition's
+record from ``partition_index`` (its sorted ids and the DBSCAN index
+over its points) and a policy.  ``lattice_walk`` is the paper's agent:
+a coarse layer spanning the full (eps, min_pts) box for its partition,
+then progressively finer layers centered on the best parameters seen so
+far.  ``random_draws`` is the reference: uniform draws over the coarse
+layer's box.  Both spend one ``ClusterEvaluator``'s budget, and the
+result is read off it; it also carries every episode the search ran,
+each tagged with its layer.  Per-agent results merge back into one
+labeling by offsetting cluster ids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -114,55 +116,26 @@ Policy = Callable[[ClusterEvaluator, RunConfig, int],
                   Tuple[Tuple[DbscanParams, ...], Tuple[EpisodeTrace, ...]]]
 
 
-def partition_index(dataset: Dataset, partition: np.ndarray) -> DbscanIndex:
-    """A DBSCAN index over a partition's points in ascending index order,
-    the order every search over that partition clusters them in.  It
-    computes nothing until a round asks for a ``min_pts``."""
-    return DbscanIndex(
-        dataset.points[np.sort(np.asarray(partition, dtype=np.int64))])
+@dataclass(frozen=True)
+class PartitionIndex:
+    """A partition's point ids in ascending order and the DBSCAN index over
+    its points in that order, the order every search of it clusters them
+    in.  The index computes nothing until a round asks for a ``min_pts``,
+    and every search given this record shares its trees."""
+
+    ids: np.ndarray
+    index: DbscanIndex
 
 
-def _search(policy: Policy, partition: np.ndarray, dataset: Dataset,
-            labeled: LabeledSubset, config: RunConfig, seed: int,
-            partition_id: int, index: Optional[DbscanIndex]) -> AgentResult:
-    """Run one search policy on a partition's evaluator and build the
-    result from the evaluator's record of its best round so far.
-
-    ``policy`` spends the round budget and returns the layer history and
-    the episodes it ran.  ``index``, from :func:`partition_index`, lets
-    searches of the same partition share their spanning trees; without
-    one the evaluator builds its own.  A partition holding none of the
-    labeled points cannot score candidates, so it skips the policy and
-    takes the snapped layer-0 midpoint: one round, reward 0.
-    """
-    part = np.sort(np.asarray(partition, dtype=np.int64))
-    global_labeled = labeled.indices[np.isin(labeled.indices, part)]
-    evaluator = ClusterEvaluator(
-        dataset.points[part], np.searchsorted(part, global_labeled),
-        dataset.labels[global_labeled], config.round_budget, index)
-    if global_labeled.size:
-        layer_history, episodes = policy(evaluator, config, seed)
-    else:
-        start = first_layer(evaluator.points.shape[1], part.size, config).start
-        evaluator.evaluate(start)
-        layer_history, episodes = (start,), ()
-    best_result, best_reward = evaluator.cache[evaluator.best_key]
-    return AgentResult(
-        partition_id=partition_id,
-        partition=part,
-        params=evaluator.best_params,
-        reward=best_reward,
-        assignment=best_result.assignment.copy(),
-        round_assignments=list(evaluator.round_assignments),
-        round_rewards=list(evaluator.round_rewards),
-        rounds_used=evaluator.rounds_used,
-        layer_history=layer_history,
-        episodes=episodes,
-    )
+def partition_index(dataset: Dataset, partition: np.ndarray) -> PartitionIndex:
+    ids = np.sort(np.asarray(partition, dtype=np.int64))
+    return PartitionIndex(ids, DbscanIndex(dataset.points[ids]))
 
 
-def _lattice_walk(evaluator: ClusterEvaluator, config: RunConfig, seed: int
-                  ) -> Tuple[Tuple[DbscanParams, ...], Tuple[EpisodeTrace, ...]]:
+def lattice_walk(evaluator: ClusterEvaluator, config: RunConfig, seed: int
+                 ) -> Tuple[Tuple[DbscanParams, ...], Tuple[EpisodeTrace, ...]]:
+    """The TD3-driven coarse-to-fine walk.  Each layer after the first is
+    centered on the evaluator's best parameters so far."""
     points = evaluator.points
     dim = points.shape[1]
     layer = first_layer(dim, points.shape[0], config)
@@ -193,8 +166,10 @@ def _lattice_walk(evaluator: ClusterEvaluator, config: RunConfig, seed: int
     return tuple(layer_history), tuple(episodes)
 
 
-def _random_draws(evaluator: ClusterEvaluator, config: RunConfig, seed: int
-                  ) -> Tuple[Tuple[DbscanParams, ...], Tuple[EpisodeTrace, ...]]:
+def random_draws(evaluator: ClusterEvaluator, config: RunConfig, seed: int
+                 ) -> Tuple[Tuple[DbscanParams, ...], Tuple[EpisodeTrace, ...]]:
+    """The reference policy: uniform draws over the layer-0 box until the
+    round budget is spent.  It runs no episodes."""
     bounds = layer_zero_bounds(evaluator.points.shape[1],
                                evaluator.points.shape[0],
                                config.resolved_minpts_cap_fraction())
@@ -207,30 +182,42 @@ def _random_draws(evaluator: ClusterEvaluator, config: RunConfig, seed: int
     return (evaluator.best_params,), ()
 
 
-def run_agent(partition: np.ndarray, dataset: Dataset, labeled: LabeledSubset,
-              config: RunConfig, seed: int, partition_id: int = 0,
-              index: Optional[DbscanIndex] = None) -> AgentResult:
-    """Search (eps, min_pts) for one partition with the TD3-driven
-    coarse-to-fine lattice walk and return its labeling.
+def run_agent(partition: PartitionIndex, dataset: Dataset,
+              labeled: LabeledSubset, config: RunConfig, seed: int,
+              policy: Policy, partition_id: int) -> AgentResult:
+    """Search (eps, min_pts) for one partition with ``policy`` and build
+    the result from the evaluator's record of its best round so far.
 
-    The round budget spans all layers; parameters already clustered are
-    replayed from cache without consuming rounds.  Each layer after the
-    first is centered on the evaluator's best parameters so far, which
-    are also the agent's result.
+    ``policy`` spends the round budget, which spans all layers (revisits
+    are free), and returns the layer history and the episodes it ran.  A
+    partition holding none of the labeled points cannot score candidates,
+    so it skips the policy and takes the snapped layer-0 midpoint: one
+    round, reward 0.
     """
-    return _search(_lattice_walk, partition, dataset, labeled, config, seed,
-                   partition_id, index)
-
-
-def run_random_search(partition: np.ndarray, dataset: Dataset,
-                      labeled: LabeledSubset, config: RunConfig, seed: int,
-                      partition_id: int = 0,
-                      index: Optional[DbscanIndex] = None) -> AgentResult:
-    """Reference policy with ``run_agent``'s signature: uniform draws over
-    the layer-0 box until the round budget is spent.  It runs no
-    episodes, so its ``episodes`` is empty."""
-    return _search(_random_draws, partition, dataset, labeled, config, seed,
-                   partition_id, index)
+    ids = partition.ids
+    global_labeled = labeled.indices[np.isin(labeled.indices, ids)]
+    evaluator = ClusterEvaluator(
+        partition.index, np.searchsorted(ids, global_labeled),
+        dataset.labels[global_labeled], config.round_budget)
+    if global_labeled.size:
+        layer_history, episodes = policy(evaluator, config, seed)
+    else:
+        start = first_layer(evaluator.points.shape[1], ids.size, config).start
+        evaluator.evaluate(start)
+        layer_history, episodes = (start,), ()
+    best_result, best_reward = evaluator.cache[evaluator.best_key]
+    return AgentResult(
+        partition_id=partition_id,
+        partition=ids,
+        params=evaluator.best_params,
+        reward=best_reward,
+        assignment=best_result.assignment.copy(),
+        round_assignments=list(evaluator.round_assignments),
+        round_rewards=list(evaluator.round_rewards),
+        rounds_used=evaluator.rounds_used,
+        layer_history=layer_history,
+        episodes=episodes,
+    )
 
 
 def _scatter(n: int, results: List[AgentResult],

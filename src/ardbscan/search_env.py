@@ -437,22 +437,16 @@ class ClusterEvaluator:
     higher reward, so the earliest paid round wins ties, and appends the
     running best's assignment and reward to ``round_assignments`` and
     ``round_rewards``.  With no labeled points every reward is 0.
-    One :class:`~ardbscan.dbscan_core.DbscanIndex` over the points serves
-    every round, so each ``min_pts`` builds its spanning tree once.  A run
-    passes ``index`` to share one index, and its trees, across the seeds
-    that search the same points; without one the evaluator builds its
-    own.  An index over other points is rejected.
+    The points are ``index.points``: every round is answered by that
+    :class:`~ardbscan.dbscan_core.DbscanIndex`, so each ``min_pts`` builds
+    its spanning tree once, and evaluators given the same index (the
+    seeds searching one partition) share its trees.
     """
 
-    def __init__(self, points: np.ndarray, labeled_idx: np.ndarray,
-                 labeled_truth: np.ndarray, round_budget: int,
-                 index: Optional[DbscanIndex] = None):
-        self.points = np.asarray(points, dtype=np.float64)
-        if index is None:
-            index = DbscanIndex(self.points)
-        elif not np.array_equal(index.points, self.points):
-            raise ValueError("the DBSCAN index is built over other points")
+    def __init__(self, index: DbscanIndex, labeled_idx: np.ndarray,
+                 labeled_truth: np.ndarray, round_budget: int):
         self.index = index
+        self.points = index.points
         self.labeled_idx = np.asarray(labeled_idx)
         self.labeled_truth = np.asarray(labeled_truth)
         self.round_budget = round_budget

@@ -25,7 +25,7 @@ from ardbscan.cli_harness import (
 from ardbscan.config import RunConfig
 from ardbscan.dataset import Dataset, normalize
 from ardbscan.metrics import ari, nmi
-from ardbscan.recursive_search import run_agent
+from ardbscan.recursive_search import lattice_walk, partition_index, random_draws
 
 
 def synthetic_points(rng=None):
@@ -183,8 +183,9 @@ def test_run_seed_merges_two_partitions():
     points, labels = synthetic_points()
     norm = normalize(Dataset(points, labels))
     cfg = RunConfig(**{**SMALL, "dataset": "unused"})
-    partitions = [np.arange(0, 30), np.arange(30, 60)]
-    summary, assignment = _run_seed(norm, partitions, cfg, 1, run_agent)
+    partitions = [partition_index(norm, np.arange(0, 30)),
+                  partition_index(norm, np.arange(30, 60))]
+    summary, assignment = _run_seed(norm, partitions, cfg, 1, lattice_walk)
     assert len(summary["agents"]) == 2
     assert assignment.shape == (60,)
     assert len(summary["nmi_series"]) == cfg.round_budget
@@ -252,7 +253,7 @@ def test_cluster_seed_flag_overrides_config(workspace):
     tmp, data, cfg = workspace
     out = tmp / "out"
     assert main(["cluster", "--config", str(cfg), "--out", str(out),
-                 "--seed", "5"]) == 0
+                 "--seeds", "5"]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["seeds"] == [5]
     assert [s["seed"] for s in report["per_seed"]] == [5]
@@ -337,15 +338,36 @@ def test_cluster_calls_search_through_module_globals(workspace, monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    names = ("run_agent", "merge_agent_results", "best_round_series",
-             "sample_labeled_subset")
-    for name in names:
+    per_seed = ("run_agent", "merge_agent_results", "best_round_series",
+                "sample_labeled_subset")
+    per_run = ("normalize", "_aggregate")
+    for name in per_seed + per_run:
         monkeypatch.setattr(cli_harness, name, counting(name))
     assert main(["cluster", "--config", str(cfg), "--out", str(tmp / "out"),
                  "--seeds", "0,1"]) == 0
-    assert all(calls[name] >= 2 for name in names), calls
+    assert all(calls[name] >= 2 for name in per_seed), calls
+    assert all(calls[name] == 1 for name in per_run), calls
     for module in (cli_harness, recursive_search, search_env, encoding_tree):
         assert callable(getattr(module, "run_dbscan"))
+
+
+def test_baseline_runs_its_agents_through_run_agent(workspace, monkeypatch):
+    # every baseline agent passes through the cli_harness global that
+    # cluster's agents do, so a probe on it sees each one
+    tmp, data, cfg = workspace
+    seen = []
+    original = cli_harness.run_agent
+
+    def recording(partition, dataset, labeled, config, seed, policy,
+                  partition_id):
+        seen.append((partition.ids.size, policy, partition_id))
+        return original(partition, dataset, labeled, config, seed, policy,
+                        partition_id)
+
+    monkeypatch.setattr(cli_harness, "run_agent", recording)
+    assert main(["baseline", "--config", str(cfg), "--out", str(tmp / "out"),
+                 "--seeds", "0,1,2"]) == 0
+    assert seen == [(60, random_draws, 0)] * 3
 
 
 def test_cluster_builds_each_spanning_tree_once_per_run(workspace,

@@ -9,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from ardbscan import search_env
 from ardbscan.config import RunConfig
 from ardbscan.dataset import Dataset, LabeledSubset
-from ardbscan.dbscan_core import NOISE, DbscanIndex, DbscanParams, run_dbscan
+from ardbscan.dbscan_core import NOISE, DbscanParams, run_dbscan
 from ardbscan.metrics import nmi
 from ardbscan.recursive_search import (
     AgentResult,
     SearchLayer,
     first_layer,
+    lattice_walk,
     layer_zero_bounds,
     merge_agent_results,
     next_layer,
@@ -204,10 +205,16 @@ def small_config(**overrides):
     return offline_config(**base)
 
 
+def agent(partition, dataset, labeled, config, seed):
+    """The lattice walk over a fresh record of ``partition``."""
+    return run_agent(partition_index(dataset, partition), dataset, labeled,
+                     config, seed, lattice_walk, 0)
+
+
 def test_run_agent_keeps_perfect_start_params():
     ds = two_blob_dataset()
     sub = LabeledSubset(np.arange(20))
-    res = run_agent(np.arange(20), ds, sub, small_config(), seed=7)
+    res = agent(np.arange(20), ds, sub, small_config(), seed=7)
     # the layer-0 midpoint already scores a perfect labeled NMI, and
     # ties break toward the earliest evaluation
     assert res.params == DbscanParams(0.5, 3)
@@ -218,8 +225,8 @@ def test_run_agent_keeps_perfect_start_params():
 def test_run_agent_is_deterministic():
     ds = two_blob_dataset()
     sub = LabeledSubset(np.arange(0, 20, 3))
-    a = run_agent(np.arange(20), ds, sub, small_config(), seed=11)
-    b = run_agent(np.arange(20), ds, sub, small_config(), seed=11)
+    a = agent(np.arange(20), ds, sub, small_config(), seed=11)
+    b = agent(np.arange(20), ds, sub, small_config(), seed=11)
     assert a.params == b.params
     assert a.reward == b.reward
     assert a.rounds_used == b.rounds_used
@@ -233,7 +240,7 @@ def test_run_agent_respects_round_budget():
     ds = two_blob_dataset()
     sub = LabeledSubset(np.arange(20))
     cfg = small_config(round_budget=5)
-    res = run_agent(np.arange(20), ds, sub, cfg, seed=3)
+    res = agent(np.arange(20), ds, sub, cfg, seed=3)
     assert res.rounds_used <= 5
     assert len(res.round_rewards) == res.rounds_used
     assert len(res.round_assignments) == res.rounds_used
@@ -242,7 +249,7 @@ def test_run_agent_respects_round_budget():
 def test_run_agent_round_series_is_nondecreasing():
     ds = two_blob_dataset()
     sub = LabeledSubset(np.arange(0, 20, 2))
-    res = run_agent(np.arange(20), ds, sub, small_config(), seed=5)
+    res = agent(np.arange(20), ds, sub, small_config(), seed=5)
     for earlier, later in zip(res.round_rewards, res.round_rewards[1:]):
         assert later >= earlier
     assert res.reward == pytest.approx(res.round_rewards[-1])
@@ -252,48 +259,40 @@ def test_run_agent_partition_subset_of_dataset():
     ds = two_blob_dataset()
     part = np.arange(10)  # only the low blob
     sub = LabeledSubset(np.array([0, 3, 6, 14, 17]))
-    res = run_agent(part, ds, sub, small_config(), seed=2)
+    res = agent(part, ds, sub, small_config(), seed=2)
     assert res.assignment.shape == (10,)
     assert all(len(a) == 10 for a in res.round_assignments)
 
 
 def test_run_agent_shares_a_partition_index():
-    # a shared index gives each seed the result a fresh one gives, and
+    # a shared record gives each seed the result a fresh one gives, and
     # keeps the spanning trees the earlier seeds built
     ds = two_blob_dataset()
     sub = LabeledSubset(np.arange(0, 20, 3))
     part = np.array([12, 3, 0, 7, 19, 5, 10, 15])  # any order
-    index = partition_index(ds, part)
-    assert not index._trees  # built lazily, by the first round
+    record = partition_index(ds, part)
+    np.testing.assert_array_equal(record.ids, np.sort(part))
+    np.testing.assert_array_equal(record.index.points, ds.points[record.ids])
+    assert not record.index._trees  # built lazily, by the first round
     trees = []
     for seed in (4, 9):
-        shared = run_agent(part, ds, sub, small_config(), seed, index=index)
-        alone = run_agent(part, ds, sub, small_config(), seed)
+        shared = run_agent(record, ds, sub, small_config(), seed,
+                           lattice_walk, 0)
+        alone = agent(part, ds, sub, small_config(), seed)
+        np.testing.assert_array_equal(shared.partition, record.ids)
         assert shared.params == alone.params
         assert shared.round_rewards == alone.round_rewards
         for x, y in zip(shared.round_assignments, alone.round_assignments):
             np.testing.assert_array_equal(x, y)
-        trees.append(dict(index._trees))
+        trees.append(dict(record.index._trees))
     assert trees[0] and all(trees[1][m] is tree for m, tree in trees[0].items())
-
-
-def test_run_agent_rejects_an_index_over_other_points():
-    ds = Dataset(np.random.default_rng(3).random((20, 2)),
-                 np.repeat([0, 1], 10))
-    sub = LabeledSubset(np.arange(20))
-    for index in (DbscanIndex(ds.points[:10] + 1e-9),
-                  DbscanIndex(ds.points[10:]),
-                  DbscanIndex(ds.points[:10][::-1])):
-        with pytest.raises(ValueError, match="other points"):
-            run_agent(np.arange(10), ds, sub, small_config(), seed=1,
-                      index=index)
 
 
 def test_run_agent_degenerate_without_labels():
     ds = two_blob_dataset()
     part = np.arange(10)
     sub = LabeledSubset(np.array([15, 16]))  # none fall in the partition
-    res = run_agent(part, ds, sub, small_config(), seed=4)
+    res = agent(part, ds, sub, small_config(), seed=4)
     assert res.rounds_used == 1
     assert res.reward == 0.0
     # snapped layer-0 midpoint, no search
@@ -322,7 +321,7 @@ def test_run_agent_params_are_earliest_paid_maximum(monkeypatch, seed):
                                       for c in (0.2, 0.5, 0.8)]), 1)
     ds = Dataset(points, np.repeat([0, 1, 2], 15))
     sub = LabeledSubset(np.arange(0, 45, 4))
-    res = run_agent(np.arange(45), ds, sub, small_config(l_max=3), seed=seed)
+    res = agent(np.arange(45), ds, sub, small_config(l_max=3), seed=seed)
     rewards = [r for _, r in paid]
     assert res.params == paid[rewards.index(max(rewards))][0]
     assert res.reward == max(rewards)
@@ -333,7 +332,7 @@ def test_run_agent_single_point_partition():
     ds = two_blob_dataset()
     part = np.array([0])
     sub = LabeledSubset(np.array([0]))
-    res = run_agent(part, ds, sub, small_config(), seed=9)
+    res = agent(part, ds, sub, small_config(), seed=9)
     assert res.assignment.tolist() == [0]
     assert res.reward == pytest.approx(1.0)
 
@@ -342,7 +341,7 @@ def test_run_agent_layer_history_length():
     ds = two_blob_dataset()
     sub = LabeledSubset(np.arange(20))
     cfg = small_config(l_max=3, round_budget=30)
-    res = run_agent(np.arange(20), ds, sub, cfg, seed=1)
+    res = agent(np.arange(20), ds, sub, cfg, seed=1)
     assert 1 <= len(res.layer_history) <= 3
     assert res.layer_history[-1] == res.params
 
@@ -360,8 +359,8 @@ def three_blob_dataset():
 
 def test_run_agent_episodes_stop_at_max_steps():
     cfg = small_config(max_steps=3, round_budget=40, episodes=10)
-    res = run_agent(np.arange(60), three_blob_dataset(),
-                    LabeledSubset(np.arange(0, 60, 3)), cfg, seed=0)
+    res = agent(np.arange(60), three_blob_dataset(),
+                LabeledSubset(np.arange(0, 60, 3)), cfg, seed=0)
     assert any(t.stop_reason == "timeout" for t in res.episodes)
     assert max(len(t.steps) for t in res.episodes) == 3
 
@@ -384,8 +383,8 @@ def test_run_agent_trains_with_the_run_td3_values(monkeypatch):
     run = dict(gamma=0.3, batch_size=4, tau=0.01, actor_delay=3,
                noise_sigma=0.3, noise_clip=0.7)
     cfg = small_config(round_budget=40, episodes=10, **run)
-    run_agent(np.arange(60), three_blob_dataset(),
-              LabeledSubset(np.arange(0, 60, 3)), cfg, seed=0)
+    agent(np.arange(60), three_blob_dataset(),
+          LabeledSubset(np.arange(0, 60, 3)), cfg, seed=0)
     assert any(trained for _, trained in seen)
     assert {values for values, _ in seen} == {tuple(run[k] for k in TD3_KEYS)}
 

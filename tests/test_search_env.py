@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from ardbscan import dbscan_core
 from ardbscan.config import RunConfig
-from ardbscan.dbscan_core import ClusterResult, DbscanParams, run_dbscan
+from ardbscan.dbscan_core import (ClusterResult, DbscanIndex, DbscanParams,
+                                  run_dbscan)
 from ardbscan.metrics import nmi
 from ardbscan.search_env import (
     Action,
@@ -49,7 +50,7 @@ def make_networks(d=1, seed=0):
 def make_env(round_budget=30, seed=3, start=DbscanParams(0.5, 3),
              networks=None, max_steps=30):
     points = two_blob_points()
-    ev = ClusterEvaluator(points, np.arange(10), blob_truth(),
+    ev = ClusterEvaluator(DbscanIndex(points), np.arange(10), blob_truth(),
                           round_budget=round_budget)
     nets = networks if networks is not None else make_networks(d=1, seed=seed)
     bounds = Bounds(0.0, 1.0, 1, 5)
@@ -263,8 +264,8 @@ def test_apply_action_clamps_and_flags():
 
 
 def test_immediate_reward_perfect_and_all_noise():
-    ev = ClusterEvaluator(two_blob_points(), np.arange(10), blob_truth(),
-                          round_budget=2)
+    ev = ClusterEvaluator(DbscanIndex(two_blob_points()), np.arange(10),
+                          blob_truth(), round_budget=2)
     _, reward = ev.evaluate(DbscanParams(0.2, 2))
     assert reward == pytest.approx(1.0)
     # eps too small for anything: everything is noise, truth has 2 classes
@@ -277,7 +278,7 @@ def test_immediate_reward_matches_direct_nmi():
     truth = blob_truth()
     idx = np.array([0, 2, 3, 7, 9])
     params = DbscanParams(0.21, 2)
-    ev = ClusterEvaluator(points, idx, truth[idx], round_budget=1)
+    ev = ClusterEvaluator(DbscanIndex(points), idx, truth[idx], round_budget=1)
     _, got = ev.evaluate(params)
     pred = run_dbscan(points, params).assignment[idx]
     assert got == pytest.approx(nmi(pred, truth[idx]))
@@ -524,7 +525,8 @@ def test_run_episode_budget_exhaustion():
 
 def test_evaluator_cache_is_free():
     points = two_blob_points()
-    ev = ClusterEvaluator(points, np.arange(10), blob_truth(), round_budget=5)
+    ev = ClusterEvaluator(DbscanIndex(points), np.arange(10), blob_truth(),
+                          round_budget=5)
     p = DbscanParams(0.2, 2)
     first = ev.evaluate(p)
     again = ev.evaluate(p)
@@ -553,8 +555,8 @@ def test_evaluator_builds_each_min_pts_tree_once(monkeypatch):
 
     monkeypatch.setattr(dbscan_core, "_core_distances", counted_core_distances)
     monkeypatch.setattr(dbscan_core, "_prim_mst", counted_prim_mst)
-    ev = ClusterEvaluator(points, np.arange(10), np.zeros(10, dtype=int),
-                          round_budget=12)
+    ev = ClusterEvaluator(DbscanIndex(points), np.arange(10),
+                          np.zeros(10, dtype=int), round_budget=12)
     for params, want in zip(queries, expected):
         np.testing.assert_array_equal(ev.evaluate(params)[0].assignment, want)
     assert ev.rounds_used == 8
@@ -564,7 +566,8 @@ def test_evaluator_builds_each_min_pts_tree_once(monkeypatch):
 
 def test_evaluator_records_earliest_best_per_paid_round():
     points = two_blob_points()
-    ev = ClusterEvaluator(points, np.arange(10), blob_truth(), round_budget=3)
+    ev = ClusterEvaluator(DbscanIndex(points), np.arange(10), blob_truth(),
+                          round_budget=3)
     merged = ev.evaluate(DbscanParams(1.0, 1))  # one cluster
     split = ev.evaluate(DbscanParams(0.2, 2))
     tie = ev.evaluate(DbscanParams(0.3, 2))  # same labeled NMI, paid later
@@ -582,7 +585,8 @@ def test_evaluator_records_earliest_best_per_paid_round():
 
 
 def test_evaluator_without_labeled_points_scores_zero():
-    ev = ClusterEvaluator(two_blob_points(), np.empty(0, dtype=np.int64),
+    ev = ClusterEvaluator(DbscanIndex(two_blob_points()),
+                          np.empty(0, dtype=np.int64),
                           np.empty(0, dtype=np.int64), round_budget=2)
     assert ev.evaluate(DbscanParams(0.2, 2))[1] == 0.0
     assert ev.round_rewards == [0.0]

@@ -16,9 +16,11 @@ processes with that tree on ``PYTHONPATH`` and BLAS on one thread:
   ``cluster`` and ``allocate``.  Equal distances tie many neighbor ranks,
   edge weights and merge deltas;
 - the benchmark's ``agents-500`` workload, draw 0, benchmark seed 1:
-  ``cluster --trace``, ``allocate`` and ``baseline --seeds 0,1,2``
-  (three seeds' random ``min_pts`` draws over one whole-set DBSCAN
-  index);
+  ``cluster --trace``, ``allocate``, ``online --num_blocks 2`` (each
+  250-point block selects k, builds its tree and runs several agents,
+  so per-block partition records are compared above toy size) and
+  ``baseline --seeds 0,1,2`` (three seeds' random ``min_pts`` draws over
+  one whole-set DBSCAN index);
 - the benchmark's ``single-2k`` workload, draw 0, benchmark seed 1:
   ``cluster``, ``cluster --seeds 0,1,2,3`` (later seeds reach the spanning
   trees earlier seeds built, at other layers) and ``allocate`` (every
@@ -28,8 +30,8 @@ The benchmark draws come from ``perfbench/workloads.py``, imported and not
 modified.  ``wall_clock_seconds`` is dropped from every JSON output; every
 other file, and each command's exit code, must match byte for byte.  Every
 file that differs or exists on one side only is listed, and the exit code
-is 1 if there is any.  A full comparison takes a little over a minute on
-2 vCPUs.
+is 1 if there is any.  A full comparison takes about a minute and a half
+on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ RUNS = [
     ("lattice", "allocate", []),
     ("agents-500", "cluster", ["--trace"]),
     ("agents-500", "allocate", []),
+    ("agents-500", "online", ["--num_blocks", "2"]),
     ("agents-500", "baseline", ["--seeds", "0,1,2"]),
     ("single-2k", "cluster", []),
     ("single-2k", "cluster", ["--seeds", "0,1,2,3"]),
