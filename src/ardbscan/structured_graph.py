@@ -77,13 +77,29 @@ def _mutual_rank_edges(dist: np.ndarray, cap: int):
     return u, v, ke[grade].astype(np.int64), dist[u, v]
 
 
-def _graph_from_prefix(n, k, u, v, d, m) -> StructuredGraph:
+def _prefix_degrees(n, u, v, prefix_d, d, m, w):
+    """Weighted degrees of the graph on the first m entries of the sorted
+    edge table, with its edge weights written into ``w``.  A prefix of
+    zero-distance edges (duplicate points) gets weight exp(0) = 1
+    throughout.  The sweep and the chosen graph both compute them here, so
+    the graph's entropy is the one the sweep scored, bit for bit."""
+    total = prefix_d[m - 1]
+    if total > 0:
+        # -(d * s) == d * -s bit for bit: negation is exact
+        np.multiply(d[:m], -(m / total), out=w)
+        np.exp(w, out=w)
+    else:
+        w.fill(1.0)
+    deg = np.bincount(u[:m], w, minlength=n)
+    deg += np.bincount(v[:m], w, minlength=n)
+    return deg
+
+
+def _graph_from_prefix(n, k, u, v, prefix_d, d, m) -> StructuredGraph:
     """Materialize the k-NN graph from the first m entries of the sorted
-    edge table.  A prefix of zero-distance edges (duplicate points) gets
-    weight exp(0) = 1 throughout."""
-    total = d[:m].sum()
-    w = np.exp(-d[:m] * (m / total)) if total > 0 else np.ones(m)
-    degrees = np.bincount(u[:m], w, minlength=n) + np.bincount(v[:m], w, minlength=n)
+    edge table."""
+    w = np.empty(m)
+    degrees = _prefix_degrees(n, u, v, prefix_d, d, m, w)
     return StructuredGraph(
         n, k, u[:m].copy(), v[:m].copy(), w, degrees, float(degrees.sum())
     )
@@ -133,16 +149,7 @@ def _entropies_for(u, v, prefix_d, d, n, ms):
     def run(slots, buf):
         for i in slots:
             m = int(ms[i])
-            total = prefix_d[m - 1]
-            w = buf[:m]
-            if total > 0:
-                # -(d * s) == d * -s bit for bit: negation is exact
-                np.multiply(d[:m], -(m / total), out=w)
-                np.exp(w, out=w)
-            else:
-                w.fill(1.0)
-            deg = np.bincount(u[:m], w, minlength=n)
-            deg += np.bincount(v[:m], w, minlength=n)
+            deg = _prefix_degrees(n, u, v, prefix_d, d, m, buf[:m])
             out[i] = _degree_entropy(deg, deg.sum())
 
     # the buffers come from this thread, so a worker allocates nothing
@@ -298,5 +305,6 @@ def select_k(
         k_star = min(stable, key=lambda k: h_norm[int(np.searchsorted(ks, k))])
     else:
         k_star = int(ks[int(np.argmin(h_norm))])
-    graph = _graph_from_prefix(n, k_star, u, v, de, int(all_ms[k_star - 1]))
+    graph = _graph_from_prefix(n, k_star, u, v, prefix_d, de,
+                               int(all_ms[k_star - 1]))
     return SelectKResult(k_star, graph, ks, h_norm, stable)

@@ -170,6 +170,16 @@ def test_select_k_agrees_with_naive_scan_on_lattice():
     assert_agrees_with_naive_scan(lattice())
 
 
+def test_chosen_graph_has_the_swept_entropy():
+    # the reported h_norm at k* is the chosen graph's own normalized
+    # entropy, bit for bit: both normalize the weights by the same sum
+    for seed in range(40):
+        pts = np.random.default_rng(seed).random((150, 2))
+        res = select_k(pts, CAP)
+        at_k = res.h_norm[int(np.searchsorted(res.ks, res.k))]
+        assert at_k == one_dim_se(res.graph) / (res.k * 150), seed
+
+
 def sweep_bytes(res):
     """Everything a k selection decides, as bytes."""
     g = res.graph
