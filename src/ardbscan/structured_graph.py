@@ -95,16 +95,6 @@ def _prefix_degrees(n, u, v, prefix_d, d, m, w):
     return deg
 
 
-def _graph_from_prefix(n, k, u, v, prefix_d, d, m) -> StructuredGraph:
-    """Materialize the k-NN graph from the first m entries of the sorted
-    edge table."""
-    w = np.empty(m)
-    degrees = _prefix_degrees(n, u, v, prefix_d, d, m, w)
-    return StructuredGraph(
-        n, k, u[:m].copy(), v[:m].copy(), w, degrees, float(degrees.sum())
-    )
-
-
 def _degree_entropy(degrees: np.ndarray, volume: float) -> float:
     """Entropy of the degree distribution: -sum (d/vol) log2 (d/vol)."""
     p = degrees[degrees > 0] / volume
@@ -305,6 +295,9 @@ def select_k(
         k_star = min(stable, key=lambda k: h_norm[int(np.searchsorted(ks, k))])
     else:
         k_star = int(ks[int(np.argmin(h_norm))])
-    graph = _graph_from_prefix(n, k_star, u, v, prefix_d, de,
-                               int(all_ms[k_star - 1]))
+    m = int(all_ms[k_star - 1])
+    w = np.empty(m)
+    degrees = _prefix_degrees(n, u, v, prefix_d, de, m, w)
+    graph = StructuredGraph(n, k_star, u[:m].copy(), v[:m].copy(), w, degrees,
+                            float(degrees.sum()))
     return SelectKResult(k_star, graph, ks, h_norm, stable)
