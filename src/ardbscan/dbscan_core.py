@@ -2,9 +2,10 @@
 
 Neighborhoods are closed Euclidean balls and include the point itself: ``j``
 is a neighbor of ``i`` when ``sqeuclidean(i, j) <= eps * eps``. Every squared
-distance comes from ``cdist(..., "sqeuclidean")``, which sums coordinate
-differences (no dot-product identity, so no cancellation): duplicate points
-are exactly 0 apart and co-cluster even at eps 0, and a pair's distance is
+distance comes from :func:`sq_distances`, which sums the squared coordinate
+differences one coordinate at a time from the first (no dot-product
+identity, so no cancellation): duplicate points are exactly 0 apart and
+co-cluster even at eps 0, ``d(i, j) == d(j, i)``, and a pair's distance is
 the same whichever rows it is computed among.
 
 For a fixed ``min_pts`` a :class:`DbscanIndex` computes, once, each point's
@@ -24,8 +25,10 @@ index-ordered scan-and-expand formulation (Schubert et al., *DBSCAN
 Revisited, Revisited*, TODS 2017) and makes results fully deterministic.
 
 No n-by-n array is ever held: the tree is built by Prim's method, which
-recomputes one distance row per step, and core distances and the border
-test run over blocks of ``_BLOCK`` rows.
+recomputes one distance row per step, core distances run over blocks of
+``_CORE_BLOCK`` rows, and the border test over blocks of about
+``_BORDER_CELLS`` distances. The tree's kept edges form a forest rooted at
+vertex 0, so a query labels its components by pointer jumping.
 
 A tree depends only on the points and ``min_pts``, so a run builds one
 index per agent partition and shares it among all its seeds' searches
@@ -39,12 +42,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import cdist
 
 NOISE = -1
-_BLOCK = 256  # rows per distance block; temporaries stay _BLOCK x n
+_CORE_BLOCK = 32  # rows per core-distance block; its buffers stay in cache
+_BORDER_CELLS = 1 << 16  # distances per border-test block
 
 
 @dataclass(frozen=True)
@@ -67,14 +68,45 @@ class ClusterResult:
     num_clusters: int
 
 
+def sq_distances(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances ``sum_k (a[k] - b[k])**2``, written into
+    ``out``.
+
+    The squares are added one coordinate at a time from the first, as
+    ``scipy.spatial.distance.cdist(..., "sqeuclidean")`` adds them, so the
+    two agree bit for bit and ``d(i, j) == d(j, i)``. ``a`` and ``b`` hold
+    one operand per coordinate, each broadcasting to ``out``'s shape: a
+    block of rows as ``rows.T[:, :, None]`` against a point set's columns
+    ``points.T`` gives the block's distances to every point (m x n); one
+    point's coordinates against the columns give its row (n). ``tmp`` is
+    scratch of ``out``'s shape. With no coordinates every distance is 0.
+    """
+    if not len(b):
+        out.fill(0.0)
+        return out
+    np.subtract(a[0], b[0], out=out)
+    np.square(out, out=out)
+    for a_k, b_k in zip(a[1:], b[1:]):
+        np.subtract(a_k, b_k, out=tmp)
+        np.square(tmp, out=tmp)
+        np.add(out, tmp, out=out)
+    return out
+
+
 def _core_distances(points: np.ndarray, min_pts: int) -> np.ndarray:
     """Each point's ``min_pts``-th smallest squared distance, itself
     included (requires ``min_pts <= n``)."""
-    out = np.empty(points.shape[0])
-    for lo in range(0, points.shape[0], _BLOCK):
-        block = cdist(points[lo:lo + _BLOCK], points, "sqeuclidean")
-        block.partition(min_pts - 1, axis=1)
-        out[lo:lo + _BLOCK] = block[:, min_pts - 1]
+    n = points.shape[0]
+    points_t = np.ascontiguousarray(points.T)
+    block = np.empty((min(_CORE_BLOCK, n), n))
+    tmp = np.empty_like(block)
+    out = np.empty(n)
+    for lo in range(0, n, _CORE_BLOCK):
+        rows = points[lo:lo + _CORE_BLOCK]
+        d2 = sq_distances(rows.T[:, :, None], points_t, block[:len(rows)],
+                          tmp[:len(rows)])
+        d2.partition(min_pts - 1, axis=1)
+        out[lo:lo + _CORE_BLOCK] = d2[:, min_pts - 1]
     return out
 
 
@@ -86,28 +118,46 @@ def _prim_mst(points: np.ndarray,
     Zero-weight edges (duplicate points) are kept like any other.
     """
     n = points.shape[0]
+    coords = points.tolist()
+    cores = core.tolist()
     src = np.zeros(n - 1, dtype=np.int64)
     dst = np.zeros(n - 1, dtype=np.int64)
     weight = np.zeros(n - 1)
-    # lightest known edge from each vertex into the tree; inf once inside
+    # The working arrays hold the vertices not yet in the tree, in index
+    # order, and drop the tree's vertices whenever they are half the rows:
+    # each vertex's id, coordinates, core distance and lightest known edge
+    # into the tree (weight and tree end). A tree vertex waiting to be
+    # dropped has core distance and best weight inf, so its reach is inf,
+    # never below its best, and argmin never picks it.
+    ids = np.arange(n)
+    columns = np.ascontiguousarray(points.T)
+    floor = core.copy()
     best = np.full(n, np.inf)
     parent = np.zeros(n, dtype=np.int64)
     outside = np.ones(n, dtype=bool)
     closer = np.empty(n, dtype=bool)
-    u = 0
+    reach = np.empty(n)
+    tmp = np.empty(n)
+    u = j = 0
     for step in range(n - 1):
-        outside[u] = False
-        best[u] = np.inf
-        reach = cdist(points[u:u + 1], points, "sqeuclidean")[0]
-        np.maximum(reach, core, out=reach)
-        np.maximum(reach, core[u], out=reach)
-        # masked in-place updates; argmin keeps the first of equal minima
+        outside[j] = False
+        floor[j] = best[j] = np.inf
+        if 2 * (n - 1 - step) <= ids.size:
+            keep = np.flatnonzero(outside)
+            size = keep.size
+            ids, columns, outside = ids[keep], columns[:, keep], outside[keep]
+            floor, best, parent = floor[keep], best[keep], parent[keep]
+            closer, reach, tmp = closer[:size], reach[:size], tmp[:size]
+        sq_distances(coords[u], columns, reach, tmp)
+        np.maximum(reach, floor, out=reach)
+        np.maximum(reach, cores[u], out=reach)
         np.less(reach, best, out=closer)
-        closer &= outside
-        np.copyto(best, reach, where=closer)
         np.copyto(parent, u, where=closer)
-        u = int(best.argmin())
-        src[step], dst[step], weight[step] = parent[u], u, best[u]
+        np.minimum(best, reach, out=best)
+        # the first of equal minima, which is the lowest id
+        j = int(best.argmin())
+        u = int(ids[j])
+        src[step], dst[step], weight[step] = parent[j], u, best[j]
     return src, dst, weight
 
 
@@ -124,6 +174,7 @@ class DbscanIndex:
 
     def __init__(self, points: np.ndarray):
         self.points = np.asarray(points, dtype=np.float64)
+        self._points_t = np.ascontiguousarray(self.points.T)
         self._trees: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray,
                                      np.ndarray]] = {}
 
@@ -147,10 +198,17 @@ class DbscanIndex:
         if core_idx.size == 0:
             return ClusterResult(assignment, 0)
 
+        # Prim adds each dst once, under a src already in the tree, so the
+        # kept edges form a rooted forest: point each vertex at its parent
+        # and jump until every pointer reaches its component's root
         keep = weight <= eps2
-        graph = coo_matrix((np.ones(int(keep.sum())), (src[keep], dst[keep])),
-                           shape=(n, n))
-        _, comp = connected_components(graph, directed=False)
+        comp = np.arange(n)
+        comp[dst[keep]] = src[keep]
+        while True:
+            up = comp[comp]
+            if np.array_equal(up, comp):
+                break
+            comp = up
         # renumber components by first occurrence over ascending core index,
         # so cluster ids ascend with each cluster's smallest core point
         _, first_idx, comp = np.unique(comp[core_idx], return_index=True,
@@ -161,14 +219,24 @@ class DbscanIndex:
         comp = renum[comp]
         assignment[core_idx] = comp
 
-        core_points = points[core_idx]
+        # a border point joins the smallest cluster id among the core points
+        # within eps: with the core points ordered by cluster id, that is
+        # the id of the first one within eps
+        by_id = np.argsort(comp, kind="stable")
+        core_t = self._points_t[:, core_idx[by_id]]
+        ids = comp[by_id]
         non_core = np.flatnonzero(core_d2 > eps2)
-        for lo in range(0, non_core.size, _BLOCK):
-            rows = non_core[lo:lo + _BLOCK]
-            reach = cdist(points[rows], core_points, "sqeuclidean") <= eps2
-            nearest = np.where(reach, comp[None, :], num).min(axis=1)
-            border = nearest < num
-            assignment[rows[border]] = nearest[border]
+        step = max(1, _BORDER_CELLS // core_idx.size)
+        d2 = np.empty((min(step, non_core.size), core_idx.size))
+        tmp = np.empty_like(d2)
+        for lo in range(0, non_core.size, step):
+            rows = non_core[lo:lo + step]
+            m = rows.size
+            reach = sq_distances(points[rows].T[:, :, None], core_t, d2[:m],
+                                 tmp[:m]) <= eps2
+            first = reach.argmax(axis=1)
+            border = reach[np.arange(m), first]
+            assignment[rows[border]] = ids[first[border]]
         return ClusterResult(assignment, int(num))
 
 

@@ -19,10 +19,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+from .dbscan_core import sq_distances
 
 # total edge visits allowed in one k sweep before the sweep strides
 DEFAULT_OP_BUDGET = 200_000_000
+_DIST_BLOCK = 32  # rows per block of the distance matrix
 
 
 class InsufficientMemoryError(MemoryError):
@@ -46,6 +48,21 @@ class StructuredGraph:
 
 def _rank_dtype(n: int):
     return np.int16 if n <= 32767 else np.int32
+
+
+def _distance_matrix(points: np.ndarray) -> np.ndarray:
+    """Euclidean distances between all rows of ``points``: squared
+    distances written block by block into one n x n array, then square
+    roots taken in place."""
+    n = points.shape[0]
+    points_t = np.ascontiguousarray(points.T)
+    dist = np.empty((n, n))
+    tmp = np.empty((min(_DIST_BLOCK, n), n))
+    for lo in range(0, n, _DIST_BLOCK):
+        rows = points[lo:lo + _DIST_BLOCK]
+        sq_distances(rows.T[:, :, None], points_t, dist[lo:lo + _DIST_BLOCK],
+                     tmp[:len(rows)])
+    return np.sqrt(dist, out=dist)
 
 
 def _mutual_rank_edges(dist: np.ndarray, cap: int):
@@ -172,7 +189,8 @@ def dense_bytes(n: int, k_max: int, workers: int) -> int:
     n * k_max and by the n(n-1)/2 pairs.
 
     - argsort of the float64 distances by row: distances, the int64
-      order, its self-pair mask and its compacted copy, 25 n^2;
+      order, its self-pair mask and its compacted copy, 25 n^2 (the
+      distances are built in place, beside one block of rows);
     - rank table and k_edge (int16 or int32, s bytes each) beside the
       distances, then k_edge's mask and edge arrays: (8 + s) n^2 +
       (40 + 2s) E;
@@ -262,7 +280,7 @@ def select_k(
         raise InsufficientMemoryError(
             f"{stages} over {n} points needs about {need / 2**20:.1f} "
             f"MiB, but only {avail / 2**20:.1f} MiB are available")
-    u, v, ke, de = _mutual_rank_edges(cdist(points, points), k_max)
+    u, v, ke, de = _mutual_rank_edges(_distance_matrix(points), k_max)
     prefix_d = np.cumsum(de)
 
     all_ks = np.arange(1, k_max + 1, dtype=np.int64)

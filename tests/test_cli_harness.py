@@ -2,8 +2,12 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +80,37 @@ def workspace(tmp_path):
     data = write_dataset(tmp_path / "blobs.csv")
     cfg = write_config(tmp_path / "config.json", data)
     return tmp_path, data, cfg
+
+
+def test_cluster_command_loads_no_scipy(workspace):
+    # every command is a fresh process that pays for each import on every
+    # run, and the program uses nothing from scipy
+    tmp, _, cfg = workspace
+    listing = tmp / "modules.txt"
+    # run_module is what ``python -m ardbscan`` runs; the listing is
+    # written when the interpreter exits
+    probe = f"""
+import atexit, runpy, sys
+
+def write_listing():
+    with open({str(listing)!r}, "w") as fh:
+        fh.write("\\n".join(sorted(sys.modules)))
+
+atexit.register(write_listing)
+runpy.run_module("ardbscan", run_name="__main__", alter_sys=True)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", probe, "cluster", "--config", str(cfg),
+         "--out", str(tmp / "out")],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp / "out" / "report.json").exists()
+    modules = listing.read_text().split("\n")
+    assert "ardbscan.cli_harness" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
 # ---------------------------------------------------------------------------

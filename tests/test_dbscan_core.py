@@ -12,6 +12,7 @@ from ardbscan.dbscan_core import (
     DbscanParams,
     cluster_centers,
     run_dbscan,
+    sq_distances,
 )
 
 from oracles import canonical_labels, dbscan_bruteforce
@@ -171,6 +172,93 @@ def test_matches_bruteforce_above_1024_points_with_duplicates(eps, min_pts):
     mine = run_dbscan(pts, DbscanParams(eps, min_pts))
     theirs = dbscan_bruteforce(pts.tolist(), eps, min_pts)
     assert canonical_labels(mine.assignment) == canonical_labels(theirs)
+
+
+def _kernel_points(d, scale, n=16, seed=0):
+    """n random points in d dimensions times ``scale``, then copies of rows
+    0, 3 and 3 again, so some pairs are exactly 0 apart."""
+    pts = np.random.default_rng(seed + d).random((n, d)) * scale
+    return np.vstack([pts, pts[[0, 3, 3]]])
+
+
+def _all_sq_distances(pts):
+    """Every pair's squared distance, as one block of rows and row by row
+    (from a point's floats and from its array); all must agree bit for
+    bit."""
+    n = pts.shape[0]
+    pts_t = np.ascontiguousarray(pts.T)
+    block = sq_distances(pts.T[:, :, None], pts_t, np.empty((n, n)),
+                         np.empty((n, n)))
+    for i in range(n):
+        for point in (pts[i].tolist(), pts[i]):
+            row = sq_distances(point, pts_t, np.empty(n), np.empty(n))
+            assert _bits(row) == _bits(block[i])
+    return block
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_sq_distances_is_the_sequential_sum(scale):
+    # (a_0 - b_0)^2 + (a_1 - b_1)^2 + ... added one at a time from 0.0
+    for d in range(1, 10):
+        pts = _kernel_points(d, scale)
+        expected = []
+        for p in pts.tolist():
+            for q in pts.tolist():
+                total = 0.0
+                for a, b in zip(p, q):
+                    total += (a - b) * (a - b)
+                expected.append(total)
+        got = _all_sq_distances(pts)
+        assert _bits(got.ravel()) == _bits(expected), d
+        # d(i, j) == d(j, i): select_k reads an edge's distance from
+        # either endpoint's row
+        assert _bits(got) == _bits(got.T), d
+        assert not got[[0, 3, 3, 17, 18], [16, 17, 18, 18, 3]].any()
+
+
+def test_sq_distances_without_coordinates_are_zero():
+    out = np.full((3, 3), np.nan)
+    sq_distances(np.zeros((0, 3, 1)), np.zeros((0, 3)), out, np.empty((3, 3)))
+    assert not out.any()
+
+
+def test_sq_distances_equals_cdist():
+    distance = pytest.importorskip("scipy.spatial.distance")
+    for d in [*range(1, 21), 32, 64]:
+        for scale in (1e-8, 1.0, 1e8):
+            pts = _kernel_points(d, scale, n=40)
+            got = _all_sq_distances(pts)
+            assert _bits(got) == _bits(distance.cdist(pts, pts, "sqeuclidean"))
+            assert _bits(np.sqrt(got)) == _bits(distance.cdist(pts, pts))
+
+
+def _growing_gaps(n):
+    """n points on a line whose gaps grow by 3% each: Prim's tree from
+    point 0 is the path 0-1-...-(n-1), of depth n - 1."""
+    gaps = 1.03 ** np.arange(n - 1)
+    return np.concatenate([[0.0], np.cumsum(gaps)])[:, None], gaps
+
+
+@pytest.mark.parametrize("min_pts", [1, 2, 3, 5])
+def test_deep_tree_matches_bruteforce(min_pts):
+    pts, gaps = _growing_gaps(120)
+    index = DbscanIndex(pts)
+    # between two consecutive gaps (never on one), and above them all
+    cuts = [0, 1, 30, 60, 117]
+    for eps in [math.sqrt(gaps[j] * gaps[j + 1]) for j in cuts] + [2 * gaps[-1]]:
+        res = run_dbscan(pts, DbscanParams(eps, min_pts), index)
+        expected = dbscan_bruteforce(pts.tolist(), eps, min_pts)
+        assert canonical_labels(res.assignment) == canonical_labels(expected)
+        assert res.num_clusters == max(expected) + 1
+    if min_pts == 1:
+        _, src, dst, _ = index._trees[1]
+        assert src.tolist() == list(range(119))
+        assert dst.tolist() == list(range(1, 120))
+        assert res.num_clusters == 1  # one component of depth 119
 
 
 @st.composite

@@ -212,6 +212,21 @@ def test_sweep_is_bit_identical_across_thread_counts(monkeypatch, workers):
     assert got == reference
 
 
+def test_distance_matrix_is_symmetric_across_blocks():
+    # 100 rows span several blocks; select_k reads an edge's distance from
+    # either endpoint's row, so d(i, j) must equal d(j, i) bit for bit
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 3, 8):
+        base = rng.random((80, d))
+        pts = np.vstack([base, base[:20]])
+        dist = structured_graph._distance_matrix(pts)
+        assert np.array_equal(dist.view(np.uint64), dist.T.view(np.uint64))
+        assert not dist[np.arange(20), np.arange(80, 100)].any()
+        row = structured_graph.sq_distances(
+            pts[57].tolist(), pts.T, np.empty(100), np.empty(100))
+        assert np.array_equal(dist[57], np.sqrt(row))
+
+
 def test_dense_bytes_matches_traced_peak():
     pts = np.random.default_rng(0).random((600, 2))
     for cap in (CAP, 20):
@@ -273,10 +288,10 @@ def test_memory_guard(monkeypatch):
         monkeypatch.setattr(structured_graph, "_mem_available", lambda: avail)
         assert sweep_bytes(select_k(pts, CAP)) == expected
 
-    def no_cdist(*args, **kwargs):
+    def no_distances(*args, **kwargs):
         raise AssertionError("distances computed after the guard refused")
 
-    monkeypatch.setattr(structured_graph, "cdist", no_cdist)
+    monkeypatch.setattr(structured_graph, "sq_distances", no_distances)
     monkeypatch.setattr(structured_graph, "_mem_available", lambda: need - 1)
     with pytest.raises(structured_graph.InsufficientMemoryError,
                        match=f"over {n} points needs about"):

@@ -15,6 +15,10 @@ processes with that tree on ``PYTHONPATH`` and BLAS on one thread:
 - a 30 x 30 unit lattice labelled by quadrant, with the same config:
   ``cluster`` and ``allocate``.  Equal distances tie many neighbor ranks,
   edge weights and merge deltas;
+- a seeded mixture of three 8-D Gaussians, 80 points each, with the same
+  config: ``cluster`` and ``allocate``.  Every other input is 2-D, and
+  only d >= 3 shows the order in which a distance's squared coordinate
+  differences are summed;
 - the benchmark's ``agents-500`` workload, draw 0, benchmark seed 1:
   ``cluster --trace``, ``allocate``, ``online --num_blocks 2`` (each
   250-point block selects k, builds its tree and runs several agents,
@@ -75,6 +79,8 @@ RUNS = [
     ("duplicates", "baseline", []),
     ("lattice", "cluster", []),
     ("lattice", "allocate", []),
+    ("mixture-8d", "cluster", []),
+    ("mixture-8d", "allocate", []),
     ("agents-500", "cluster", ["--trace"]),
     ("agents-500", "allocate", []),
     ("agents-500", "online", ["--num_blocks", "2"]),
@@ -126,10 +132,26 @@ def write_lattice(out_dir: Path, side: int = 30) -> Path:
     return config
 
 
+def write_mixture_8d(out_dir: Path) -> Path:
+    """Three 8-D Gaussian blobs of 80 points each, coordinates written in
+    full precision; returns the config path."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(8)
+    centers = rng.random((3, 8))
+    data = out_dir / "mixture-8d.csv"
+    data.write_text("".join(
+        ",".join(repr(float(x)) for x in rng.normal(centers[label], 0.08))
+        + f",{label}\n" for label in np.repeat(np.arange(3), 80)))
+    config = out_dir / "config.json"
+    config.write_text(json.dumps({**BLOB_CONFIG, "dataset": str(data)}))
+    return config
+
+
 def write_inputs(in_dir: Path) -> dict:
     configs = {"blobs": write_blobs(in_dir / "blobs"),
                "duplicates": write_duplicates(in_dir / "duplicates"),
-               "lattice": write_lattice(in_dir / "lattice")}
+               "lattice": write_lattice(in_dir / "lattice"),
+               "mixture-8d": write_mixture_8d(in_dir / "mixture-8d")}
     for name in ("agents-500", "single-2k"):
         configs[name] = workloads.write(workloads.WORKLOADS[name], 1, 0,
                                         in_dir / name)
