@@ -169,11 +169,20 @@ class DbscanIndex:
     cutting the tree. Building the index computes nothing: each tree is
     built by the first query with its ``min_pts``. Build one per point set
     that is clustered repeatedly, and share it among everything that
-    clusters that set.
+    clusters that set. Points whose squared distances would overflow, or
+    that are not finite, raise ``ValueError``.
     """
 
     def __init__(self, points: np.ndarray):
         self.points = np.asarray(points, dtype=np.float64)
+        if self.points.size:
+            # the largest squared distance: not finite if any one overflows
+            with np.errstate(over="ignore", invalid="ignore"):
+                span = self.points.max(axis=0) - self.points.min(axis=0)
+                reach = np.square(span).sum()
+            if not np.isfinite(reach):
+                raise ValueError("points must be finite, with squared "
+                                 "distances within float64 range")
         self._points_t = np.ascontiguousarray(self.points.T)
         self._trees: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray,
                                      np.ndarray]] = {}

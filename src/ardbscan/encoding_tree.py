@@ -165,36 +165,27 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
                      + np.bincount(graph.v, minlength=n))
     starts = np.concatenate([[0], ends[:-1]])
 
+    # root[x] is the live community holding id x, rewritten over members[c]
+    # (the ids rooted at c) at each merge; a live community is its own root
     cap = 2 * n
-    parent = np.arange(cap, dtype=np.int64)
+    root = np.arange(cap, dtype=np.int64)
+    members: Dict[int, np.ndarray] = {}
     volume = np.zeros(cap)
     volume[:n] = graph.degrees
     cut = np.zeros(cap)
     cut[:n] = graph.degrees
     minv = np.arange(cap, dtype=np.int64)
-    alive = np.zeros(cap, dtype=bool)
-    alive[:n] = True
     adj: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
     for c in range(n):
         if ends[c] > starts[c]:
             adj[c] = (dst[starts[c]:ends[c]], wts[starts[c]:ends[c]])
     next_id = n
 
-    def resolve(ids: np.ndarray) -> np.ndarray:
-        r = ids
-        while True:
-            p = parent[r]
-            if np.array_equal(p, r):
-                break
-            r = p
-        parent[ids] = r  # path compression
-        return r
-
     def clean(c: int) -> Tuple[np.ndarray, np.ndarray]:
         """Resolve community c's neighbor list to live roots and coalesce."""
         d, w = adj[c]
         if d.size:
-            r = resolve(d)
+            r = root[d]
             keep = r != c
             r, w = r[keep], w[keep]
             if r.size:
@@ -206,7 +197,7 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
         adj[c] = (d, w)
         return d, w
 
-    heap: List[Tuple[float, int, int, int, int]] = []
+    heap: List[Tuple[float, int, int, int, int, float]] = []
 
     def push_best(c: int) -> None:
         # a community of volume 0 (a vertex whose edge weights all underflow
@@ -231,46 +222,45 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
             k2 = np.maximum(minv[c], minv[d[cand]])
             i = int(cand[np.lexsort((k2, k1, delta[cand]))[0]])
         lo, hi = sorted((int(minv[c]), int(minv[d[i]])))
-        heapq.heappush(heap, (float(delta[i]), lo, hi, c, int(d[i])))
+        heapq.heappush(heap, (float(delta[i]), lo, hi, c, int(d[i]),
+                              float(w[i])))
 
     trace = [one_dim_se(graph)]
     for c in list(adj):
         push_best(c)
 
     while heap:
-        delta, _, _, a, b = heapq.heappop(heap)
-        if not alive[a] or not alive[b]:
-            if alive[a]:
+        delta, _, _, a, b, w_ab = heapq.heappop(heap)
+        if root[a] != a or root[b] != b:
+            if root[a] == a:
                 # the stored partner died; this community needs a fresh bid
                 push_best(a)
             continue
         if delta >= _DESCENT_TOL:
             break
+        # a bid is made at its bidder's latest clean; while a and b stay
+        # live, b is the one entry of that list resolving to b: w_ab is exact
         c = next_id
         next_id += 1
-        da, wa = adj.pop(a)
-        db, wb = adj.pop(b)
-        # extract the a-b weight before reparenting, while b is still a root
-        w_ab = float(wa[resolve(da) == b].sum())
-        alive[a] = alive[b] = False
-        alive[c] = True
-        parent[a] = parent[b] = c
+        members[c] = np.concatenate([members.pop(a, [a]), members.pop(b, [b]),
+                                     [c]])
+        root[members[c]] = c
         volume[c] = volume[a] + volume[b]
         cut[c] = cut[a] + cut[b] - 2.0 * w_ab
         minv[c] = min(minv[a], minv[b])
+        (da, wa), (db, wb) = adj.pop(a), adj.pop(b)
         adj[c] = (np.concatenate([da, db]), np.concatenate([wa, wb]))
         trace.append(trace[-1] + delta)
         push_best(c)
 
     # number the surviving communities, singletons included, by their
-    # smallest vertex id
-    roots = resolve(np.arange(n))
-    uniq_roots, inv = np.unique(roots, return_inverse=True)
-    part_order = np.argsort(minv[uniq_roots], kind="stable")
-    rank = np.empty(uniq_roots.size, dtype=np.int64)
-    rank[part_order] = np.arange(uniq_roots.size)
-    kept = uniq_roots[part_order]
-    return EncodingTree(graph, rank[inv], cut[kept], volume[kept], trace)
+    # smallest vertex id: vertex v's number counts the community minima
+    # below minv[root[v]]
+    first = minv[root[:n]]
+    is_first = first == np.arange(n)
+    kept = root[:n][is_first]
+    rank = np.cumsum(is_first) - 1
+    return EncodingTree(graph, rank[first], cut[kept], volume[kept], trace)
 
 
 def information_uncertainty(tree: EncodingTree, node_id: int, k: int) -> float:

@@ -41,10 +41,10 @@ class AgentResult:
     """Outcome of one agent's search over its partition.
 
     ``assignment`` and the per-round assignments are local: entry i
-    labels the point ``partition[i]``.  ``round_rewards`` is the
-    best-so-far labeled-subset score after each paid clustering round,
-    as the agent's ``ClusterEvaluator`` recorded it.  ``episodes`` holds
-    every episode the search ran, in order.
+    labels the point ``partition[i]``.  ``round_assignments`` holds the
+    best-so-far assignment after each paid clustering round, as the
+    agent's ``ClusterEvaluator`` recorded it.  ``episodes`` holds every
+    episode the search ran, in order.
     """
 
     partition_id: int
@@ -53,7 +53,6 @@ class AgentResult:
     reward: float
     assignment: np.ndarray
     round_assignments: List[np.ndarray]
-    round_rewards: List[float]
     rounds_used: int
     layer_history: Tuple[DbscanParams, ...]
     episodes: Tuple[EpisodeTrace, ...]
@@ -213,7 +212,6 @@ def run_agent(partition: PartitionIndex, dataset: Dataset,
         reward=best_reward,
         assignment=best_result.assignment.copy(),
         round_assignments=list(evaluator.round_assignments),
-        round_rewards=list(evaluator.round_rewards),
         rounds_used=evaluator.rounds_used,
         layer_history=layer_history,
         episodes=episodes,

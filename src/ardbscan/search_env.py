@@ -435,8 +435,8 @@ class ClusterEvaluator:
     before; revisits are free.  evaluate() returns None once the budget
     is spent.  Each paid round may replace ``best_key`` only by a strictly
     higher reward, so the earliest paid round wins ties, and appends the
-    running best's assignment and reward to ``round_assignments`` and
-    ``round_rewards``.  With no labeled points every reward is 0.
+    running best's assignment to ``round_assignments``.  With no labeled
+    points every reward is 0.
     The points are ``index.points``: every round is answered by that
     :class:`~ardbscan.dbscan_core.DbscanIndex`, so each ``min_pts`` builds
     its spanning tree once, and evaluators given the same index (the
@@ -454,7 +454,6 @@ class ClusterEvaluator:
         self.cache: Dict[Tuple[float, int], Tuple[ClusterResult, float]] = {}
         self.best_key: Optional[Tuple[float, int]] = None
         self.round_assignments: List[np.ndarray] = []
-        self.round_rewards: List[float] = []
 
     @property
     def exhausted(self) -> bool:
@@ -480,9 +479,7 @@ class ClusterEvaluator:
         self.cache[key] = (result, reward)
         if self.best_key is None or reward > self.cache[self.best_key][1]:
             self.best_key = key
-        best_result, best_reward = self.cache[self.best_key]
-        self.round_assignments.append(best_result.assignment)
-        self.round_rewards.append(best_reward)
+        self.round_assignments.append(self.cache[self.best_key][0].assignment)
         return result, reward
 
 

@@ -70,16 +70,17 @@ def _mutual_rank_edges(dist: np.ndarray, cap: int):
     smallest such k.
 
     Returns (u, v, k_edge, d_edge); pair (i, j) is an edge of the k-NN graph
-    exactly when k_edge <= k.
+    exactly when k_edge <= k.  The diagonal of ``dist`` is overwritten.
     """
     n = dist.shape[0]
+    # each point sorts first in its own row, the others in their order
+    np.fill_diagonal(dist, -1.0)
     order = np.argsort(dist, kind="stable", axis=1)
-    order = order[order != np.arange(n)[:, None]].reshape(n, n - 1)
     dtype = _rank_dtype(n)
     rank = np.empty((n, n), dtype=dtype)
-    np.put_along_axis(rank, order, np.arange(1, n, dtype=dtype)[None, :], axis=1)
+    np.put_along_axis(rank, order, np.arange(n, dtype=dtype)[None, :], axis=1)
     del order
-    rank[np.diag_indices(n)] = n  # self pairs never become edges
+    np.fill_diagonal(rank, n)  # self pairs never become edges
     k_edge = np.minimum(rank, rank.T)
     del rank
 
@@ -188,18 +189,18 @@ def dense_bytes(n: int, k_max: int, workers: int) -> int:
     k_max, from the arrays it allocates.  The edge count E is bounded by
     n * k_max and by the n(n-1)/2 pairs.
 
-    - argsort of the float64 distances by row: distances, the int64
-      order, its self-pair mask and its compacted copy, 25 n^2 (the
-      distances are built in place, beside one block of rows);
-    - rank table and k_edge (int16 or int32, s bytes each) beside the
-      distances, then k_edge's mask and edge arrays: (8 + s) n^2 +
-      (40 + 2s) E;
+    - argsort of the float64 distances by row, then the rank table (int16
+      or int32, s bytes an entry) written from it: distances, the int64
+      order and the ranks, (16 + s) n^2 (the distances are built in
+      place, beside one block of rows);
+    - rank table and k_edge (s bytes each) beside the distances, then
+      k_edge's mask and edge arrays: (8 + s) n^2 + (40 + 2s) E;
     - the sweep: the int64/float64 edge table, its cumulative sums and a
       float64 weight buffer per thread: (40 + 8 * workers) E.
     """
     s = np.dtype(_rank_dtype(n)).itemsize
     edges = _edge_bound(n, k_max)
-    return max(25 * n * n,
+    return max((16 + s) * n * n,
                (8 + s) * n * n + (40 + 2 * s) * edges,
                (40 + 8 * workers) * edges)
 
@@ -215,6 +216,8 @@ def tree_bytes(n: int, edges: int) -> int:
     - every vertex's first bid: the CSR arrays, a coalesced copy of each
       neighbor list, and about 640 bytes of Python objects per vertex
       (the list's arrays, its dict entry and its heap entry), 64 E + 640 n.
+      The merges after it add the ``members`` arrays, which hold each of
+      the at most 2n ids once, while the lists they coalesce shrink.
     """
     return 24 * edges + 8 * n + max(66 * edges, 64 * edges + 640 * n)
 

@@ -635,8 +635,9 @@ def test_two_point_dataset_is_data_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["cluster", "allocate"])
 def test_k_selection_beyond_available_memory_is_data_error(
         tmp_path, capsys, monkeypatch, command):
-    # 600 points at k_sweep_cap 16 need 25 * 600^2 bytes (8.6 MiB) for the
-    # row argsort; the guard refuses before any of it is allocated
+    # 600 points at k_sweep_cap 16 need 18 * 600^2 bytes (6.2 MiB) for the
+    # row argsort and the rank table; the guard refuses before any of it
+    # is allocated
     data = tmp_path / "d.csv"
     points = np.random.default_rng(0).random((600, 2))
     data.write_text("".join(f"{x},{y},0\n" for x, y in points))
@@ -646,7 +647,7 @@ def test_k_selection_beyond_available_memory_is_data_error(
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err
-    assert "600 points needs about 8.6 MiB, but only 4.0 MiB are available" in err
+    assert "600 points needs about 6.2 MiB, but only 4.0 MiB are available" in err
     assert not (out / "report.json").exists()
 
 

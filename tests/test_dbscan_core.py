@@ -76,6 +76,27 @@ def test_matches_bruteforce_on_random_instances():
         )
 
 
+@pytest.mark.parametrize("points", [
+    [[0.0], [1e200], [2e200], [3e200]],  # squared distances overflow
+    [[0.0, 0.0], [1e154, 1e154], [np.inf, 0.0]],
+    [[0.0, 0.0], [np.nan, 1.0]],
+])
+def test_index_rejects_overflowing_or_non_finite_points(points):
+    with pytest.raises(ValueError, match="finite"):
+        DbscanIndex(np.array(points))
+
+
+@pytest.mark.parametrize("eps", [1e149, 2e149, 3e149, 1e160])
+def test_matches_bruteforce_near_the_overflow_bound(eps):
+    # squared distances up to about 1e301 are finite; eps 1e160 squares to
+    # inf, which every distance is within
+    pts = np.random.default_rng(9).uniform(-1.0, 1.0, (40, 2)) * 1e150
+    for min_pts in (1, 3):
+        mine = run_dbscan(pts, DbscanParams(eps, min_pts))
+        theirs = dbscan_bruteforce(pts, eps, min_pts)
+        assert canonical_labels(mine.assignment) == canonical_labels(theirs)
+
+
 def test_deterministic():
     rng = np.random.default_rng(3)
     pts = rng.random((80, 2))

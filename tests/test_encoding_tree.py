@@ -14,7 +14,7 @@ from ardbscan.encoding_tree import (
     _cluster_uncertainties,
     _merge_delta,
 )
-from ardbscan.structured_graph import StructuredGraph, one_dim_se
+from ardbscan.structured_graph import StructuredGraph, one_dim_se, select_k
 
 from conftest import edges_of, make_graph
 from oracles import (
@@ -346,9 +346,18 @@ def mixed_pentagon():
                           (1, 4, 2.0), (2, 3, 1.0), (3, 4, 2.0)])
 
 
+def uniform_knn():
+    """The k-NN graph of 60 seeded uniform points (k = 8): float weights,
+    whose sums depend on the order in which a merge joins two neighbor
+    lists."""
+    return select_k(np.random.default_rng(1).random((60, 2)), 8).graph
+
+
 # Unit and few-valued weights make many merge deltas exact ties, so these
 # trees are decided by the tie rule: smallest delta, then the
-# lexicographically smallest pair of community minimum-vertex ids.
+# lexicographically smallest pair of community minimum-vertex ids.  Their
+# integer weights sum exactly in any order; "uniform" pins the order in
+# which float weights are summed.
 TIE_GOLDEN = {
     "pentagon": (
         mixed_pentagon,
@@ -388,6 +397,47 @@ TIE_GOLDEN = {
          "0x1.abdea50f7d8d8p+1", "0x1.a245897fb5eb9p+1",
          "0x1.9ae618616e005p+1", "0x1.9463aa6cccc47p+1",
          "0x1.92293cc7a9b1ap+1", "0x1.90b0a450f1b90p+1"],
+    ),
+    "uniform": (
+        uniform_knn,
+        [0, 1, 2, 3, 4, 3, 1, 2, 2, 2, 5, 0, 6, 5, 1, 4, 0, 0, 2, 4, 0, 5,
+         3, 0, 1, 0, 1, 4, 6, 3, 4, 0, 5, 1, 6, 2, 3, 4, 0, 6, 5, 5, 5, 5,
+         2, 5, 4, 2, 1, 1, 3, 3, 3, 4, 5, 4, 1, 5, 2, 3],
+        ["0x1.c7e8799f20522p+2", "0x1.41df1d6d36875p+2",
+         "0x1.6425e6c3b2e5bp+2", "0x1.29abedee3f9b0p+3",
+         "0x1.eb534cff900a2p+2", "0x1.ca43abe52882ap+3",
+         "0x1.78d66088d1c0dp+2"],
+        ["0x1.222be49cf7407p+5", "0x1.df24015beb2fdp+4",
+         "0x1.ff46782483851p+4", "0x1.27aa2cb952a3dp+5",
+         "0x1.fee2643701156p+4", "0x1.88cd6356171bfp+5",
+         "0x1.6d9a866c383acp+3"],
+        ["0x1.7782beb441fa4p+2", "0x1.74e67652b2bd4p+2",
+         "0x1.7283085905f49p+2", "0x1.7030c3d0811e0p+2",
+         "0x1.6d8002c3f2467p+2", "0x1.6b347c1500b01p+2",
+         "0x1.68f958a86fa6ep+2", "0x1.65ca803a17b21p+2",
+         "0x1.62530b85db261p+2", "0x1.5f572d79d2d22p+2",
+         "0x1.5d1fc813c2a05p+2", "0x1.5ac1f392b534ap+2",
+         "0x1.57d1faa701e93p+2", "0x1.55a7c6a12c261p+2",
+         "0x1.5363038487f68p+2", "0x1.503c04d60514ep+2",
+         "0x1.4d4c962913877p+2", "0x1.4aa6ab192d465p+2",
+         "0x1.4884ad6472244p+2", "0x1.458ded41b3132p+2",
+         "0x1.42a4ec2ccea1bp+2", "0x1.3fb6ec266f614p+2",
+         "0x1.3d06d8ac9551bp+2", "0x1.3a880dc928804p+2",
+         "0x1.3879f54c50de8p+2", "0x1.35e7194eed8cdp+2",
+         "0x1.32b51071049c0p+2", "0x1.3001fc9778f42p+2",
+         "0x1.2cec3d09a890ep+2", "0x1.29fee80b7bc25p+2",
+         "0x1.271bf2f2567c9p+2", "0x1.250e93a99af01p+2",
+         "0x1.2214d67c02c27p+2", "0x1.201adc4793b0fp+2",
+         "0x1.1d52e1558878cp+2", "0x1.1a08d8d1b1a71p+2",
+         "0x1.173e96708aef1p+2", "0x1.146bd9dcc055ap+2",
+         "0x1.1203a298168c8p+2", "0x1.101316f3c3e50p+2",
+         "0x1.0e29a1d7529b8p+2", "0x1.0bdbdb710984bp+2",
+         "0x1.09738bf2cf15bp+2", "0x1.0720aaaacfb41p+2",
+         "0x1.049d84614867ap+2", "0x1.01f0452782863p+2",
+         "0x1.fee52d1bf1bcap+1", "0x1.fad4cbaea3acfp+1",
+         "0x1.f73608288708bp+1", "0x1.f3aab88e46292p+1",
+         "0x1.f03fd6317f2bdp+1", "0x1.ecfb1972ade32p+1",
+         "0x1.eaa36ea49f7f1p+1", "0x1.e861f78fb9be1p+1"],
     ),
 }
 

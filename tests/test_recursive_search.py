@@ -222,6 +222,13 @@ def test_run_agent_keeps_perfect_start_params():
     assert nmi(res.assignment, ds.labels) == pytest.approx(1.0)
 
 
+def round_scores(res, ds, sub) -> list:
+    """Labeled-subset NMI of each paid round's best-so-far assignment."""
+    labeled = sub.indices[np.isin(sub.indices, res.partition)]
+    local = np.searchsorted(res.partition, labeled)
+    return [nmi(a[local], ds.labels[labeled]) for a in res.round_assignments]
+
+
 def test_run_agent_is_deterministic():
     ds = two_blob_dataset()
     sub = LabeledSubset(np.arange(0, 20, 3))
@@ -230,7 +237,6 @@ def test_run_agent_is_deterministic():
     assert a.params == b.params
     assert a.reward == b.reward
     assert a.rounds_used == b.rounds_used
-    assert a.round_rewards == b.round_rewards
     np.testing.assert_array_equal(a.assignment, b.assignment)
     for x, y in zip(a.round_assignments, b.round_assignments):
         np.testing.assert_array_equal(x, y)
@@ -242,7 +248,6 @@ def test_run_agent_respects_round_budget():
     cfg = small_config(round_budget=5)
     res = agent(np.arange(20), ds, sub, cfg, seed=3)
     assert res.rounds_used <= 5
-    assert len(res.round_rewards) == res.rounds_used
     assert len(res.round_assignments) == res.rounds_used
 
 
@@ -250,9 +255,10 @@ def test_run_agent_round_series_is_nondecreasing():
     ds = two_blob_dataset()
     sub = LabeledSubset(np.arange(0, 20, 2))
     res = agent(np.arange(20), ds, sub, small_config(), seed=5)
-    for earlier, later in zip(res.round_rewards, res.round_rewards[1:]):
+    scores = round_scores(res, ds, sub)
+    for earlier, later in zip(scores, scores[1:]):
         assert later >= earlier
-    assert res.reward == pytest.approx(res.round_rewards[-1])
+    assert res.reward == scores[-1]
 
 
 def test_run_agent_partition_subset_of_dataset():
@@ -281,7 +287,6 @@ def test_run_agent_shares_a_partition_index():
         alone = agent(part, ds, sub, small_config(), seed)
         np.testing.assert_array_equal(shared.partition, record.ids)
         assert shared.params == alone.params
-        assert shared.round_rewards == alone.round_rewards
         for x, y in zip(shared.round_assignments, alone.round_assignments):
             np.testing.assert_array_equal(x, y)
         trees.append(dict(record.index._trees))
@@ -325,7 +330,7 @@ def test_run_agent_params_are_earliest_paid_maximum(monkeypatch, seed):
     rewards = [r for _, r in paid]
     assert res.params == paid[rewards.index(max(rewards))][0]
     assert res.reward == max(rewards)
-    assert res.round_rewards == list(np.maximum.accumulate(rewards))
+    assert round_scores(res, ds, sub) == list(np.maximum.accumulate(rewards))
 
 
 def test_run_agent_single_point_partition():
@@ -403,7 +408,6 @@ def stub_result(partition_id, partition, assignment, rounds=None):
         reward=0.0,
         assignment=assignment,
         round_assignments=[np.asarray(r) for r in rounds],
-        round_rewards=[0.0] * len(rounds),
         rounds_used=len(rounds),
         layer_history=(DbscanParams(0.5, 1),),
         episodes=(),

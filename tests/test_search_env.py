@@ -523,6 +523,12 @@ def test_run_episode_budget_exhaustion():
     assert env.evaluator.rounds_used == 2
 
 
+def round_scores(ev: ClusterEvaluator) -> list:
+    """Labeled-subset NMI of each paid round's best-so-far assignment."""
+    return [nmi(a[ev.labeled_idx], ev.labeled_truth)
+            for a in ev.round_assignments]
+
+
 def test_evaluator_cache_is_free():
     points = two_blob_points()
     ev = ClusterEvaluator(DbscanIndex(points), np.arange(10), blob_truth(),
@@ -533,7 +539,7 @@ def test_evaluator_cache_is_free():
     assert ev.rounds_used == 1
     assert first[1] == again[1]
     assert ev.best_key == (0.2, 2)
-    assert ev.round_rewards == [first[1]]
+    assert round_scores(ev) == [first[1]]
 
 
 def test_evaluator_builds_each_min_pts_tree_once(monkeypatch):
@@ -577,8 +583,8 @@ def test_evaluator_records_earliest_best_per_paid_round():
     assert ev.rounds_used == 3
     assert ev.best_key == (0.2, 2)
     assert ev.best_params == DbscanParams(0.2, 2)
-    assert ev.round_rewards == [merged[1], split[1], split[1]]
-    assert len(ev.round_rewards) == len(ev.round_assignments) == ev.rounds_used
+    assert round_scores(ev) == [merged[1], split[1], split[1]]
+    assert len(ev.round_assignments) == ev.rounds_used
     expect = [merged[0], split[0], split[0]]
     for got, want in zip(ev.round_assignments, expect):
         np.testing.assert_array_equal(got, want.assignment)
@@ -589,7 +595,7 @@ def test_evaluator_without_labeled_points_scores_zero():
                           np.empty(0, dtype=np.int64),
                           np.empty(0, dtype=np.int64), round_budget=2)
     assert ev.evaluate(DbscanParams(0.2, 2))[1] == 0.0
-    assert ev.round_rewards == [0.0]
+    assert len(ev.round_assignments) == 1
 
 
 def test_episode_trains_networks_once_buffer_filled():

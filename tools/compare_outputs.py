@@ -19,6 +19,11 @@ processes with that tree on ``PYTHONPATH`` and BLAS on one thread:
   config: ``cluster`` and ``allocate``.  Every other input is 2-D, and
   only d >= 3 shows the order in which a distance's squared coordinate
   differences are summed;
+- 1,599 copies of one point plus one far point, at the default
+  ``k_sweep_cap``: ``allocate``.  At k = n - 1 the far point's edge
+  weights underflow to 0, the only zero-volume vertex of any input, and
+  the copies' merge deltas tie exactly, so the tie rule alone orders the
+  merges;
 - the benchmark's ``agents-500`` workload, draw 0, benchmark seed 1:
   ``cluster --trace``, ``allocate``, ``online --num_blocks 2`` (each
   250-point block selects k, builds its tree and runs several agents,
@@ -81,6 +86,7 @@ RUNS = [
     ("lattice", "allocate", []),
     ("mixture-8d", "cluster", []),
     ("mixture-8d", "allocate", []),
+    ("outlier", "allocate", []),
     ("agents-500", "cluster", ["--trace"]),
     ("agents-500", "allocate", []),
     ("agents-500", "online", ["--num_blocks", "2"]),
@@ -147,11 +153,25 @@ def write_mixture_8d(out_dir: Path) -> Path:
     return config
 
 
+def write_outlier(out_dir: Path) -> Path:
+    """1,599 copies of one point and one far point, labeled apart, with the
+    default ``k_sweep_cap``; returns the config path."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    data = out_dir / "outlier.csv"
+    data.write_text("0.5,0.5,0\n" * 1599 + "100.0,100.0,1\n")
+    config = out_dir / "config.json"
+    settings = {key: value for key, value in BLOB_CONFIG.items()
+                if key != "k_sweep_cap"}
+    config.write_text(json.dumps({**settings, "dataset": str(data)}))
+    return config
+
+
 def write_inputs(in_dir: Path) -> dict:
     configs = {"blobs": write_blobs(in_dir / "blobs"),
                "duplicates": write_duplicates(in_dir / "duplicates"),
                "lattice": write_lattice(in_dir / "lattice"),
-               "mixture-8d": write_mixture_8d(in_dir / "mixture-8d")}
+               "mixture-8d": write_mixture_8d(in_dir / "mixture-8d"),
+               "outlier": write_outlier(in_dir / "outlier")}
     for name in ("agents-500", "single-2k"):
         configs[name] = workloads.write(workloads.WORKLOADS[name], 1, 0,
                                         in_dir / name)
