@@ -55,9 +55,10 @@ class DbscanParams:
 
     def __post_init__(self) -> None:
         # eps 0 is allowed: a clamped lower search bound must stay evaluable
-        # (duplicate points still co-cluster there).
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
+        # (duplicate points still co-cluster there).  NaN fails ``>=`` and
+        # is refused; an infinite eps is valid.
+        if not self.eps >= 0:
+            raise ValueError(f"eps must be >= 0, got {self.eps}")
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")
 

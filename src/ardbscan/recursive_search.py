@@ -162,6 +162,7 @@ def lattice_walk(evaluator: ClusterEvaluator, config: RunConfig, seed: int
         layer_history.append(evaluator.best_params)
         if evaluator.exhausted:
             break
+        del env  # free this layer's networks before the next builds its own
     return tuple(layer_history), tuple(episodes)
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from copy import deepcopy
+from copy import copy
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -120,6 +120,17 @@ class MLP:
                 g = g * (self._acts[i] > 0)
         return g
 
+    def target_copy(self) -> MLP:
+        """A copy of the weights and biases for a target network.  Targets
+        only run forward, so their layers hold no gradient buffers."""
+        twin = copy(self)
+        twin._acts = []
+        twin.layers = [copy(layer) for layer in self.layers]
+        for layer in twin.layers:
+            layer.weight, layer.bias = layer.weight.copy(), layer.bias.copy()
+            layer.grad_weight = layer.grad_bias = None
+        return twin
+
     def param_pairs(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         out = []
         for layer in self.layers:
@@ -176,9 +187,9 @@ class PolicyNetworks:
         self.actor = MLP([fused, body, body, len(Action)], rng)
         self.critic_1 = MLP([fused + len(Action), body, body, 1], rng)
         self.critic_2 = MLP([fused + len(Action), body, body, 1], rng)
-        self.target_actor = deepcopy(self.actor)
-        self.target_critic_1 = deepcopy(self.critic_1)
-        self.target_critic_2 = deepcopy(self.critic_2)
+        self.target_actor = self.actor.target_copy()
+        self.target_critic_1 = self.critic_1.target_copy()
+        self.target_critic_2 = self.critic_2.target_copy()
         lr = config.learning_rate
         self.actor_opt = Adam(self.actor.param_pairs(), lr)
         self.critic_1_opt = Adam(self.critic_1.param_pairs(), lr)

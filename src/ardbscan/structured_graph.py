@@ -150,7 +150,7 @@ def _entropies_for(u, v, prefix_d, d, n, ms):
     computes, bit for bit.
     """
     out = np.empty(len(ms), dtype=np.float64)
-    workers = min(_sweep_workers(), len(ms))
+    workers = min(usable_cpus(), len(ms))
     if workers == 0:
         return out
 
@@ -171,8 +171,10 @@ def _entropies_for(u, v, prefix_d, d, n, ms):
     return out
 
 
-def _sweep_workers() -> int:
-    """Threads of the k sweep: one per CPU this process may run on."""
+def usable_cpus() -> int:
+    """The CPUs this process may run on (``taskset`` bounds them): the
+    thread count of the k sweep and, beside a one-thread BLAS, of a
+    seed's agents."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -274,7 +276,7 @@ def select_k(
     if n < 3:
         raise ValueError("too few points for stable-point detection")
     k_max = min(n - 1, cap)
-    need = dense_bytes(n, k_max, min(_sweep_workers(), k_max))
+    need = dense_bytes(n, k_max, min(usable_cpus(), k_max))
     if tree:
         need = max(need, tree_bytes(n, _edge_bound(n, k_max)))
     avail = _mem_available()

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -737,3 +738,166 @@ def test_too_many_blocks_is_data_error(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", data, mode="online",
                        num_blocks=100)
     assert main(["online", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# concurrent agents (BLAS at its default thread count)
+
+
+def write_three_spreads(tmp):
+    """Three Gaussians of 20 points with spreads 0.02, 0.05 and 0.10, and a
+    config under which the encoding tree gives each its own agent."""
+    rng = np.random.default_rng(1)
+    centres = np.array([(0.25, 0.25), (0.75, 0.3), (0.45, 0.75)])
+    points = np.vstack([c + np.clip(rng.normal(0.0, 1.0, (20, 2)), -2.5, 2.5)
+                        * s for c, s in zip(centres, (0.02, 0.05, 0.10))])
+    data = tmp / "spreads.csv"
+    data.write_text("".join(f"{x:.6f},{y:.6f},{i // 20}\n"
+                            for i, (x, y) in enumerate(points)))
+    return write_config(tmp / "spreads.json", data, seeds=[0, 1],
+                        round_budget=12, episodes=4, batch_size=4,
+                        hidden_width=64, body_width=256, alloc_eps=1e-12,
+                        num_blocks=2)
+
+
+def outputs(out):
+    """Every file a command wrote, ``wall_clock_seconds`` left out."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            payload = json.loads(path.read_text())
+            payload.pop("wall_clock_seconds", None)
+            files[path.name] = json.dumps(payload, sort_keys=True)
+        else:
+            files[path.name] = path.read_text()
+    return files
+
+
+def agent_threads(monkeypatch, cpus, blas_threads=1):
+    """Give the agents ``cpus`` CPUs and report ``blas_threads`` for
+    numpy's BLAS, which still runs at its default thread count."""
+    monkeypatch.setattr(cli_harness, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli_harness, "_blas_threads", lambda: blas_threads)
+
+
+def test_blas_threads_reads_the_loaded_openblas():
+    if "openblas" not in str(np.show_config(mode="dicts")).lower():
+        pytest.skip("numpy is not built on OpenBLAS")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = "from ardbscan.cli_harness import _blas_threads; print(_blas_threads())"
+    # OpenBLAS runs no more threads than the process has CPUs
+    for threads in ["1", "2"][:structured_graph.usable_cpus()]:
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH":
+               os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == threads
+
+
+@pytest.mark.parametrize("blas_threads", [2, None])
+def test_agents_beside_a_threaded_blas_run_on_the_calling_thread(
+        monkeypatch, blas_threads):
+    agent_threads(monkeypatch, 3, blas_threads)
+    threads = []
+    before = threading.active_count()
+    out = cli_harness._each_concurrently(
+        lambda i: threads.append(threading.get_ident()) or i, 5)
+    assert out == list(range(5))
+    assert set(threads) == {threading.get_ident()}
+    assert threading.active_count() == before
+
+
+def test_each_concurrently_runs_every_index_once_in_slot_order(monkeypatch):
+    # more threads than cores, switching often: every index is taken by
+    # exactly one thread and its result lands in its own slot
+    agent_threads(monkeypatch, 8)
+    ran = []
+
+    def run(i):
+        ran.append(i)
+        return np.full(64, i) @ np.ones(64)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = cli_harness._each_concurrently(run, 500)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(500))
+    assert out == [64.0 * i for i in range(500)]
+
+
+@pytest.mark.parametrize("command", [["cluster", "--trace"],
+                                     ["cluster", "--mode", "online"],
+                                     ["online"]])
+def test_agents_on_any_thread_count_write_the_same_outputs(
+        tmp_path, monkeypatch, command):
+    cfg = write_three_spreads(tmp_path)
+    runs = []
+    for workers in (1, 2, 3):
+        agent_threads(monkeypatch, workers)
+        out = tmp_path / f"out{workers}"
+        assert main([command[0], "--config", str(cfg), "--out", str(out),
+                     *command[1:]]) == 0
+        runs.append(outputs(out))
+    report = json.loads(runs[0]["report.json"])
+    agents = [b["num_agents"] for b in report.get("blocks", [report])]
+    assert min(agents) >= 3 if command[0] == "cluster" else min(agents) >= 2
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_calling_thread_runs_agents_beside_at_most_workers_minus_one(
+        tmp_path, monkeypatch, workers):
+    cfg = write_three_spreads(tmp_path)
+    threads = []
+    original = cli_harness.run_agent
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return original(*args)
+
+    monkeypatch.setattr(cli_harness, "run_agent", recording)
+    agent_threads(monkeypatch, workers)
+    assert main(["cluster", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(threads) == 2 * 3  # two seeds of three agents
+    caller = threading.get_ident()
+    # each seed starts its own threads, so each seed is counted on its own
+    for seed_threads in (threads[:3], threads[3:]):
+        assert caller in seed_threads
+        others = set(seed_threads) - {caller}
+        assert min(workers - 1, 1) <= len(others) <= workers - 1
+
+
+@pytest.mark.parametrize("error, code", [(ValueError("bad agent"), 1),
+                                         (cli_harness.DataError("bad agent"), 2)])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_an_agents_exception_reaches_main(tmp_path, monkeypatch, capsys,
+                                          workers, error, code):
+    cfg = write_three_spreads(tmp_path)
+    started = []
+    raised = threading.Event()
+    original = cli_harness.run_agent
+
+    def failing(*args):
+        started.append(args[-1])
+        if args[-1] == 1:
+            raised.set()
+            raise error
+        if args[-1] == 0 and workers > 1:
+            assert raised.wait(timeout=60)  # agent 1 fails while 0 runs
+        return original(*args)
+
+    monkeypatch.setattr(cli_harness, "run_agent", failing)
+    agent_threads(monkeypatch, workers)
+    before = threading.active_count()
+    assert main(["cluster", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == code
+    assert "bad agent" in capsys.readouterr().err
+    # no thread takes an agent after the failure, no second seed starts,
+    # and every thread the run started has ended; with three threads,
+    # agent 2 may have been handed out before agent 1 failed
+    assert sorted(started) in ([[0, 1]] if workers < 3 else [[0, 1], [0, 1, 2]])
+    assert threading.active_count() == before

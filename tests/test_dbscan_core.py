@@ -25,6 +25,16 @@ def test_params_validation():
         DbscanParams(eps=0.5, min_pts=0)
 
 
+def test_params_reject_nan_eps():
+    # NaN fails no ordered comparison, so a plain ``eps < 0`` check let it
+    # through, and every point came back as noise
+    with pytest.raises(ValueError, match="eps must be >= 0, got nan"):
+        DbscanParams(eps=float("nan"), min_pts=2)
+    pts = np.random.default_rng(0).random((10, 2))
+    res = run_dbscan(pts, DbscanParams(math.inf, 2))
+    assert res.assignment.tolist() == [0] * 10
+
+
 def test_empty_input():
     res = run_dbscan(np.zeros((0, 2)), DbscanParams(0.5, 1))
     assert res.assignment.size == 0 and res.num_clusters == 0

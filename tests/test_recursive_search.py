@@ -1,12 +1,13 @@
 """Tests for the coarse-to-fine layer algebra and per-agent search."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ardbscan import search_env
+from ardbscan import recursive_search, search_env
 from ardbscan.config import RunConfig
 from ardbscan.dataset import Dataset, LabeledSubset
 from ardbscan.dbscan_core import NOISE, DbscanParams, run_dbscan
@@ -349,6 +350,24 @@ def test_run_agent_layer_history_length():
     res = agent(np.arange(20), ds, sub, cfg, seed=1)
     assert 1 <= len(res.layer_history) <= 3
     assert res.layer_history[-1] == res.params
+
+
+def test_lattice_walk_frees_a_layers_networks_before_the_next(monkeypatch):
+    # two layers' networks never live at once: each layer's are gone by
+    # the time the next layer builds its own
+    built = []
+
+    class Recorded(search_env.PolicyNetworks):
+        def __init__(self, *args):
+            assert [ref for ref in built if ref() is not None] == []
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(recursive_search, "PolicyNetworks", Recorded)
+    ds = two_blob_dataset()
+    cfg = small_config(l_max=3, round_budget=30)
+    res = agent(np.arange(20), ds, LabeledSubset(np.arange(20)), cfg, seed=1)
+    assert len(built) == len(res.layer_history) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,42 @@ def test_td3_update_deterministic():
     assert losses[0] == losses[1]
 
 
+def test_target_networks_hold_no_gradient_buffers():
+    nets = make_networks()
+    for net in (nets.target_actor, nets.target_critic_1,
+                nets.target_critic_2):
+        for layer in net.layers:
+            arrays = {name for name, value in vars(layer).items()
+                      if isinstance(value, np.ndarray)}
+            assert arrays == {"weight", "bias"}
+    for source, target in ((nets.actor, nets.target_actor),
+                           (nets.critic_1, nets.target_critic_1)):
+        for s, t in zip(source.layers, target.layers):
+            assert t.weight is not s.weight and t.bias is not s.bias
+
+
+def test_td3_update_matches_deep_copied_targets():
+    # targets built without gradient buffers train bit for bit like full
+    # deep copies of the online networks
+    runs = []
+    for deep in (False, True):
+        nets = make_networks(seed=3)
+        if deep:
+            nets.target_actor = copy.deepcopy(nets.actor)
+            nets.target_critic_1 = copy.deepcopy(nets.critic_1)
+            nets.target_critic_2 = copy.deepcopy(nets.critic_2)
+        buf = ReplayBuffer(CONFIG.buffer_capacity)
+        fill_buffer_uniform(buf, np.random.default_rng(4), 64)
+        rng = np.random.default_rng(9)
+        losses = [td3_update(nets, buf, CONFIG, rng) for _ in range(6)]
+        weights = [layer.weight.tobytes() + layer.bias.tobytes()
+                   for net in (nets.actor, nets.critic_1, nets.target_actor,
+                               nets.target_critic_1, nets.target_critic_2)
+                   for layer in net.layers]
+        runs.append((losses, weights))
+    assert runs[0] == runs[1]
+
+
 def test_td3_actor_update_cadence_and_targets_move():
     nets = make_networks(seed=2)
     buf = ReplayBuffer(CONFIG.buffer_capacity)

@@ -202,7 +202,7 @@ def test_sweep_is_bit_identical_across_thread_counts(monkeypatch, workers):
     results = [select_k(pts, CAP, budget) for pts, budget in cases]
     assert results[1].ks.size < 59  # the budget forces a stride
     reference = [sweep_bytes(res) for res in results]
-    monkeypatch.setattr(structured_graph, "_sweep_workers", lambda: workers)
+    monkeypatch.setattr(structured_graph, "usable_cpus", lambda: workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -236,7 +236,7 @@ def test_dense_bytes_matches_traced_peak():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        workers = min(structured_graph._sweep_workers(), cap)
+        workers = min(structured_graph.usable_cpus(), cap)
         need = structured_graph.dense_bytes(600, min(599, cap), workers)
         assert abs(need - peak) <= 0.03 * peak
 
@@ -263,7 +263,7 @@ def test_memory_guard_covers_the_tree(monkeypatch):
     # tree does not; only a caller that builds the tree is refused
     pts = np.random.default_rng(0).random((600, 2))
     sweep = structured_graph.dense_bytes(
-        600, 599, min(structured_graph._sweep_workers(), 599))
+        600, 599, min(structured_graph.usable_cpus(), 599))
     tree = structured_graph.tree_bytes(600, 600 * 599 // 2)
     assert sweep < tree
     monkeypatch.setattr(structured_graph, "_mem_available", lambda: tree)
@@ -281,7 +281,7 @@ def test_memory_guard(monkeypatch):
     # the sweep unchanged; one byte short refuses before any distance
     pts = lattice()
     n = pts.shape[0]
-    workers = min(structured_graph._sweep_workers(), n - 1)
+    workers = min(structured_graph.usable_cpus(), n - 1)
     need = structured_graph.dense_bytes(n, n - 1, workers)
     expected = sweep_bytes(select_k(pts, CAP))
     for avail in (need, None):
