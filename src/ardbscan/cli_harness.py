@@ -425,17 +425,17 @@ def cmd_allocate(config: RunConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     raw = _load_dataset(config)
     started = time.perf_counter()
-    norm, sel, tree, alloc = _set_up(raw, config)
+    _, sel, tree, alloc = _set_up(raw, config)
 
+    nodes = tree.intermediates()
     partitions = []
     for pid, part in enumerate(alloc.partitions):
-        members = sorted(nid for nid, p in alloc.node_to_partition.items()
-                         if p == pid)
+        members = np.flatnonzero(alloc.agent == pid).tolist()
         partitions.append({
             "agent": pid,
             "size": int(part.size),
-            "nodes": members,
-            "uncertainties": [alloc.uncertainties[nid] for nid in members],
+            "nodes": [nodes[c] for c in members],
+            "uncertainties": [alloc.uncertainty[c] for c in members],
         })
     report = {
         "mode": config.mode,
@@ -444,14 +444,12 @@ def cmd_allocate(config: RunConfig, out_dir: Path) -> dict:
         "stable_points": [int(k) for k in sel.stable_ks],
         "num_agents": len(alloc.partitions),
         "partitions": partitions,
-        "tree_nodes": tree.export_nodes(sel.k),
+        "tree_nodes": tree.export_nodes(alloc.uncertainty),
         "wall_clock_seconds": time.perf_counter() - started,
     }
     _write_json(out_dir / "allocation.json", report)
-    agent_of = np.full(norm.n, -1, dtype=np.int64)
-    for pid, part in enumerate(alloc.partitions):
-        agent_of[part] = pid
-    _write_assignment(out_dir / "allocation.csv", agent_of, column="agent_id")
+    _write_assignment(out_dir / "allocation.csv", alloc.agent[tree.community],
+                      column="agent_id")
     return report
 
 
@@ -582,10 +580,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             report = cmd_baseline_random(config, out_dir)
             print(f"baseline: mean NMI {report['mean_nmi']:.4f} "
                   f"-> {out_dir / 'report.json'}")
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -43,12 +43,15 @@ class EncodingTree:
     ``community[v]`` is the community of vertex ``v``; communities are
     numbered ``0..m-1`` in order of their smallest vertex.  ``cut[c]`` is
     the total weight leaving community ``c``, ``volume[c]`` the total
-    degree inside it and ``size[c]`` its vertex count.  A leaf's own cut
-    and volume are its degree.  ``entropy_trace`` holds the tree entropy
-    before the first greedy merge and after each one.
+    degree inside it, ``size[c]`` its vertex count and ``entropy[c]`` its
+    entropy term.  A leaf's own cut and volume are its degree.
+    ``entropy_trace`` holds the tree entropy before the first greedy
+    merge and after each one.
 
-    Node ids: ``ROOT`` (-1) for the root, ``0..n-1`` for leaves (equal
-    to vertex ids), and ``n + c`` for community ``c``.
+    Every community-level value is indexed by community.  Node ids exist
+    only for ``allocation.json``, in :meth:`intermediates` and
+    :meth:`export_nodes`: ``ROOT`` (-1) for the root, ``0..n-1`` for
+    leaves (equal to vertex ids), and ``n + c`` for community ``c``.
     """
 
     def __init__(
@@ -64,47 +67,55 @@ class EncodingTree:
         self.cut = np.asarray(cut, dtype=np.float64)
         self.volume = np.asarray(volume, dtype=np.float64)
         self.size = np.bincount(self.community, minlength=self.cut.size)
+        self.entropy: List[float] = [
+            _entropy_term(g, v, graph.volume, graph.volume)
+            for g, v in zip(self.cut.tolist(), self.volume.tolist())]
         self.entropy_trace: List[float] = entropy_trace if entropy_trace is not None else []
 
-    def is_leaf(self, node_id: int) -> bool:
-        return 0 <= node_id < self.graph.n
+    def uncertainty(self, k: int) -> List[float]:
+        """Per-object entropy share of each community at graph degree
+        ``k``: entropy / (size * k)."""
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        return [h / (s * k) for h, s in zip(self.entropy, self.size.tolist())]
+
+    def leaf_entropy(self) -> List[float]:
+        """Entropy term of each vertex, its parent being its community."""
+        degrees = self.graph.degrees.tolist()
+        parent_volume = self.volume[self.community].tolist()
+        return [_entropy_term(d, d, p, self.graph.volume)
+                for d, p in zip(degrees, parent_volume)]
 
     def intermediates(self) -> List[int]:
         n = self.graph.n
         return list(range(n, n + self.cut.size))
 
-    def export_nodes(self, k: int) -> List[dict]:
+    def export_nodes(self, uncertainty: Sequence[float]) -> List[dict]:
         """One plain-dict row per node, suitable for JSON output: ``id``,
-        ``parent``, ``num_vertices``, ``entropy`` and ``uncertainty`` at
-        graph degree ``k`` (null for the root and the leaves)."""
+        ``parent``, ``num_vertices``, ``entropy`` and ``uncertainty``,
+        given per community (null for the root and the leaves)."""
         n = self.graph.n
+        nodes = self.intermediates()
         rows = [{"id": ROOT, "parent": None, "num_vertices": n,
                  "entropy": None, "uncertainty": None}]
-        for v in range(n):
-            rows.append({"id": v, "parent": n + int(self.community[v]),
-                         "num_vertices": 1, "entropy": node_entropy(self, v),
-                         "uncertainty": None})
-        for nid, size in zip(self.intermediates(), self.size):
-            rows.append({"id": nid, "parent": ROOT, "num_vertices": int(size),
-                         "entropy": node_entropy(self, nid),
-                         "uncertainty": information_uncertainty(self, nid, k)})
+        for v, (c, h) in enumerate(zip(self.community.tolist(),
+                                       self.leaf_entropy())):
+            rows.append({"id": v, "parent": nodes[c], "num_vertices": 1,
+                         "entropy": h, "uncertainty": None})
+        for nid, size, h, u in zip(nodes, self.size.tolist(), self.entropy,
+                                   uncertainty):
+            rows.append({"id": nid, "parent": ROOT, "num_vertices": size,
+                         "entropy": h, "uncertainty": u})
         return rows
 
 
-def node_entropy(tree: EncodingTree, node_id: int) -> float:
-    """Entropy term of one non-root node."""
-    if node_id == ROOT:
-        raise ValueError("the root has no entropy term")
-    if tree.is_leaf(node_id):
-        cut = volume = float(tree.graph.degrees[node_id])
-        parent_volume = float(tree.volume[tree.community[node_id]])
-    else:
-        c = node_id - tree.graph.n
-        cut, volume = float(tree.cut[c]), float(tree.volume[c])
-        parent_volume = tree.graph.volume
+def _entropy_term(cut: float, volume: float, parent_volume: float,
+                  graph_volume: float) -> float:
+    """One non-root node's entropy term: the walk's chance of entering
+    it from outside times the log of its share of its parent's volume."""
     if cut == 0.0 or volume == 0.0:
         return 0.0
-    return -(cut / tree.graph.volume) * math.log2(volume / parent_volume)
+    return -(cut / graph_volume) * math.log2(volume / parent_volume)
 
 
 def _merge_delta(vol: float, v_a: float, g_a: float, v_b: np.ndarray,
@@ -263,20 +274,6 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
     return EncodingTree(graph, rank[first], cut[kept], volume[kept], trace)
 
 
-def information_uncertainty(tree: EncodingTree, node_id: int, k: int) -> float:
-    """Per-object entropy share of one community: H(node) / (size * k)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if node_id == ROOT:
-        raise ValueError("the root has no information uncertainty")
-    if tree.is_leaf(node_id):
-        raise ValueError("leaf nodes have no information uncertainty")
-    c = node_id - tree.graph.n
-    if not 0 <= c < tree.cut.size:
-        raise ValueError(f"unknown node id {node_id}")
-    return node_entropy(tree, node_id) / (int(tree.size[c]) * k)
-
-
 def _cluster_uncertainties(values: Sequence[float], eps: float,
                            min_pts: int) -> List[int]:
     """Group 1-d uncertainty values by chaining within eps.
@@ -299,13 +296,13 @@ class AgentAllocation:
     """Grouping of tree communities into agent partitions.
 
     ``partitions[i]`` holds the sorted vertex ids one agent is
-    responsible for; ``node_to_partition`` maps each intermediate tree
-    node to its partition index.
+    responsible for; ``agent[c]`` is community ``c``'s partition index
+    and ``uncertainty[c]`` its information uncertainty.
     """
 
     partitions: List[np.ndarray]
-    uncertainties: Dict[int, float]
-    node_to_partition: Dict[int, int]
+    agent: np.ndarray
+    uncertainty: List[float]
 
 
 def allocate_agents(tree: EncodingTree, k: int, alloc_eps: float,
@@ -316,17 +313,14 @@ def allocate_agents(tree: EncodingTree, k: int, alloc_eps: float,
     ``alloc_eps`` share one search agent; well-separated ones get their
     own.  Partitions are ordered by first appearance of their group.
     """
-    ids = tree.intermediates()
-    if not ids:
-        raise ValueError("tree has no intermediate nodes")
-    uncertainties = {nid: information_uncertainty(tree, nid, k) for nid in ids}
-    groups = _cluster_uncertainties([uncertainties[nid] for nid in ids],
-                                    alloc_eps, alloc_minpts)
+    uncertainty = tree.uncertainty(k)
+    if not uncertainty:
+        raise ValueError("tree has no communities")
+    groups = _cluster_uncertainties(uncertainty, alloc_eps, alloc_minpts)
     first_seen: Dict[int, int] = {}
-    pid_of = np.array([first_seen.setdefault(gid, len(first_seen))
-                       for gid in groups], dtype=np.int64)
-    vertex_pid = pid_of[tree.community]
-    partitions = [np.flatnonzero(vertex_pid == pid)
+    agent = np.array([first_seen.setdefault(gid, len(first_seen))
+                      for gid in groups], dtype=np.int64)
+    vertex_agent = agent[tree.community]
+    partitions = [np.flatnonzero(vertex_agent == pid)
                   for pid in range(len(first_seen))]
-    node_to_partition = dict(zip(ids, pid_of.tolist()))
-    return AgentAllocation(partitions, uncertainties, node_to_partition)
+    return AgentAllocation(partitions, agent, uncertainty)

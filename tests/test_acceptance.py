@@ -27,7 +27,7 @@ from ardbscan.cli_harness import cmd_cluster, cmd_online, main
 from ardbscan.config import RunConfig
 from ardbscan.dataset import Dataset, load_csv, normalize
 from ardbscan.dbscan_core import ClusterResult, DbscanParams, run_dbscan
-from ardbscan.encoding_tree import EncodingTree, node_entropy, optimize_two_level
+from ardbscan.encoding_tree import EncodingTree, optimize_two_level
 from ardbscan.metrics import ari, nmi
 from ardbscan.recursive_search import first_layer, next_layer
 from ardbscan.search_env import (
@@ -112,9 +112,8 @@ def test_criterion_3_entropy_identities():
 
         singletons = EncodingTree(graph, np.arange(graph.n), graph.degrees,
                                   graph.degrees)
-        # node ids: n leaves, then one singleton community per vertex
-        one_dim = sum(node_entropy(singletons, nid)
-                      for nid in range(2 * graph.n))
+        # n leaves, then one singleton community per vertex
+        one_dim = sum(singletons.leaf_entropy()) + sum(singletons.entropy)
         assert abs(one_dim - one_dim_se(graph)) < 1e-9
         tree = optimize_two_level(graph)
         trace = tree.entropy_trace

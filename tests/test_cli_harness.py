@@ -480,6 +480,55 @@ def test_allocate_reports_partitions(workspace):
     assert len(lines) == 61
 
 
+def write_mixture_8d(path):
+    """Three 8-D Gaussian blobs of 80 points each, coordinates written in
+    full precision."""
+    rng = np.random.default_rng(8)
+    centers = rng.random((3, 8))
+    path.write_text("".join(
+        ",".join(repr(float(x)) for x in rng.normal(centers[label], 0.08))
+        + f",{label}\n" for label in np.repeat(np.arange(3), 80)))
+    return path
+
+
+def test_allocation_json_is_consistent_with_pooled_agents(tmp_path):
+    # at this radius one agent pools communities that are not adjacent in
+    # community order, beside agents that hold one community each
+    cfg = write_config(tmp_path / "config.json",
+                       write_mixture_8d(tmp_path / "mixture-8d.csv"))
+    out = tmp_path / "out"
+    assert main(["allocate", "--config", str(cfg), "--out", str(out),
+                 "--alloc_eps", "5e-5"]) == 0
+    report = json.loads((out / "allocation.json").read_text())
+    node = {row["id"]: row for row in report["tree_nodes"]}
+    communities = sorted(nid for nid, row in node.items()
+                         if row["parent"] == -1)
+    partitions = report["partitions"]
+    assert [p["agent"] for p in partitions] == \
+        list(range(report["num_agents"]))
+    holder = {}
+    for part in partitions:
+        for nid, u in zip(part["nodes"], part["uncertainties"], strict=True):
+            assert nid not in holder
+            holder[nid] = part["agent"]
+            assert u == node[nid]["uncertainty"]
+        assert part["size"] == sum(node[nid]["num_vertices"]
+                                   for nid in part["nodes"])
+    assert sorted(holder) == communities
+    pooled = [p["nodes"] for p in partitions if len(p["nodes"]) > 1]
+    assert len(partitions) > len(pooled) >= 1
+    assert any(b - a > 1 for nodes in pooled for a, b in zip(nodes, nodes[1:]))
+    # agents are numbered by first appearance over ascending community id
+    first_seen = list(dict.fromkeys(holder[nid] for nid in communities))
+    assert first_seen == list(range(len(partitions)))
+    with open(out / "allocation.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["point_index"]) for r in rows] == list(range(240))
+    for r in rows:
+        parent = node[int(r["point_index"])]["parent"]
+        assert int(r["agent_id"]) == holder[parent]
+
+
 # ---------------------------------------------------------------------------
 # online command
 

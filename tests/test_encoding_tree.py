@@ -8,8 +8,6 @@ from ardbscan.encoding_tree import (
     ROOT,
     EncodingTree,
     allocate_agents,
-    information_uncertainty,
-    node_entropy,
     optimize_two_level,
     _cluster_uncertainties,
     _merge_delta,
@@ -47,8 +45,8 @@ def random_graph(seed, n=18, k=3):
     return make_graph(n, knn_graph_oracle(pts.tolist(), k), k)
 
 
-def members(tree: EncodingTree, nid: int) -> list:
-    return np.flatnonzero(tree.community == nid - tree.graph.n).tolist()
+def members(tree: EncodingTree, c: int) -> list:
+    return np.flatnonzero(tree.community == c).tolist()
 
 
 def singletons(g: StructuredGraph) -> EncodingTree:
@@ -92,14 +90,13 @@ def merge_deltas(g: StructuredGraph, parts, a: int, b: int):
 
 def scratch_entropy(tree: EncodingTree) -> float:
     g = tree.graph
-    parts = [members(tree, nid) for nid in tree.intermediates()]
+    parts = [members(tree, c) for c in range(tree.cut.size)]
     return partition_entropy_oracle(g.n, edges_of(g), parts)
 
 
 def node_entropy_sum(tree: EncodingTree) -> float:
     """Tree entropy as the sum of every non-root node's term."""
-    n = tree.graph.n
-    return sum(node_entropy(tree, nid) for nid in range(n + tree.cut.size))
+    return sum(tree.leaf_entropy()) + sum(tree.entropy)
 
 
 def test_flat_tree_entropy_equals_one_dim():
@@ -109,18 +106,11 @@ def test_flat_tree_entropy_equals_one_dim():
         assert node_entropy_sum(t) == pytest.approx(one_dim_se(g), abs=1e-9)
 
 
-def test_node_entropy_root_rejected():
-    t = singletons(two_cliques())
-    with pytest.raises(ValueError):
-        node_entropy(t, ROOT)
-
-
 def test_single_intermediate_holding_everything():
     g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     t = tree_of(g, [[0, 1, 2]])
-    inter = t.intermediates()[0]
     # the lone intermediate has no cut edges, so its own term vanishes
-    assert node_entropy(t, inter) == pytest.approx(0.0, abs=1e-12)
+    assert t.entropy == [0.0]
     expected = partition_entropy_oracle(3, edges_of(g), [[0, 1, 2]])
     assert node_entropy_sum(t) == pytest.approx(expected, abs=1e-12)
 
@@ -160,7 +150,7 @@ def test_two_clique_recovery():
     t = optimize_two_level(g)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    parts = {frozenset(members(t, i)) for i in t.intermediates()}
+    parts = {frozenset(members(t, c)) for c in range(t.cut.size)}
     assert parts == {frozenset(range(5)), frozenset(range(5, 10))}
     opt_h, opt_parts = best_two_level_partition(10, edges_of(g))
     assert scratch_entropy(t) == pytest.approx(opt_h, abs=1e-6)
@@ -187,8 +177,8 @@ def test_strict_descent_and_consistency():
             w_between[(u, v)] = w
             deg[u] += w
             deg[v] += w
-        for c, nid in enumerate(t.intermediates()):
-            inside = set(members(t, nid))
+        for c in range(t.cut.size):
+            inside = set(members(t, c))
             vol = sum(deg[v] for v in inside)
             cut = sum(
                 w
@@ -215,7 +205,7 @@ def test_greedy_gap_versus_exhaustive_small():
 def test_isolated_vertex_survives_as_singleton():
     g = make_graph(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
     t = optimize_two_level(g)
-    parts = [frozenset(members(t, i)) for i in t.intermediates()]
+    parts = [frozenset(members(t, c)) for c in range(t.cut.size)]
     assert frozenset([3]) in parts
     assert sorted(v for p in parts for v in p) == [0, 1, 2, 3]
 
@@ -229,7 +219,7 @@ def test_zero_volume_vertex_survives_as_singleton():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         t = optimize_two_level(g)
-    parts = [frozenset(members(t, i)) for i in t.intermediates()]
+    parts = [frozenset(members(t, c)) for c in range(t.cut.size)]
     assert frozenset([3]) in parts
     without = optimize_two_level(make_graph(4, triangle))
     np.testing.assert_array_equal(t.community, without.community)
@@ -239,21 +229,17 @@ def test_zero_volume_vertex_survives_as_singleton():
 def test_information_uncertainty_arithmetic():
     g = two_cliques()
     t = optimize_two_level(g)
-    nid = t.intermediates()[0]
-    h = node_entropy(t, nid)
-    expected = h / (len(members(t, nid)) * g.k)
-    assert information_uncertainty(t, nid, g.k) == pytest.approx(expected)
+    expected = [h / (len(members(t, c)) * g.k)
+                for c, h in enumerate(t.entropy)]
+    assert t.uncertainty(g.k) == pytest.approx(expected)
     with pytest.raises(ValueError):
-        information_uncertainty(t, 0, g.k)  # leaves have no uncertainty
-    with pytest.raises(ValueError):
-        information_uncertainty(t, ROOT, g.k)
+        t.uncertainty(0)
 
 
 def test_uncertainty_zero_when_no_cut():
     g = make_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     t = optimize_two_level(g)
-    for nid in t.intermediates():
-        assert information_uncertainty(t, nid, 1) == 0.0
+    assert t.uncertainty(1) == [0.0] * t.cut.size
 
 
 def test_cluster_uncertainties_threshold_chain():
@@ -269,14 +255,15 @@ def test_allocate_agents_covers_vertices():
     combined = np.sort(np.concatenate(alloc.partitions))
     assert combined.tolist() == list(range(10))
     assert len(alloc.partitions) >= 1
-    for nid, pid in alloc.node_to_partition.items():
-        assert set(members(t, nid)) <= set(alloc.partitions[pid].tolist())
+    assert alloc.agent.shape == t.cut.shape
+    for c, pid in enumerate(alloc.agent):
+        assert set(members(t, c)) <= set(alloc.partitions[pid].tolist())
 
 
 def test_allocate_single_intermediate_gives_one_agent():
     g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     t = tree_of(g, [[0, 1, 2]])
-    assert len(t.intermediates()) == 1
+    assert t.cut.size == 1
     alloc = allocate_agents(t, g.k, 0.3, 1)
     assert len(alloc.partitions) == 1
     assert alloc.partitions[0].tolist() == [0, 1, 2]
@@ -292,19 +279,19 @@ def test_allocation_separates_far_uncertainties():
     edges += [(5, 6, 1.0), (5, 7, 1.0), (6, 7, 1.0), (4, 5, 0.05)]
     g = make_graph(8, edges)
     t = optimize_two_level(g)
-    uncs = sorted(information_uncertainty(t, nid, g.k)
-                  for nid in t.intermediates())
+    uncs = sorted(t.uncertainty(g.k))
     gap = min(b - a for a, b in zip(uncs, uncs[1:]))
     assert gap > 0
     # with an epsilon below the smallest gap, every intermediate runs alone
     alloc = allocate_agents(t, g.k, alloc_eps=gap / 2, alloc_minpts=1)
-    assert len(alloc.partitions) == len(t.intermediates())
+    assert len(alloc.partitions) == t.cut.size
 
 
 def test_export_nodes_schema():
     g = two_cliques()
     t = optimize_two_level(g)
-    rows = t.export_nodes(k=g.k)
+    uncertainty = t.uncertainty(g.k)
+    rows = t.export_nodes(uncertainty)
     assert sorted(r["id"] for r in rows) == \
         [ROOT] + list(range(g.n)) + t.intermediates()
     for r in rows:
@@ -315,11 +302,13 @@ def test_export_nodes_schema():
             assert r["entropy"] is None and r["uncertainty"] is None
         elif r["id"] in t.intermediates():
             assert r["parent"] == ROOT
-            assert r["num_vertices"] == len(members(t, r["id"]))
-            assert r["uncertainty"] == information_uncertainty(t, r["id"], g.k)
+            c = r["id"] - g.n
+            assert r["num_vertices"] == len(members(t, c))
+            assert (r["entropy"], r["uncertainty"]) == \
+                (t.entropy[c], uncertainty[c])
         else:
             assert r["num_vertices"] == 1 and r["uncertainty"] is None
-            assert r["id"] in members(t, r["parent"])
+            assert r["id"] in members(t, r["parent"] - g.n)
 
 
 def unit_cycle(n=12):

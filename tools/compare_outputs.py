@@ -18,7 +18,11 @@ processes with that tree on ``PYTHONPATH`` and BLAS on one thread:
 - a seeded mixture of three 8-D Gaussians, 80 points each, with the same
   config: ``cluster`` and ``allocate``.  Every other input is 2-D, and
   only d >= 3 shows the order in which a distance's squared coordinate
-  differences are summed;
+  differences are summed.  Again with ``--alloc_eps 5e-5``: ``allocate``
+  and ``cluster``.  That radius gives 4 agents, and agent 0 pools
+  communities 240, 242 and 243 while agent 1 holds 241, the one run
+  where an agent pools communities that are not adjacent beside other
+  agents;
 - 1,599 copies of one point plus one far point, at the default
   ``k_sweep_cap``: ``allocate``.  At k = n - 1 the far point's edge
   weights underflow to 0, the only zero-volume vertex of any input, and
@@ -86,6 +90,8 @@ RUNS = [
     ("lattice", "allocate", []),
     ("mixture-8d", "cluster", []),
     ("mixture-8d", "allocate", []),
+    ("mixture-8d", "allocate", ["--alloc_eps", "5e-5"]),
+    ("mixture-8d", "cluster", ["--alloc_eps", "5e-5"]),
     ("outlier", "allocate", []),
     ("agents-500", "cluster", ["--trace"]),
     ("agents-500", "allocate", []),
