@@ -24,7 +24,7 @@ from .dbscan_core import sq_distances
 
 # total edge visits allowed in one k sweep before the sweep strides
 DEFAULT_OP_BUDGET = 200_000_000
-_DIST_BLOCK = 32  # rows per block of the distance matrix
+_RANK_BLOCK = 128  # rows per block of the rank table
 
 
 class InsufficientMemoryError(MemoryError):
@@ -50,49 +50,133 @@ def _rank_dtype(n: int):
     return np.int16 if n <= 32767 else np.int32
 
 
-def _distance_matrix(points: np.ndarray) -> np.ndarray:
-    """Euclidean distances between all rows of ``points``: squared
-    distances written block by block into one n x n array, then square
-    roots taken in place."""
-    n = points.shape[0]
-    points_t = np.ascontiguousarray(points.T)
-    dist = np.empty((n, n))
-    tmp = np.empty((min(_DIST_BLOCK, n), n))
-    for lo in range(0, n, _DIST_BLOCK):
-        rows = points[lo:lo + _DIST_BLOCK]
-        sq_distances(rows.T[:, :, None], points_t, dist[lo:lo + _DIST_BLOCK],
-                     tmp[:len(rows)])
-    return np.sqrt(dist, out=dist)
+def _block_distances(points, points_t, lo, hi, col, out, tmp):
+    """Euclidean distances from rows lo..hi-1 of ``points`` to the points
+    from ``col`` on, written into ``out`` ((hi - lo) x (n - col)).
+    ``sq_distances`` is symmetric bit for bit and computes each entry
+    alone, so every block holds the entries of one n x n matrix."""
+    sq_distances(points[lo:hi].T[:, :, None], points_t[:, col:], out, tmp)
+    return np.sqrt(out, out=out)
 
 
-def _mutual_rank_edges(dist: np.ndarray, cap: int):
+def _row_blocks(n: int) -> tuple[list[int], int]:
+    """Bounds of the rank table's row blocks, the fewest of at most
+    ``_RANK_BLOCK`` rows split evenly (blocks that run at once are the
+    same size), and the largest block's row count."""
+    count = -(-n // _RANK_BLOCK)
+    return [i * n // count for i in range(count + 1)], -(-n // count)
+
+
+def _mutual_rank_edges(points: np.ndarray, cap: int):
     """All vertex pairs that become edges for some k <= cap, sorted by the
-    smallest such k.
+    smallest such k, then row-major.
 
     Returns (u, v, k_edge, d_edge); pair (i, j) is an edge of the k-NN graph
-    exactly when k_edge <= k.  The diagonal of ``dist`` is overwritten.
+    exactly when k_edge <= k.  The one n x n array is the rank table
+    (int16 or int32).  Three passes go over blocks of rows: the ranks,
+    from the block's distances; the count of the block's edges; and the
+    edges themselves, with distances computed again.  The blocks are dealt
+    round-robin to one thread per CPU, and each is computed whole by one
+    thread, so the result does not depend on the thread count.
     """
-    n = dist.shape[0]
-    # each point sorts first in its own row, the others in their order
-    np.fill_diagonal(dist, -1.0)
-    order = np.argsort(dist, kind="stable", axis=1)
+    n = points.shape[0]
+    points_t = np.ascontiguousarray(points.T)
     dtype = _rank_dtype(n)
     rank = np.empty((n, n), dtype=dtype)
-    np.put_along_axis(rank, order, np.arange(n, dtype=dtype)[None, :], axis=1)
-    del order
-    np.fill_diagonal(rank, n)  # self pairs never become edges
-    k_edge = np.minimum(rank, rank.T)
-    del rank
+    flat_rank = rank.reshape(-1)
+    bounds, b = _row_blocks(n)
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    workers = min(usable_cpus(), len(blocks))
+    ranks = np.tile(np.arange(n, dtype=dtype), b)
+    upper = np.triu(np.ones((b, b), dtype=bool), 1)
 
-    mask = k_edge <= cap
-    mask &= np.arange(n)[:, None] < np.arange(n)[None, :]
-    u, v = np.nonzero(mask)
-    del mask
+    def grid(buf, m, w):  # the start of a flat buffer as an m x w array
+        return buf[:m * w].reshape(m, w)
+
+    def rank_rows(blk, dist, tmp, kmin, hit):
+        lo, hi = blocks[blk]
+        m = hi - lo
+        d = _block_distances(points, points_t, lo, hi, 0,
+                             grid(dist, m, n), grid(tmp, m, n))
+        own = np.arange(m)
+        d[own, lo + own] = -1.0  # each point sorts first in its own row
+        # an unstable sort orders a row without equal values as a stable
+        # one does; rows with equal values are sorted again, stably, so
+        # ties go to the lower index
+        order = np.argsort(d, axis=1)
+        for r in range(1, m):  # flat indices; numpy buffers a broadcast add
+            order[r] += r * n
+        ordered = np.take(d, order.reshape(-1), out=tmp[:m * n], mode="clip")
+        # equal neighbours within a row; a row's last value never equals
+        # the next row's first, its own -1
+        np.equal(ordered[1:], ordered[:-1], out=hit[:m * n - 1])
+        hit[m * n - 1] = False
+        for r in np.flatnonzero(grid(hit, m, n).any(axis=1)):
+            np.add(np.argsort(d[r], kind="stable"), r * n, out=order[r])
+        flat_rank[lo * n:hi * n][order.reshape(-1)] = ranks[:m * n]
+        flat_rank[(lo + own) * (n + 1)] = n  # self pairs never become edges
+
+    def pairs_of(blk, kmin, hit):
+        # each pair's first k, and which pairs (i, j), j > i, of the block
+        # are edges by k = cap
+        lo, hi = blocks[blk]
+        m, w = hi - lo, n - lo
+        k = np.minimum(rank[lo:hi, lo:], rank[lo:, lo:hi].T,
+                       out=grid(kmin, m, w))
+        mask = np.less_equal(k, cap, out=grid(hit, m, w))
+        mask[:, :m] &= upper[:m, :m]
+        return k, mask
+
+    def count_edges(blk, dist, tmp, kmin, hit):
+        counts[blk] = np.count_nonzero(pairs_of(blk, kmin, hit)[1])
+
+    def edges_of(blk, dist, tmp, kmin, hit):
+        lo, hi = blocks[blk]
+        m, w = hi - lo, n - lo
+        k, mask = pairs_of(blk, kmin, hit)
+        at = np.flatnonzero(mask)  # row-major
+        part = slice(starts[blk], starts[blk + 1])
+        np.take(k, at, out=ke[part], mode="clip")
+        d = _block_distances(points, points_t, lo, hi, lo,
+                             grid(dist, m, w), grid(tmp, m, w))
+        np.take(d, at, out=de[part], mode="clip")
+        # block position r * w + c to the pair's position (lo + r) * n + lo + c
+        pair = np.floor_divide(at, w, out=flat[part])
+        pair *= lo
+        pair += at
+        pair += lo * (n + 1)
+
+    # every array a worker fills comes from this thread, so a worker
+    # allocates nothing that outlives its block: memory freed in a
+    # worker's malloc arena can stay resident
+    buffers = [(np.empty(b * n), np.empty(b * n), np.empty(b * n, dtype=dtype),
+                np.empty(b * n, dtype=bool)) for _ in range(workers)]
+    counts = np.empty(len(blocks), dtype=np.int64)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        def each_block(step):
+            def run(t):
+                for blk in range(t, len(blocks), workers):
+                    step(blk, *buffers[t])
+            for done in [pool.submit(run, t) for t in range(workers)]:
+                done.result()
+
+        each_block(rank_rows)  # every rank before any pair's first k
+        each_block(count_edges)
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        flat = np.empty(starts[-1], dtype=np.int64)
+        ke = np.empty(starts[-1], dtype=dtype)
+        de = np.empty(starts[-1])
+        each_block(edges_of)  # the blocks' edges in block order: row-major
+    del rank, flat_rank, buffers
+
     # a stable sort of 16-bit keys is a radix sort; grade before widening
-    ke = k_edge[u, v]
     grade = np.argsort(ke, kind="stable")
-    u, v = u[grade], v[grade]
-    return u, v, ke[grade].astype(np.int64), dist[u, v]
+    de = np.take(de, grade)
+    flat = np.take(flat, grade)
+    ke = np.take(ke, grade)
+    del grade
+    u, v = np.divmod(flat, n, out=(flat, np.empty_like(flat)))
+    return u, v, ke.astype(np.int64), de
 
 
 def _prefix_degrees(n, u, v, prefix_d, d, m, w):
@@ -173,8 +257,8 @@ def _entropies_for(u, v, prefix_d, d, n, ms):
 
 def usable_cpus() -> int:
     """The CPUs this process may run on (``taskset`` bounds them): the
-    thread count of the k sweep and, beside a one-thread BLAS, of a
-    seed's agents."""
+    thread count of the rank table's row blocks, of the k sweep and,
+    beside a one-thread BLAS, of a seed's agents."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -188,23 +272,33 @@ def _edge_bound(n: int, k_max: int) -> int:
 
 def dense_bytes(n: int, k_max: int, workers: int) -> int:
     """Peak bytes ``select_k`` holds at once for n points and k up to
-    k_max, from the arrays it allocates.  The edge count E is bounded by
-    n * k_max and by the n(n-1)/2 pairs.
+    k_max on ``workers`` threads, from the arrays it allocates.  The edge
+    count E is bounded by n * k_max and by the n(n-1)/2 pairs.  The rank
+    table's row blocks (b rows in the largest) go to
+    T = min(workers, blocks) threads, and the sweep's k values to
+    min(workers, k_max).
 
-    - argsort of the float64 distances by row, then the rank table (int16
-      or int32, s bytes an entry) written from it: distances, the int64
-      order and the ranks, (16 + s) n^2 (the distances are built in
-      place, beside one block of rows);
-    - rank table and k_edge (s bytes each) beside the distances, then
-      k_edge's mask and edge arrays: (8 + s) n^2 + (40 + 2s) E;
-    - the sweep: the int64/float64 edge table, its cumulative sums and a
-      float64 weight buffer per thread: (40 + 8 * workers) E.
+    - the rank table (int16 or int32, s bytes an entry), s n^2, beside a
+      shared block of rank values and each thread's block buffers (two
+      float64 blocks of distances, a block of k_edge and a mask) and
+      int64 row argsort: (s + (25 + s) T) b n;
+    - after the argsorts, the same without them, beside the edge table of
+      int64 pair indices, k_edge and float64 distances, and each thread's
+      int64 positions of one block's edges (at most min(b n, E)):
+      (s + (17 + s) T) b n + (16 + s) E + 8 T min(b n, E).  Grading the
+      table holds at most (32 + s) E, less than the last phase;
+    - the int64/float64 edge table and its cumulative sums, 40 E, beside
+      a float64 weight buffer per sweep thread or, after the sweep, the
+      chosen graph's weights and endpoints: (40 + 8 max(3, threads)) E.
     """
     s = np.dtype(_rank_dtype(n)).itemsize
     edges = _edge_bound(n, k_max)
-    return max((16 + s) * n * n,
-               (8 + s) * n * n + (40 + 2 * s) * edges,
-               (40 + 8 * workers) * edges)
+    bounds, b = _row_blocks(n)
+    threads = min(workers, len(bounds) - 1)
+    return max((s * n + (s + (25 + s) * threads) * b) * n,
+               (s * n + (s + (17 + s) * threads) * b) * n + (16 + s) * edges
+               + 8 * threads * min(b * n, edges),
+               (40 + 8 * max(3, min(workers, k_max))) * edges)
 
 
 def tree_bytes(n: int, edges: int) -> int:
@@ -276,7 +370,7 @@ def select_k(
     if n < 3:
         raise ValueError("too few points for stable-point detection")
     k_max = min(n - 1, cap)
-    need = dense_bytes(n, k_max, min(usable_cpus(), k_max))
+    need = dense_bytes(n, k_max, usable_cpus())
     if tree:
         need = max(need, tree_bytes(n, _edge_bound(n, k_max)))
     avail = _mem_available()
@@ -285,7 +379,7 @@ def select_k(
         raise InsufficientMemoryError(
             f"{stages} over {n} points needs about {need / 2**20:.1f} "
             f"MiB, but only {avail / 2**20:.1f} MiB are available")
-    u, v, ke, de = _mutual_rank_edges(_distance_matrix(points), k_max)
+    u, v, ke, de = _mutual_rank_edges(points, k_max)
     prefix_d = np.cumsum(de)
 
     all_ks = np.arange(1, k_max + 1, dtype=np.int64)

@@ -685,19 +685,21 @@ def test_two_point_dataset_is_data_error(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["cluster", "allocate"])
 def test_k_selection_beyond_available_memory_is_data_error(
         tmp_path, capsys, monkeypatch, command):
-    # 600 points at k_sweep_cap 16 need 18 * 600^2 bytes (6.2 MiB) for the
-    # row argsort and the rank table; the guard refuses before any of it
-    # is allocated
+    # 600 points at k_sweep_cap 16, on one thread, need the 2-byte rank
+    # table (2 * 600^2 bytes) beside a block of rank values and a 120-row
+    # block's buffers and row argsort ((2 + 27) * 120 * 600 bytes):
+    # 2.7 MiB; the guard refuses before any of it is allocated
     data = tmp_path / "d.csv"
     points = np.random.default_rng(0).random((600, 2))
     data.write_text("".join(f"{x},{y},0\n" for x, y in points))
     cfg = write_config(tmp_path / "cfg.json", data)
-    monkeypatch.setattr(structured_graph, "_mem_available", lambda: 4 << 20)
+    monkeypatch.setattr(structured_graph, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(structured_graph, "_mem_available", lambda: 2 << 20)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err
-    assert "600 points needs about 6.2 MiB, but only 4.0 MiB are available" in err
+    assert "600 points needs about 2.7 MiB, but only 2.0 MiB are available" in err
     assert not (out / "report.json").exists()
 
 

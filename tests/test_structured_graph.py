@@ -212,19 +212,98 @@ def test_sweep_is_bit_identical_across_thread_counts(monkeypatch, workers):
     assert got == reference
 
 
+def block_distances(pts):
+    """The n x n distances as select_k's row blocks compute them, for the
+    ranks (every column); each block's edge pass (the columns from its
+    first row on) must read the same bits."""
+    n = len(pts)
+    pts_t = np.ascontiguousarray(pts.T)
+    bounds, _ = structured_graph._row_blocks(n)
+    dist = np.empty((n, n))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        m, w = hi - lo, n - lo
+        structured_graph._block_distances(pts, pts_t, lo, hi, 0, dist[lo:hi],
+                                          np.empty((m, n)))
+        tail = structured_graph._block_distances(
+            pts, pts_t, lo, hi, lo, np.empty((m, w)), np.empty((m, w)))
+        assert np.array_equal(tail.view(np.uint64),
+                              dist[lo:hi, lo:].view(np.uint64))
+    return dist
+
+
 def test_distance_matrix_is_symmetric_across_blocks():
-    # 100 rows span several blocks; select_k reads an edge's distance from
-    # either endpoint's row, so d(i, j) must equal d(j, i) bit for bit
+    # 300 rows span three blocks, and each of the last 60 copies a row of
+    # the first block; an edge's distance is read from the block of its
+    # lower endpoint, so d(i, j) must equal d(j, i) bit for bit
     rng = np.random.default_rng(4)
     for d in (1, 2, 3, 8):
-        base = rng.random((80, d))
-        pts = np.vstack([base, base[:20]])
-        dist = structured_graph._distance_matrix(pts)
+        base = rng.random((240, d))
+        pts = np.vstack([base, base[:60]])
+        assert len(structured_graph._row_blocks(300)[0]) == 4
+        dist = block_distances(pts)
         assert np.array_equal(dist.view(np.uint64), dist.T.view(np.uint64))
-        assert not dist[np.arange(20), np.arange(80, 100)].any()
+        assert not dist[np.arange(60), np.arange(240, 300)].any()
         row = structured_graph.sq_distances(
-            pts[57].tolist(), pts.T, np.empty(100), np.empty(100))
-        assert np.array_equal(dist[57], np.sqrt(row))
+            pts[157].tolist(), pts.T, np.empty(300), np.empty(300))
+        assert np.array_equal(dist[157], np.sqrt(row))
+
+
+def dense_rank_edges(points, cap):
+    """The edge table as select_k built it from one n x n distance matrix:
+    a stable argsort of every row, the whole rank table, and
+    min(rank, rank.T) masked above the diagonal."""
+    n = points.shape[0]
+    points_t = np.ascontiguousarray(points.T)
+    dist = np.empty((n, n))
+    tmp = np.empty((min(32, n), n))
+    for lo in range(0, n, 32):
+        rows = points[lo:lo + 32]
+        structured_graph.sq_distances(rows.T[:, :, None], points_t,
+                                      dist[lo:lo + 32], tmp[:len(rows)])
+    np.sqrt(dist, out=dist)
+    np.fill_diagonal(dist, -1.0)
+    order = np.argsort(dist, kind="stable", axis=1)
+    dtype = structured_graph._rank_dtype(n)
+    rank = np.empty((n, n), dtype=dtype)
+    np.put_along_axis(rank, order, np.arange(n, dtype=dtype)[None, :], axis=1)
+    np.fill_diagonal(rank, n)
+    k_edge = np.minimum(rank, rank.T)
+    mask = k_edge <= cap
+    mask &= np.arange(n)[:, None] < np.arange(n)[None, :]
+    u, v = np.nonzero(mask)
+    ke = k_edge[u, v]
+    grade = np.argsort(ke, kind="stable")
+    u, v = u[grade], v[grade]
+    return u, v, ke[grade].astype(np.int64), dist[u, v]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_blocked_rank_edges_match_the_dense_table(monkeypatch, workers):
+    # the blocked table, on 1 or 3 threads switching often, writes the
+    # dense table's edges, ranks and distances byte for byte: under rank
+    # ties, exact duplicates (in one block and across blocks) and d = 8
+    rng = np.random.default_rng(11)
+    grid = lattice(30, 30, 1.0)
+    storm = np.vstack([np.zeros((1599, 2)), [[1.0, 1.0]]])
+    base = rng.random((250, 2))
+    straddle = np.vstack([base, base[:60]])  # 310 rows: 3 blocks of 103-104
+    assert 310 % structured_graph._RANK_BLOCK
+    wide = rng.random((150, 8))
+    wide = np.vstack([wide, wide[::4], wide[:5]])
+    cases = [(grid, 16), (grid, 899), (storm, 16), (straddle, 40),
+             (straddle, 309), (wide, 30)]
+    expected = [dense_rank_edges(pts, cap) for pts, cap in cases]
+    monkeypatch.setattr(structured_graph, "usable_cpus", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [structured_graph._mutual_rank_edges(pts, cap)
+               for pts, cap in cases]
+    finally:
+        sys.setswitchinterval(interval)
+    for (pts, cap), mine, dense in zip(cases, got, expected):
+        for a, b in zip(mine, dense):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (len(pts), cap)
 
 
 def test_dense_bytes_matches_traced_peak():
