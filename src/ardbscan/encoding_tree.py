@@ -29,12 +29,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dbscan_core import NOISE, DbscanParams, run_dbscan
-from .structured_graph import StructuredGraph, one_dim_se
+from .structured_graph import TREE_CHUNK, StructuredGraph, one_dim_se
 
 ROOT = -1
 
 # a merge must beat this margin to count as strict descent
 _DESCENT_TOL = -1e-12
+_ONE_LIST = np.zeros(1, dtype=np.int64)  # the start of a lone list
 
 
 class EncodingTree:
@@ -118,24 +119,81 @@ def _entropy_term(cut: float, volume: float, parent_volume: float,
     return -(cut / graph_volume) * math.log2(volume / parent_volume)
 
 
-def _merge_delta(vol: float, v_a: float, g_a: float, v_b: np.ndarray,
-                 g_b: np.ndarray, w_ab: np.ndarray) -> np.ndarray:
+def _merge_delta(vol: float, v_a, g_a, v_b: np.ndarray, g_b: np.ndarray,
+                 w_ab: np.ndarray, own_a=None) -> np.ndarray:
     """Entropy change of merging community A with each candidate B.
 
     ``v_*`` are volumes, ``g_*`` cuts and ``w_ab`` the weight between A
-    and each B.  A is one community (scalars); the B terms are arrays.
-    The greedy optimizer's tie-breaking depends on these exact values, so
-    the evaluation order of the expression must not change.
+    and each B.  The B terms are arrays.  A's are scalars, or arrays like
+    B's when several communities bid at once; ``own_a`` then holds each
+    A's own term g_a * log2(v_a / vol), which ``math.log2`` computes for
+    a scalar A.  The greedy optimizer's tie-breaking depends on these
+    exact values, so the evaluation order of the expression must not
+    change.
     """
+    if own_a is None:
+        own_a = g_a * math.log2(v_a / vol)
     v_ab = v_a + v_b
     g_ab = g_a + g_b - 2.0 * w_ab
     return (
         -g_ab * np.log2(v_ab / vol)
-        + g_a * math.log2(v_a / vol)
+        + own_a
         + g_b * np.log2(v_b / vol)
         + v_a * np.log2(v_ab / v_a)
         + v_b * np.log2(v_ab / v_b)
     ) / vol
+
+
+def _adjacency(graph: StructuredGraph) -> Tuple[np.ndarray, np.ndarray,
+                                                np.ndarray]:
+    """Every vertex's neighbours in ascending order, with the weights of
+    the edges to them: vertex c's list is ``dst[starts[c]:starts[c+1]]``
+    (int32 ids) with weights ``wts[starts[c]:starts[c+1]]``.
+
+    Each edge (x, y), x < y, is placed twice: among y's neighbours below
+    y, and among x's neighbours above x, after all of those below it.
+    Each half is one in-place sort of uint64 keys that pack the near end,
+    the far end and the edge's index, read back in chunks, so no array
+    as long as the edge list is built beside the keys, ``dst`` and
+    ``wts``.
+    """
+    n, edges = graph.n, graph.edge_count
+    id_bits = max(n - 1, 1).bit_length()
+    edge_bits = max(edges - 1, 1).bit_length()
+    if 2 * id_bits + edge_bits > 64:
+        raise ValueError(f"a graph of {n} vertices and {edges} edges is "
+                         "too large for 64-bit adjacency keys")
+    far_shift = np.uint64(edge_bits)
+    near_shift = np.uint64(edge_bits + id_bits)
+    id_mask = np.uint64((1 << id_bits) - 1)
+    edge_mask = np.uint64((1 << edge_bits) - 1)
+    count_u = np.bincount(graph.u, minlength=n)
+    count_v = np.bincount(graph.v, minlength=n)
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(count_u + count_v, out=starts[1:])
+    dst = np.empty(2 * edges, dtype=np.int32)
+    wts = np.empty(2 * edges)
+    keys = np.empty(edges, dtype=np.uint64)
+    for near, far, counts, before in ((graph.v, graph.u, count_v, 0),
+                                      (graph.u, graph.v, count_u, count_v)):
+        for lo in range(0, edges, TREE_CHUNK):
+            hi = min(lo + TREE_CHUNK, edges)
+            key = keys[lo:hi]
+            key[:] = near[lo:hi]
+            key <<= np.uint64(id_bits)
+            key |= far[lo:hi].astype(np.uint64)
+            key <<= far_shift
+            key |= np.arange(lo, hi, dtype=np.uint64)
+        keys.sort()
+        # the j-th key goes to j + shift[near]
+        shift = starts[:-1] - (np.cumsum(counts) - counts) + before
+        for lo in range(0, edges, TREE_CHUNK):
+            key = keys[lo:lo + TREE_CHUNK]
+            at = shift[(key >> near_shift).astype(np.intp)]
+            at += np.arange(lo, lo + key.size)
+            dst[at] = (key >> far_shift) & id_mask
+            wts[at] = graph.w[(key & edge_mask).astype(np.intp)]
+    return dst, wts, starts
 
 
 def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
@@ -152,29 +210,7 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
     if graph.volume <= 0.0:
         raise ValueError("degenerate graph (volume is zero)")
     vol = graph.volume
-
-    # symmetric adjacency in CSR form, indexed by initial community id: the
-    # stable order of the source ends (u, then v), a radix sort for keys no
-    # wider than 16 bits, gathered from each half of the edge list in turn
-    # so that neither the sources nor a doubled edge list is ever built
-    edges = graph.edge_count
-    key = np.empty(2 * edges, dtype=np.min_scalar_type(n))
-    key[:edges], key[edges:] = graph.u, graph.v
-    order = np.argsort(key, kind="stable")
-    del key
-    dst = np.empty(2 * edges, dtype=np.int64)
-    wts = np.empty(2 * edges, dtype=np.float64)
-    half = order < edges
-    for far_end, offset in ((graph.v, 0), (graph.u, edges)):
-        picked = order[half]
-        picked -= offset
-        dst[half] = far_end[picked]
-        wts[half] = graph.w[picked]
-        np.logical_not(half, out=half)
-    del order, half, picked
-    ends = np.cumsum(np.bincount(graph.u, minlength=n)
-                     + np.bincount(graph.v, minlength=n))
-    starts = np.concatenate([[0], ends[:-1]])
+    dst, wts, starts = _adjacency(graph)
 
     # root[x] is the live community holding id x, rewritten over members[c]
     # (the ids rooted at c) at each merge; a live community is its own root
@@ -186,60 +222,115 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
     cut = np.zeros(cap)
     cut[:n] = graph.degrees
     minv = np.arange(cap, dtype=np.int64)
+    # a community's neighbor list from its latest clean or merge; a vertex
+    # that has had neither reads its list from the adjacency, where it is
+    # what a clean would give: roots are the identity, ids ascend once each
     adj: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    for c in range(n):
-        if ends[c] > starts[c]:
-            adj[c] = (dst[starts[c]:ends[c]], wts[starts[c]:ends[c]])
     next_id = n
+
+    def take(c: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Community c's neighbor list, removed from ``adj``."""
+        if c in adj:
+            return adj.pop(c)
+        return dst[starts[c]:starts[c + 1]], wts[starts[c]:starts[c + 1]]
 
     def clean(c: int) -> Tuple[np.ndarray, np.ndarray]:
         """Resolve community c's neighbor list to live roots and coalesce."""
-        d, w = adj[c]
+        d, w = take(c)
         if d.size:
             r = root[d]
             keep = r != c
             r, w = r[keep], w[keep]
             if r.size:
                 # a weighted bincount adds each root's weights in list order
-                uniq = np.flatnonzero(np.bincount(r, minlength=cap))
+                uniq = np.bincount(r, minlength=cap).nonzero()[0]
                 w = np.bincount(r, weights=w, minlength=cap)[uniq]
                 r = uniq
             d = r
         adj[c] = (d, w)
         return d, w
 
-    heap: List[Tuple[float, int, int, int, int, float]] = []
+    def bids(a: np.ndarray, bounds: np.ndarray, d: np.ndarray,
+             w: np.ndarray) -> List[Tuple[float, int, int, int, int, float]]:
+        """Each community a[i]'s best merge over its list d[bounds[i]:
+        bounds[i+1]] (weights w), as a heap entry (delta, lo, hi, a, b,
+        w_ab): the smallest delta, exact ties going to the smallest pair
+        (lo, hi) of the two communities' minimum vertices, and a list that
+        holds a NaN to its first NaN, as argmin picks.  A community of
+        volume 0 (a vertex whose edge weights all underflow to 0) neither
+        bids nor is bid for: a merge with it changes the entropy by 0 in
+        the limit, which is never a strict descent."""
+        # seg[i] is the list of entry i; for one list, the scalar 0
+        # spreads each bidder value over the list as a broadcast
+        one = a.size == 1
+        if one:
+            seg = 0
+        else:
+            seg = np.repeat(np.arange(a.size), np.diff(bounds))
+        v_b = volume[d]
+        keep = v_b > 0.0
+        keep &= (volume[a] > 0.0)[seg]
+        if np.count_nonzero(keep) < keep.size:
+            d, w, v_b = d[keep], w[keep], v_b[keep]
+            if not one:
+                seg = seg[keep]
+        if d.size == 0:
+            return []
+        if one:
+            heads = _ONE_LIST
+        else:  # renumber the lists that kept an entry
+            heads = np.flatnonzero(np.diff(seg, prepend=-1))
+            a = a[seg[heads]]
+            seg = np.repeat(np.arange(heads.size),
+                            np.diff(heads, append=d.size))
+        v_a, g_a = volume[a], cut[a]
+        own = np.array([g * math.log2(v / vol)
+                        for g, v in zip(g_a.tolist(), v_a.tolist())])
+        delta = _merge_delta(vol, v_a[seg], g_a[seg], v_b, cut[d], w,
+                             own[seg])
+        # the candidates: each list's smallest deltas, or its NaNs
+        low = np.minimum.reduceat(delta, heads)
+        hit = delta == low[seg]
+        nan = np.count_nonzero(np.isnan(low)) > 0
+        if nan:
+            hit |= np.isnan(delta)
+        pick = hit.nonzero()[0]
+        if pick.size > heads.size:  # a list with more than one candidate
+            seg = 0 if one else seg[pick]
+            m_a, m_b = minv[a][seg], minv[d[pick]]
+            rule = np.minimum(m_a, m_b) * cap + np.maximum(m_a, m_b)
+            if nan:  # a NaN's rule is its position: the first one wins
+                at = np.isnan(delta[pick])
+                rule[at] = pick[at]
+            firsts = heads if one else np.flatnonzero(
+                np.diff(seg, prepend=-1))
+            pick = pick[rule == np.minimum.reduceat(rule, firsts)[seg]]
+        b = d[pick]
+        m_a, m_b = minv[a].tolist(), minv[b].tolist()
+        return list(zip(delta[pick].tolist(), map(min, m_a, m_b),
+                        map(max, m_a, m_b), a.tolist(), b.tolist(),
+                        w[pick].tolist()))
 
     def push_best(c: int) -> None:
-        # a community of volume 0 (a vertex whose edge weights all underflow
-        # to 0) neither bids nor is bid for: a merge with it changes the
-        # entropy by 0 in the limit, which is never a strict descent
-        if volume[c] == 0.0:
-            return
         d, w = clean(c)
-        v_d = volume[d]
-        live = v_d > 0.0
-        if not live.all():
-            d, w, v_d = d[live], w[live], v_d[live]
-        if d.size == 0:
-            return
-        delta = _merge_delta(vol, volume[c], cut[c], v_d, cut[d], w)
-        # the first of lexsort((k2, k1, delta)), sorting only the exact
-        # ties of the smallest delta
-        i = int(np.argmin(delta))
-        cand = np.flatnonzero(delta == delta[i])
-        if cand.size > 1:
-            k1 = np.minimum(minv[c], minv[d[cand]])
-            k2 = np.maximum(minv[c], minv[d[cand]])
-            i = int(cand[np.lexsort((k2, k1, delta[cand]))[0]])
-        lo, hi = sorted((int(minv[c]), int(minv[d[i]])))
-        heapq.heappush(heap, (float(delta[i]), lo, hi, c, int(d[i]),
-                              float(w[i])))
+        for entry in bids(np.array([c]), (0, d.size), d, w):
+            heapq.heappush(heap, entry)
+
+    # every vertex's first bid, over chunks of whole lists; the entries
+    # differ unless identical, so the heap's pops do not depend on its
+    # layout
+    heap: List[Tuple[float, int, int, int, int, float]] = []
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + TREE_CHUNK,
+                                             side="right")) - 1)
+        first, last = starts[lo], starts[hi]
+        heap += bids(np.arange(lo, hi), starts[lo:hi + 1] - first,
+                     dst[first:last], wts[first:last])
+        lo = hi
+    heapq.heapify(heap)
 
     trace = [one_dim_se(graph)]
-    for c in list(adj):
-        push_best(c)
-
     while heap:
         delta, _, _, a, b, w_ab = heapq.heappop(heap)
         if root[a] != a or root[b] != b:
@@ -259,7 +350,7 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
         volume[c] = volume[a] + volume[b]
         cut[c] = cut[a] + cut[b] - 2.0 * w_ab
         minv[c] = min(minv[a], minv[b])
-        (da, wa), (db, wb) = adj.pop(a), adj.pop(b)
+        (da, wa), (db, wb) = take(a), take(b)
         adj[c] = (np.concatenate([da, db]), np.concatenate([wa, wb]))
         trace.append(trace[-1] + delta)
         push_best(c)

@@ -25,6 +25,9 @@ from .dbscan_core import sq_distances
 # total edge visits allowed in one k sweep before the sweep strides
 DEFAULT_OP_BUDGET = 200_000_000
 _RANK_BLOCK = 128  # rows per block of the rank table
+# list entries per chunk of the encoding tree's adjacency build and first
+# bids, whose arrays tree_bytes charges for one chunk
+TREE_CHUNK = 16384
 
 
 class InsufficientMemoryError(MemoryError):
@@ -33,11 +36,19 @@ class InsufficientMemoryError(MemoryError):
 
 @dataclass(frozen=True)
 class StructuredGraph:
+    """An undirected weighted graph on vertices 0..n-1, each edge once.
+
+    ``u`` and ``v`` are the edge endpoints, u[i] < v[i], int32 from
+    ``select_k``; ``w`` the edge weights in [0, 1] (an exponent past
+    about 745 underflows to 0); ``degrees`` the weighted degrees and
+    ``volume`` their sum.
+    """
+
     n: int
     k: int
-    u: np.ndarray  # edge endpoints, u[i] < v[i]
+    u: np.ndarray
     v: np.ndarray
-    w: np.ndarray  # edge weights in (0, 1]
+    w: np.ndarray
     degrees: np.ndarray
     volume: float
 
@@ -71,9 +82,10 @@ def _mutual_rank_edges(points: np.ndarray, cap: int):
     """All vertex pairs that become edges for some k <= cap, sorted by the
     smallest such k, then row-major.
 
-    Returns (u, v, k_edge, d_edge); pair (i, j) is an edge of the k-NN graph
-    exactly when k_edge <= k.  The one n x n array is the rank table
-    (int16 or int32).  Three passes go over blocks of rows: the ranks,
+    Returns (u, v, k_edge, d_edge): int64 endpoints, k_edge in the rank
+    table's dtype and float64 distances; pair (i, j) is an edge of the
+    k-NN graph exactly when k_edge <= k.  The one n x n array is the rank
+    table (int16 or int32).  Three passes go over blocks of rows: the ranks,
     from the block's distances; the count of the block's edges; and the
     edges themselves, with distances computed again.  The blocks are dealt
     round-robin to one thread per CPU, and each is computed whole by one
@@ -169,14 +181,14 @@ def _mutual_rank_edges(points: np.ndarray, cap: int):
         each_block(edges_of)  # the blocks' edges in block order: row-major
     del rank, flat_rank, buffers
 
-    # a stable sort of 16-bit keys is a radix sort; grade before widening
+    # a stable sort of 16-bit keys is a radix sort
     grade = np.argsort(ke, kind="stable")
     de = np.take(de, grade)
     flat = np.take(flat, grade)
     ke = np.take(ke, grade)
     del grade
     u, v = np.divmod(flat, n, out=(flat, np.empty_like(flat)))
-    return u, v, ke.astype(np.int64), de
+    return u, v, ke, de
 
 
 def _prefix_degrees(n, u, v, prefix_d, d, m, w):
@@ -287,9 +299,10 @@ def dense_bytes(n: int, k_max: int, workers: int) -> int:
       int64 positions of one block's edges (at most min(b n, E)):
       (s + (17 + s) T) b n + (16 + s) E + 8 T min(b n, E).  Grading the
       table holds at most (32 + s) E, less than the last phase;
-    - the int64/float64 edge table and its cumulative sums, 40 E, beside
-      a float64 weight buffer per sweep thread or, after the sweep, the
-      chosen graph's weights and endpoints: (40 + 8 max(3, threads)) E.
+    - the edge table (int64 endpoints, k_edge and float64 distances) and
+      its cumulative sums, (32 + s) E, beside a float64 weight buffer per
+      sweep thread or, after the sweep, the chosen graph's float64 weights
+      and int32 endpoints: (32 + s + 8 max(2, threads)) E.
     """
     s = np.dtype(_rank_dtype(n)).itemsize
     edges = _edge_bound(n, k_max)
@@ -298,24 +311,31 @@ def dense_bytes(n: int, k_max: int, workers: int) -> int:
     return max((s * n + (s + (25 + s) * threads) * b) * n,
                (s * n + (s + (17 + s) * threads) * b) * n + (16 + s) * edges
                + 8 * threads * min(b * n, edges),
-               (40 + 8 * max(3, min(workers, k_max))) * edges)
+               (32 + s + 8 * max(2, min(workers, k_max))) * edges)
 
 
 def tree_bytes(n: int, edges: int) -> int:
     """Peak bytes held while ``encoding_tree.optimize_two_level`` runs on a
-    graph of n vertices and E edges: the graph's own u, v, w and degrees,
-    24 E + 8 n, beside the larger of the optimizer's two phases.
+    graph of n vertices and E edges: the graph's own int32 u and v,
+    float64 w and degrees, 16 E + 8 n, beside the largest of the
+    optimizer's three phases.  Its adjacency holds both ends of every
+    edge, int32 ids and float64 weights, 24 E.  Chunks hold at most
+    c = min(2 E, max(``TREE_CHUNK``, n - 1)) list entries.
 
-    - building the CSR adjacency: the int64 sort order, its half mask,
-      the int64 far ends and float64 weights, and one half's int64 gather
-      indices and gathered values, 66 E;
-    - every vertex's first bid: the CSR arrays, a coalesced copy of each
-      neighbor list, and about 640 bytes of Python objects per vertex
-      (the list's arrays, its dict entry and its heap entry), 64 E + 640 n.
-      The merges after it add the ``members`` arrays, which hold each of
-      the at most 2n ids once, while the lists they coalesce shrink.
+    - building the adjacency: it, one end's uint64 sort keys, 8 E, and
+      one chunk's int64 positions, indices and values,
+      24 min(``TREE_CHUNK``, E), beside counts and offsets, 34 n;
+    - every vertex's first bid: the adjacency, one chunk's per-entry
+      arrays, 86 c, and per vertex the communities' state and its heap
+      entry, 230 n;
+    - the merges: the adjacency beside the coalesced lists and member ids
+      of merged communities and the heap, measured at up to 400 n.
     """
-    return 24 * edges + 8 * n + max(66 * edges, 64 * edges + 640 * n)
+    chunk = min(2 * edges, max(TREE_CHUNK, n - 1))
+    return 16 * edges + 8 * n + 24 * edges + max(
+        8 * edges + 24 * min(TREE_CHUNK, edges) + 34 * n,
+        86 * chunk + 230 * n,
+        400 * n)
 
 
 def _mem_available() -> int | None:
@@ -362,28 +382,31 @@ def select_k(
 
     Raises :class:`InsufficientMemoryError` before any O(n^2) allocation
     when :func:`dense_bytes` exceeds the memory the kernel reports
-    available or, with ``tree`` set (the caller builds the encoding tree
-    on the result), when :func:`tree_bytes` at the edge bound does.
+    available when it starts or, with ``tree`` set (the caller builds the
+    encoding tree on the result), once the sweep has chosen k, when
+    :func:`tree_bytes` at the chosen graph's edge count does.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if n < 3:
         raise ValueError("too few points for stable-point detection")
     k_max = min(n - 1, cap)
-    need = dense_bytes(n, k_max, usable_cpus())
-    if tree:
-        need = max(need, tree_bytes(n, _edge_bound(n, k_max)))
     avail = _mem_available()
-    if avail is not None and need > avail:
-        stages = "k selection with the encoding tree" if tree else "k selection"
-        raise InsufficientMemoryError(
-            f"{stages} over {n} points needs about {need / 2**20:.1f} "
-            f"MiB, but only {avail / 2**20:.1f} MiB are available")
+
+    def check(stages, need):
+        if avail is not None and need > avail:
+            raise InsufficientMemoryError(
+                f"{stages} over {n} points needs about {need / 2**20:.1f} "
+                f"MiB, but only {avail / 2**20:.1f} MiB are available")
+
+    check("k selection", dense_bytes(n, k_max, usable_cpus()))
     u, v, ke, de = _mutual_rank_edges(points, k_max)
     prefix_d = np.cumsum(de)
 
     all_ks = np.arange(1, k_max + 1, dtype=np.int64)
-    all_ms = np.searchsorted(ke, all_ks, side="right")
+    # the needles take k_edge's dtype: int64 ones would make searchsorted
+    # copy k_edge to int64
+    all_ms = np.searchsorted(ke, all_ks.astype(ke.dtype), side="right")
     total_cost = int(all_ms.sum())
     stride = 1
     if total_cost > op_budget:
@@ -413,8 +436,11 @@ def select_k(
     else:
         k_star = int(ks[int(np.argmin(h_norm))])
     m = int(all_ms[k_star - 1])
+    if tree:
+        check("k selection with the encoding tree", tree_bytes(n, m))
     w = np.empty(m)
     degrees = _prefix_degrees(n, u, v, prefix_d, de, m, w)
-    graph = StructuredGraph(n, k_star, u[:m].copy(), v[:m].copy(), w, degrees,
+    graph = StructuredGraph(n, k_star, u[:m].astype(np.int32),
+                            v[:m].astype(np.int32), w, degrees,
                             float(degrees.sum()))
     return SelectKResult(k_star, graph, ks, h_norm, stable)

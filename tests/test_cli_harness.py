@@ -705,20 +705,40 @@ def test_k_selection_beyond_available_memory_is_data_error(
 
 def test_tree_beyond_available_memory_is_data_error(tmp_path, capsys,
                                                     monkeypatch):
-    # 600 points at the default cap: the sweep needs 11.0 MiB and fits,
-    # the encoding tree over the complete graph needs 15.5 MiB and does not
+    # 600 points at k_sweep_cap 300, on one thread: the chosen graph is
+    # not complete, so the tree's estimate at its edge count is below the
+    # estimate at the edge bound.  Memory between the two runs; one byte
+    # below the real estimate refuses once the sweep has chosen k, before
+    # the tree is built
     data = tmp_path / "d.csv"
     points = np.random.default_rng(0).random((600, 2))
     data.write_text("".join(f"{x},{y},0\n" for x, y in points))
-    cfg = write_config(tmp_path / "cfg.json", data,
-                       k_sweep_cap=RunConfig().k_sweep_cap)
-    monkeypatch.setattr(structured_graph, "_mem_available", lambda: 14 << 20)
-    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", data, k_sweep_cap=300)
+    monkeypatch.setattr(structured_graph, "usable_cpus", lambda: 1)
+    norm = normalize(Dataset(points, np.zeros(600, dtype=np.int64)))
+    edges = structured_graph.select_k(norm.points, 300).graph.edge_count
+    real = structured_graph.tree_bytes(600, edges)
+    bound = structured_graph.tree_bytes(600, 600 * 599 // 2)
+    assert max(structured_graph.dense_bytes(600, 300, 1), real) < bound
+    monkeypatch.setattr(structured_graph, "_mem_available", lambda: bound - 1)
+    out = tmp_path / "fits"
+    assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "allocation.json").exists()
+
+    def no_tree(graph):
+        raise AssertionError("tree built after the guard refused")
+
+    # the sweep's own estimate, at the edge bound, is checked first; with
+    # it out of the way the tree's estimate alone decides
+    monkeypatch.setattr(structured_graph, "dense_bytes", lambda *args: 0)
+    monkeypatch.setattr(structured_graph, "_mem_available", lambda: real - 1)
+    monkeypatch.setattr(cli_harness, "optimize_two_level", no_tree)
+    out = tmp_path / "refused"
     assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err
     assert ("k selection with the encoding tree over 600 points needs about "
-            "15.5 MiB, but only 14.0 MiB are available") in err
+            "5.6 MiB, but only 5.6 MiB are available") in err
     assert not (out / "allocation.json").exists()
 
 

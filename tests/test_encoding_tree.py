@@ -1,9 +1,14 @@
+import heapq
+import math
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ardbscan.dataset import Dataset, normalize
 from ardbscan.encoding_tree import (
     ROOT,
     EncodingTree,
@@ -439,3 +444,168 @@ def test_tie_rule_golden(name):
     assert [float(x).hex() for x in t.cut] == cut
     assert [float(x).hex() for x in t.volume] == volume
     assert [float(x).hex() for x in t.entropy_trace] == trace
+
+
+def reference_two_level(graph: StructuredGraph):
+    """(community, cut, volume, entropy_trace) as the optimizer computed
+    them with a CSR adjacency in edge order and a coalesced copy of every
+    list before its first bid, each bid taking ``argmin`` and sorting only
+    its exact ties."""
+    n = graph.n
+    vol = graph.volume
+    edges = graph.edge_count
+    key = np.empty(2 * edges, dtype=np.min_scalar_type(n))
+    key[:edges], key[edges:] = graph.u, graph.v
+    order = np.argsort(key, kind="stable")
+    dst = np.empty(2 * edges, dtype=np.int64)
+    wts = np.empty(2 * edges, dtype=np.float64)
+    half = order < edges
+    for far_end, offset in ((graph.v, 0), (graph.u, edges)):
+        picked = order[half]
+        picked -= offset
+        dst[half] = far_end[picked]
+        wts[half] = graph.w[picked]
+        np.logical_not(half, out=half)
+    ends = np.cumsum(np.bincount(graph.u, minlength=n)
+                     + np.bincount(graph.v, minlength=n))
+    starts = np.concatenate([[0], ends[:-1]])
+
+    cap = 2 * n
+    root = np.arange(cap, dtype=np.int64)
+    members = {}
+    volume = np.zeros(cap)
+    volume[:n] = graph.degrees
+    cut = np.zeros(cap)
+    cut[:n] = graph.degrees
+    minv = np.arange(cap, dtype=np.int64)
+    adj = {}
+    for c in range(n):
+        if ends[c] > starts[c]:
+            adj[c] = (dst[starts[c]:ends[c]], wts[starts[c]:ends[c]])
+    next_id = n
+
+    def clean(c):
+        d, w = adj[c]
+        if d.size:
+            r = root[d]
+            keep = r != c
+            r, w = r[keep], w[keep]
+            if r.size:
+                uniq = np.flatnonzero(np.bincount(r, minlength=cap))
+                w = np.bincount(r, weights=w, minlength=cap)[uniq]
+                r = uniq
+            d = r
+        adj[c] = (d, w)
+        return d, w
+
+    heap = []
+
+    def push_best(c):
+        if volume[c] == 0.0:
+            return
+        d, w = clean(c)
+        v_d = volume[d]
+        live = v_d > 0.0
+        if not live.all():
+            d, w, v_d = d[live], w[live], v_d[live]
+        if d.size == 0:
+            return
+        v_a, g_a, g_b = volume[c], cut[c], cut[d]
+        v_ab = v_a + v_d
+        g_ab = g_a + g_b - 2.0 * w
+        delta = (-g_ab * np.log2(v_ab / vol)
+                 + g_a * math.log2(v_a / vol)
+                 + g_b * np.log2(v_d / vol)
+                 + v_a * np.log2(v_ab / v_a)
+                 + v_d * np.log2(v_ab / v_d)) / vol
+        i = int(np.argmin(delta))
+        cand = np.flatnonzero(delta == delta[i])
+        if cand.size > 1:
+            k1 = np.minimum(minv[c], minv[d[cand]])
+            k2 = np.maximum(minv[c], minv[d[cand]])
+            i = int(cand[np.lexsort((k2, k1, delta[cand]))[0]])
+        lo, hi = sorted((int(minv[c]), int(minv[d[i]])))
+        heapq.heappush(heap, (float(delta[i]), lo, hi, c, int(d[i]),
+                              float(w[i])))
+
+    trace = [one_dim_se(graph)]
+    for c in list(adj):
+        push_best(c)
+    while heap:
+        delta, _, _, a, b, w_ab = heapq.heappop(heap)
+        if root[a] != a or root[b] != b:
+            if root[a] == a:
+                push_best(a)
+            continue
+        if delta >= -1e-12:
+            break
+        c = next_id
+        next_id += 1
+        members[c] = np.concatenate([members.pop(a, [a]), members.pop(b, [b]),
+                                     [c]])
+        root[members[c]] = c
+        volume[c] = volume[a] + volume[b]
+        cut[c] = cut[a] + cut[b] - 2.0 * w_ab
+        minv[c] = min(minv[a], minv[b])
+        (da, wa), (db, wb) = adj.pop(a), adj.pop(b)
+        adj[c] = (np.concatenate([da, db]), np.concatenate([wa, wb]))
+        trace.append(trace[-1] + delta)
+        push_best(c)
+
+    first = minv[root[:n]]
+    is_first = first == np.arange(n)
+    kept = root[:n][is_first]
+    rank = np.cumsum(is_first) - 1
+    return rank[first], cut[kept], volume[kept], trace
+
+
+def agents_500_points():
+    """Draw 0 of the benchmark's agents-500 workload, benchmark seed 1."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench))
+    written = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave perfbench/ as checked out
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode = written
+        sys.path.remove(str(bench))
+    return workloads.generate(workloads.WORKLOADS["agents-500"], 1, 0)[0]
+
+
+def lattice_points(side=30):
+    return np.array([[x, y] for x in range(side) for y in range(side)],
+                    dtype=np.float64)
+
+
+def storm_points():
+    """1,599 copies of one point and one far point: at cap 16 the far
+    point's edge weights underflow to 0 and the copies' deltas tie."""
+    return np.vstack([np.full((1599, 2), 0.5), [[100.0, 100.0]]])
+
+
+IDENTITY_GRAPHS = {
+    "lattice-16": (lattice_points, 16),
+    "lattice-all": (lattice_points, 899),
+    "storm-16": (storm_points, 16),
+    "uniform-all": (lambda: np.random.default_rng(3).random((400, 2)), 399),
+    "uniform-20": (lambda: np.random.default_rng(3).random((400, 2)), 20),
+    "agents-500": (agents_500_points, 499),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_GRAPHS))
+def test_optimizer_matches_the_reference_bit_for_bit(name):
+    # the sorted int32 adjacency, its views for lists not yet cleaned and
+    # the batched first bids give the reference's tree exactly
+    build, cap = IDENTITY_GRAPHS[name]
+    points = build()
+    points = normalize(Dataset(points, np.zeros(len(points), dtype=np.int64)))
+    graph = select_k(points.points, cap).graph
+    community, cut, volume, trace = reference_two_level(graph)
+    t = optimize_two_level(graph)
+    assert t.community.tolist() == community.tolist()
+    for got, expected in ((t.cut, cut), (t.volume, volume),
+                          (t.entropy_trace, trace)):
+        assert [float(x).hex() for x in got] == \
+            [float(x).hex() for x in expected]

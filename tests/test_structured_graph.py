@@ -302,6 +302,10 @@ def test_blocked_rank_edges_match_the_dense_table(monkeypatch, workers):
     finally:
         sys.setswitchinterval(interval)
     for (pts, cap), mine, dense in zip(cases, got, expected):
+        # k_edge stays in the rank table's dtype; widened, it is the same
+        k_edge = mine[2]
+        assert k_edge.dtype == structured_graph._rank_dtype(len(pts))
+        mine = (mine[0], mine[1], k_edge.astype(np.int64), mine[3])
         for a, b in zip(mine, dense):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (len(pts), cap)
 
@@ -338,11 +342,12 @@ def test_tree_bytes_matches_traced_peak():
 
 
 def test_memory_guard_covers_the_tree(monkeypatch):
-    # 600 points at the default cap: the sweep fits, the complete graph's
-    # tree does not; only a caller that builds the tree is refused
+    # 600 points at the default cap, on one thread: the sweep fits, the
+    # complete graph's tree does not; only a caller that builds the tree
+    # is refused
     pts = np.random.default_rng(0).random((600, 2))
-    sweep = structured_graph.dense_bytes(
-        600, 599, min(structured_graph.usable_cpus(), 599))
+    monkeypatch.setattr(structured_graph, "usable_cpus", lambda: 1)
+    sweep = structured_graph.dense_bytes(600, 599, 1)
     tree = structured_graph.tree_bytes(600, 600 * 599 // 2)
     assert sweep < tree
     monkeypatch.setattr(structured_graph, "_mem_available", lambda: tree)
