@@ -15,21 +15,16 @@ the first round that asks for it.  Each agent's result carries
 the episodes its search ran; the report's stop-reason counts and the
 ``cluster --trace`` files are both read from them.
 
-Seeds run one after another.  When numpy's BLAS runs each product on
-one thread (``OPENBLAS_NUM_THREADS=1``), the agents of one seed run at
-the same time, on one thread per CPU the process may run on
-(``taskset`` bounds them), at most one per agent.  A BLAS that runs
-more threads, or one that cannot be asked, already spreads each
-product over the CPUs, and agents beside it only oversubscribe them
-(agents-500 ``seed_s`` rose from 1.90 to 2.46 s with OpenBLAS on 2
-threads and 2 CPUs), so then the agents run one after another.  The
-calling thread searches too, so only the others are extra threads,
-each with its own malloc arena.  No two concurrent agents share an
-index, every agent has its own generator seeded before any starts, and
-results are kept in partition order, so every output is bit for bit
-the one a single thread writes.  A failing agent, or Ctrl-C, stops any
-further agent from starting, but the run ends only once the agents
-already running have finished.
+Seeds run one after another.  The agents of one seed run at the same
+time through ``cpus.deal``, on one thread per CPU the process may run on
+(``taskset`` bounds them), at most one per agent, the calling thread
+among them; ``main`` first sets numpy's OpenBLAS to one thread, so the
+agents' small products do not oversubscribe the CPUs.  No two
+concurrent agents share an index, every agent has its own generator
+seeded before any starts, and results are kept in partition order, so
+every output is bit for bit the one a single thread writes.  A failing
+agent, or Ctrl-C, stops any further agent from starting, but the run
+ends only once the agents already running have finished.
 
 Exit codes: 0 success, 1 config error, 2 data error.
 """
@@ -37,23 +32,21 @@ Exit codes: 0 success, 1 config error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import csv
 import json
 import sys
-import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 from types import UnionType
-from typing import (Any, Callable, List, Optional, Tuple, Union, get_args,
-                    get_origin, get_type_hints)
+from typing import (Any, List, Optional, Tuple, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
 from .config import RunConfig
+from .cpus import deal, one_blas_thread
 from .dataset import Dataset, load_csv, normalize, sample_labeled_subset, split_blocks
 from .dbscan_core import NOISE
 from .dbscan_core import run_dbscan  # noqa: F401 (perfbench --trace wraps it)
@@ -74,8 +67,7 @@ from .recursive_search import (
     random_draws,
     run_agent,
 )
-from .structured_graph import (InsufficientMemoryError, SelectKResult, select_k,
-                               usable_cpus)
+from .structured_graph import InsufficientMemoryError, SelectKResult, select_k
 
 
 class DataError(Exception):
@@ -143,71 +135,6 @@ def _aggregate(per_seed: List[dict]) -> dict:
 # pipeline
 
 
-def _blas_threads() -> Optional[int]:
-    """Threads the OpenBLAS numpy loaded runs a product on, or None where
-    it cannot be asked (another BLAS, or no ``/proc/self/maps``)."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            get = getattr(lib, name, None)
-            if get is not None:
-                get.restype = ctypes.c_int
-                return get()
-    return None
-
-
-def _each_concurrently(run: Callable[[int], Any], count: int) -> list:
-    """``[run(i) for i in range(count)]``, on ``min(usable_cpus(), count)``
-    threads, the calling thread among them, when numpy's BLAS runs one
-    thread; else on the calling thread alone.
-
-    Index 0 goes to the calling thread and indices 1 to ``workers - 1``
-    to the other threads; after that each thread, as it finishes a call,
-    takes the lowest index not yet taken.  With one worker no thread is
-    started and the calling thread runs every index in order.  Result i
-    fills slot i, so the list is the one a single thread builds.  Once a
-    call raises, no thread takes another index, but the calls already
-    running finish first: the exception reaches the caller after every
-    thread has stopped.
-    """
-    workers = min(usable_cpus(), count) if _blas_threads() == 1 else 1
-    out: list = [None] * count
-    pending = iter(range(count))
-    lock = threading.Lock()
-    failed = threading.Event()
-
-    def take() -> Optional[int]:
-        with lock:
-            return None if failed.is_set() else next(pending, None)
-
-    def drain(i: Optional[int]) -> None:
-        while i is not None:
-            try:
-                out[i] = run(i)
-            except BaseException:
-                failed.set()
-                raise
-            i = take()
-
-    first = take()
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        others = [pool.submit(drain, take()) for _ in range(workers - 1)]
-        drain(first)
-        for done in others:
-            done.result()
-    return out
-
-
 def _run_seed(norm: Dataset, partitions: List[PartitionIndex],
               config: RunConfig, seed: int, policy: Policy,
               trace_dir: Optional[Path] = None) -> Tuple[dict, np.ndarray]:
@@ -218,9 +145,9 @@ def _run_seed(norm: Dataset, partitions: List[PartitionIndex],
     labeled = sample_labeled_subset(norm, config.label_proportion, seed)
     seed_rng = np.random.default_rng(seed)
     agent_seeds = [int(seed_rng.integers(2 ** 63)) for _ in partitions]
-    results = _each_concurrently(
-        lambda pid: run_agent(partitions[pid], norm, labeled, config,
-                              agent_seeds[pid], policy, pid),
+    results = deal(
+        lambda pid, slot: run_agent(partitions[pid], norm, labeled, config,
+                                    agent_seeds[pid], policy, pid),
         len(partitions))
     if trace_dir is not None:
         _write_traces(trace_dir, seed, results)
@@ -559,6 +486,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    if not one_blas_thread():
+        print("note: numpy's BLAS could not be set to one thread; it keeps "
+              "its own thread count beside the program's threads",
+              file=sys.stderr)
 
     try:
         if args.command == "cluster":

@@ -14,12 +14,11 @@ of candidate edges and materializes the graph at the chosen k.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import cpus
 from .dbscan_core import sq_distances
 
 # total edge visits allowed in one k sweep before the sweep strides
@@ -87,8 +86,8 @@ def _mutual_rank_edges(points: np.ndarray, cap: int):
     k-NN graph exactly when k_edge <= k.  The one n x n array is the rank
     table (int16 or int32).  Three passes go over blocks of rows: the ranks,
     from the block's distances; the count of the block's edges; and the
-    edges themselves, with distances computed again.  The blocks are dealt
-    round-robin to one thread per CPU, and each is computed whole by one
+    edges themselves, with distances computed again.  ``cpus.deal`` deals
+    the blocks to one thread per CPU, and each is computed whole by one
     thread, so the result does not depend on the thread count.
     """
     n = points.shape[0]
@@ -98,7 +97,7 @@ def _mutual_rank_edges(points: np.ndarray, cap: int):
     flat_rank = rank.reshape(-1)
     bounds, b = _row_blocks(n)
     blocks = list(zip(bounds[:-1], bounds[1:]))
-    workers = min(usable_cpus(), len(blocks))
+    workers = min(cpus.usable_cpus(), len(blocks))
     ranks = np.tile(np.arange(n, dtype=dtype), b)
     upper = np.triu(np.ones((b, b), dtype=bool), 1)
 
@@ -140,7 +139,7 @@ def _mutual_rank_edges(points: np.ndarray, cap: int):
         return k, mask
 
     def count_edges(blk, dist, tmp, kmin, hit):
-        counts[blk] = np.count_nonzero(pairs_of(blk, kmin, hit)[1])
+        return np.count_nonzero(pairs_of(blk, kmin, hit)[1])
 
     def edges_of(blk, dist, tmp, kmin, hit):
         lo, hi = blocks[blk]
@@ -163,22 +162,17 @@ def _mutual_rank_edges(points: np.ndarray, cap: int):
     # worker's malloc arena can stay resident
     buffers = [(np.empty(b * n), np.empty(b * n), np.empty(b * n, dtype=dtype),
                 np.empty(b * n, dtype=bool)) for _ in range(workers)]
-    counts = np.empty(len(blocks), dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        def each_block(step):
-            def run(t):
-                for blk in range(t, len(blocks), workers):
-                    step(blk, *buffers[t])
-            for done in [pool.submit(run, t) for t in range(workers)]:
-                done.result()
 
-        each_block(rank_rows)  # every rank before any pair's first k
-        each_block(count_edges)
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        flat = np.empty(starts[-1], dtype=np.int64)
-        ke = np.empty(starts[-1], dtype=dtype)
-        de = np.empty(starts[-1])
-        each_block(edges_of)  # the blocks' edges in block order: row-major
+    def each_block(step):
+        return cpus.deal(lambda blk, slot: step(blk, *buffers[slot]),
+                         len(blocks), workers)
+
+    each_block(rank_rows)  # every rank before any pair's first k
+    starts = np.concatenate([[0], np.cumsum(each_block(count_edges))])
+    flat = np.empty(starts[-1], dtype=np.int64)
+    ke = np.empty(starts[-1], dtype=dtype)
+    de = np.empty(starts[-1])
+    each_block(edges_of)  # the blocks' edges in block order: row-major
     del rank, flat_rank, buffers
 
     # a stable sort of 16-bit keys is a radix sort
@@ -239,42 +233,22 @@ def _entropies_for(u, v, prefix_d, d, n, ms):
     """One-dimensional structural entropy of the graph on each edge-table
     prefix length in ``ms``.
 
-    The lengths are dealt round-robin to one thread per CPU of the
-    process (numpy's ``exp`` and ``bincount`` release the GIL).  Each
-    thread fills its own slots of the result, using a weight buffer the
-    calling thread allocated; every value is the one a single thread
-    computes, bit for bit.
+    ``cpus.deal`` deals the lengths to one thread per CPU of the process
+    (numpy's ``exp`` and ``bincount`` release the GIL).  Each thread uses
+    its slot's weight buffer, which the calling thread allocated; every
+    value is the one a single thread computes, bit for bit.
     """
-    out = np.empty(len(ms), dtype=np.float64)
-    workers = min(usable_cpus(), len(ms))
-    if workers == 0:
-        return out
-
-    def run(slots, buf):
-        for i in slots:
-            m = int(ms[i])
-            deg = _prefix_degrees(n, u, v, prefix_d, d, m, buf[:m])
-            out[i] = _degree_entropy(deg, deg.sum())
-
+    slots = min(cpus.usable_cpus(), len(ms))
     # the buffers come from this thread, so a worker allocates nothing
     # large: memory freed in a worker's malloc arena can stay resident
-    shares = [range(t, len(ms), workers) for t in range(workers)]
-    buffers = [np.empty(int(ms[t::workers].max())) for t in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for done in [pool.submit(run, share, buf)
-                     for share, buf in zip(shares, buffers)]:
-            done.result()
-    return out
+    buffers = [np.empty(int(ms.max(initial=0))) for _ in range(slots)]
 
+    def run(i, slot):
+        m = int(ms[i])
+        deg = _prefix_degrees(n, u, v, prefix_d, d, m, buffers[slot][:m])
+        return _degree_entropy(deg, deg.sum())
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on (``taskset`` bounds them): the
-    thread count of the rank table's row blocks, of the k sweep and,
-    beside a one-thread BLAS, of a seed's agents."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    return np.array(cpus.deal(run, len(ms), slots), dtype=np.float64)
 
 
 def _edge_bound(n: int, k_max: int) -> int:
@@ -399,7 +373,7 @@ def select_k(
                 f"{stages} over {n} points needs about {need / 2**20:.1f} "
                 f"MiB, but only {avail / 2**20:.1f} MiB are available")
 
-    check("k selection", dense_bytes(n, k_max, usable_cpus()))
+    check("k selection", dense_bytes(n, k_max, cpus.usable_cpus()))
     u, v, ke, de = _mutual_rank_edges(points, k_max)
     prefix_d = np.cumsum(de)
 

@@ -15,6 +15,7 @@ import pytest
 
 from ardbscan import (
     cli_harness,
+    cpus,
     dbscan_core,
     encoding_tree,
     recursive_search,
@@ -693,7 +694,7 @@ def test_k_selection_beyond_available_memory_is_data_error(
     points = np.random.default_rng(0).random((600, 2))
     data.write_text("".join(f"{x},{y},0\n" for x, y in points))
     cfg = write_config(tmp_path / "cfg.json", data)
-    monkeypatch.setattr(structured_graph, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
     monkeypatch.setattr(structured_graph, "_mem_available", lambda: 2 << 20)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
@@ -714,7 +715,7 @@ def test_tree_beyond_available_memory_is_data_error(tmp_path, capsys,
     points = np.random.default_rng(0).random((600, 2))
     data.write_text("".join(f"{x},{y},0\n" for x, y in points))
     cfg = write_config(tmp_path / "cfg.json", data, k_sweep_cap=300)
-    monkeypatch.setattr(structured_graph, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
     norm = normalize(Dataset(points, np.zeros(600, dtype=np.int64)))
     edges = structured_graph.select_k(norm.points, 300).graph.edge_count
     real = structured_graph.tree_bytes(600, edges)
@@ -844,59 +845,112 @@ def outputs(out):
     return files
 
 
-def agent_threads(monkeypatch, cpus, blas_threads=1):
-    """Give the agents ``cpus`` CPUs and report ``blas_threads`` for
-    numpy's BLAS, which still runs at its default thread count."""
-    monkeypatch.setattr(cli_harness, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(cli_harness, "_blas_threads", lambda: blas_threads)
-
-
-def test_blas_threads_reads_the_loaded_openblas():
-    if "openblas" not in str(np.show_config(mode="dicts")).lower():
-        pytest.skip("numpy is not built on OpenBLAS")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    probe = "from ardbscan.cli_harness import _blas_threads; print(_blas_threads())"
-    # OpenBLAS runs no more threads than the process has CPUs
-    for threads in ["1", "2"][:structured_graph.usable_cpus()]:
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH":
-               os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == threads
-
-
-@pytest.mark.parametrize("blas_threads", [2, None])
-def test_agents_beside_a_threaded_blas_run_on_the_calling_thread(
-        monkeypatch, blas_threads):
-    agent_threads(monkeypatch, 3, blas_threads)
-    threads = []
-    before = threading.active_count()
-    out = cli_harness._each_concurrently(
-        lambda i: threads.append(threading.get_ident()) or i, 5)
-    assert out == list(range(5))
-    assert set(threads) == {threading.get_ident()}
-    assert threading.active_count() == before
+def agent_threads(monkeypatch, workers):
+    """Give the process ``workers`` CPUs, for the agents' threads and
+    every other ``cpus.deal``."""
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: workers)
 
 
 def test_each_concurrently_runs_every_index_once_in_slot_order(monkeypatch):
     # more threads than cores, switching often: every index is taken by
-    # exactly one thread and its result lands in its own slot
+    # exactly one thread, its result lands in its own place, slot s
+    # starts with index s, and each slot is one thread
     agent_threads(monkeypatch, 8)
     ran = []
+    slot_threads = {}
 
-    def run(i):
-        ran.append(i)
+    def run(i, slot):
+        ran.append((i, slot))
+        slot_threads.setdefault(slot, set()).add(threading.get_ident())
         return np.full(64, i) @ np.ones(64)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = cli_harness._each_concurrently(run, 500)
+        out = cpus.deal(run, 500)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(ran) == list(range(500))
+    assert sorted(i for i, _ in ran) == list(range(500))
     assert out == [64.0 * i for i in range(500)]
+    assert {i: s for i, s in ran if i < 8} == {s: s for s in range(8)}
+    assert sorted(slot_threads) == list(range(8))
+    assert all(len(ids) == 1 for ids in slot_threads.values())
+    assert threading.get_ident() in slot_threads[0]
+
+
+OPENBLAS_THREADS = """
+import ctypes
+
+def openblas_threads():
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh
+                        if "openblas" in line.lower()})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.restype = ctypes.c_int
+                return get()
+"""
+
+
+def run_main_fresh(args, blas_threads, prelude=""):
+    """``main(args)`` in a fresh interpreter, after ``prelude``, with
+    ``OPENBLAS_NUM_THREADS`` set (or unset, for None)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    script = (prelude + "from ardbscan.cli_harness import main\n"
+              + f"raise SystemExit(main({args!r}))\n")
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def test_main_sets_openblas_to_one_thread(tmp_path):
+    if "openblas" not in str(np.show_config(mode="dicts")).lower():
+        pytest.skip("numpy is not built on OpenBLAS")
+    cfg = write_three_spreads(tmp_path)
+    # the thread count before main runs, and after it, as it exits
+    report = OPENBLAS_THREADS + (
+        "import atexit, numpy\n"
+        "print(openblas_threads())\n"
+        "atexit.register(lambda: print(openblas_threads()))\n")
+    runs = []
+    for threads in ("2", "1"):
+        out = tmp_path / f"out{threads}"
+        done = run_main_fresh(["cluster", "--config", str(cfg),
+                               "--out", str(out)], threads, prelude=report)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        # OpenBLAS runs no more threads than the process has CPUs
+        assert lines[0] == str(min(int(threads), cpus.usable_cpus()))
+        assert lines[-1] == "1"
+        assert "BLAS" not in done.stderr
+        runs.append(outputs(out))
+    assert runs[0] == runs[1]
+
+
+def test_main_without_openblas_says_so_and_runs(tmp_path):
+    # no library can be opened, so none can be set: one line on stderr,
+    # and the command still succeeds
+    cfg = write_three_spreads(tmp_path)
+    no_library = ("import ctypes\n"
+                  "def refuse(*args, **kwargs):\n"
+                  "    raise OSError('no library')\n"
+                  "ctypes.CDLL = refuse\n")
+    done = run_main_fresh(["allocate", "--config", str(cfg),
+                           "--out", str(tmp_path / "out")], None,
+                          prelude=no_library)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == [
+        "note: numpy's BLAS could not be set to one thread; it keeps its "
+        "own thread count beside the program's threads"]
+    assert (tmp_path / "out" / "allocation.json").exists()
 
 
 @pytest.mark.parametrize("command", [["cluster", "--trace"],

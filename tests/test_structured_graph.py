@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ardbscan import structured_graph
+from ardbscan import cpus, structured_graph
 from ardbscan.config import RunConfig
 from ardbscan.encoding_tree import optimize_two_level
 from ardbscan.structured_graph import DEFAULT_OP_BUDGET, one_dim_se, select_k
@@ -193,6 +194,38 @@ def test_select_k_deterministic():
     assert sweep_bytes(select_k(pts, CAP)) == sweep_bytes(select_k(pts, CAP))
 
 
+def on_cpus(monkeypatch, workers):
+    """Give the process ``workers`` CPUs through ``cpus.usable_cpus``, the
+    one name both the memory guard and the dealt threads read, and record
+    for every ``cpus.deal`` call its index count and the threads each slot
+    ran on."""
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: workers)
+    calls = []
+    original = cpus.deal
+
+    def recording(run, count, slots=None):
+        threads = {}
+        calls.append((count, threads))
+
+        def run_in(i, slot):
+            threads.setdefault(slot, set()).add(threading.get_ident())
+            return run(i, slot)
+
+        return original(run_in, count, slots)
+
+    monkeypatch.setattr(cpus, "deal", recording)
+    return calls
+
+
+def assert_dealt_to(calls, workers):
+    """Every call ran on ``min(workers, count)`` slots, each slot on one
+    thread."""
+    assert calls
+    for count, threads in calls:
+        assert sorted(threads) == list(range(min(workers, count)))
+        assert all(len(ids) == 1 for ids in threads.values())
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_sweep_is_bit_identical_across_thread_counts(monkeypatch, workers):
     # a complete sweep over rank and weight ties, and a strided one (two
@@ -202,7 +235,7 @@ def test_sweep_is_bit_identical_across_thread_counts(monkeypatch, workers):
     results = [select_k(pts, CAP, budget) for pts, budget in cases]
     assert results[1].ks.size < 59  # the budget forces a stride
     reference = [sweep_bytes(res) for res in results]
-    monkeypatch.setattr(structured_graph, "usable_cpus", lambda: workers)
+    calls = on_cpus(monkeypatch, workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -210,6 +243,7 @@ def test_sweep_is_bit_identical_across_thread_counts(monkeypatch, workers):
     finally:
         sys.setswitchinterval(interval)
     assert got == reference
+    assert_dealt_to(calls, workers)
 
 
 def block_distances(pts):
@@ -293,7 +327,7 @@ def test_blocked_rank_edges_match_the_dense_table(monkeypatch, workers):
     cases = [(grid, 16), (grid, 899), (storm, 16), (straddle, 40),
              (straddle, 309), (wide, 30)]
     expected = [dense_rank_edges(pts, cap) for pts, cap in cases]
-    monkeypatch.setattr(structured_graph, "usable_cpus", lambda: workers)
+    calls = on_cpus(monkeypatch, workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -301,6 +335,8 @@ def test_blocked_rank_edges_match_the_dense_table(monkeypatch, workers):
                for pts, cap in cases]
     finally:
         sys.setswitchinterval(interval)
+    assert len(calls) == 3 * len(cases)  # ranks, counts and edges
+    assert_dealt_to(calls, workers)
     for (pts, cap), mine, dense in zip(cases, got, expected):
         # k_edge stays in the rank table's dtype; widened, it is the same
         k_edge = mine[2]
@@ -312,6 +348,9 @@ def test_blocked_rank_edges_match_the_dense_table(monkeypatch, workers):
 
 def test_dense_bytes_matches_traced_peak():
     pts = np.random.default_rng(0).random((600, 2))
+    # untraced first, so that one-time imports and caches of a fresh
+    # process are not counted as the sweep's peak
+    select_k(pts, 20)
     for cap in (CAP, 20):
         tracemalloc.start()
         try:
@@ -319,7 +358,7 @@ def test_dense_bytes_matches_traced_peak():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        workers = min(structured_graph.usable_cpus(), cap)
+        workers = min(cpus.usable_cpus(), cap)
         need = structured_graph.dense_bytes(600, min(599, cap), workers)
         assert abs(need - peak) <= 0.03 * peak
 
@@ -346,7 +385,7 @@ def test_memory_guard_covers_the_tree(monkeypatch):
     # complete graph's tree does not; only a caller that builds the tree
     # is refused
     pts = np.random.default_rng(0).random((600, 2))
-    monkeypatch.setattr(structured_graph, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
     sweep = structured_graph.dense_bytes(600, 599, 1)
     tree = structured_graph.tree_bytes(600, 600 * 599 // 2)
     assert sweep < tree
@@ -365,7 +404,7 @@ def test_memory_guard(monkeypatch):
     # the sweep unchanged; one byte short refuses before any distance
     pts = lattice()
     n = pts.shape[0]
-    workers = min(structured_graph.usable_cpus(), n - 1)
+    workers = min(cpus.usable_cpus(), n - 1)
     need = structured_graph.dense_bytes(n, n - 1, workers)
     expected = sweep_bytes(select_k(pts, CAP))
     for avail in (need, None):
