@@ -169,22 +169,18 @@ def _run_seed(norm: Dataset, partitions: List[PartitionIndex],
 def _set_up(raw: Dataset, config: RunConfig, allocate: bool = True
             ) -> Tuple[Dataset, SelectKResult, Optional[EncodingTree],
                        Optional[AgentAllocation]]:
-    """Check and normalize the data, select k and, when ``allocate`` is
-    set, build the encoding tree and the agent allocation.  k selection
-    needs at least 3 points, and its dense arrays, and the tree's when
-    one is built, must fit in the memory available."""
-    if raw.n < 3:
-        raise DataError(f"dataset too small for k selection: {raw.n} points, "
-                        "need at least 3")
-    norm = normalize(raw)
+    """Normalize the data, select k and, when ``allocate`` is set, build
+    the encoding tree and the agent allocation.  Each stage checks its own
+    input and memory; what it refuses is a data error."""
     try:
-        sel = select_k(norm.points, cap=config.k_sweep_cap, tree=allocate)
-    except InsufficientMemoryError as exc:
+        norm = normalize(raw)
+        sel = select_k(norm.points, cap=config.k_sweep_cap)
+        if not allocate:
+            return norm, sel, None, None
+        tree = optimize_two_level(sel.graph)
+    except (ValueError, InsufficientMemoryError) as exc:
         raise DataError(str(exc)) from exc
-    if not allocate:
-        return norm, sel, None, None
-    tree = optimize_two_level(sel.graph)
-    alloc = allocate_agents(tree, sel.k, config.alloc_eps, config.alloc_minpts)
+    alloc = allocate_agents(tree, config.alloc_eps, config.alloc_minpts)
     return norm, sel, tree, alloc
 
 
@@ -414,7 +410,10 @@ def cmd_baseline_random(config: RunConfig, out_dir: Path) -> dict:
     if raw.n < 2:
         raise DataError(f"dataset too small: {raw.n} points, need at least 2")
     started = time.perf_counter()
-    norm = normalize(raw)
+    try:
+        norm = normalize(raw)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     body, assignment = _run_seeds(norm, None, [np.arange(norm.n)], config,
                                   random_draws)
     return _write_run(out_dir, config, body, assignment, norm, started)

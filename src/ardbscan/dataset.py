@@ -119,12 +119,18 @@ def _parse_label(field: str, lineno: int) -> int:
 
 def normalize(ds: Dataset) -> Dataset:
     """Min-max scale every feature column into [0, 1]; constant columns map
-    to 0. The maximum possible pairwise distance afterwards is sqrt(d)."""
+    to 0. The maximum possible pairwise distance afterwards is sqrt(d).
+    Raises ValueError naming a column whose max - min is not finite."""
     if ds.n < 1:
         raise ValueError("cannot normalize an empty dataset")
     lo = ds.points.min(axis=0)
     hi = ds.points.max(axis=0)
-    span = hi - lo
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+    if not np.isfinite(span).all():
+        c = int(np.argmin(np.isfinite(span)))
+        raise ValueError(f"feature column {c + 1} ranges from {float(lo[c])} "
+                         f"to {float(hi[c])}, a span beyond float64 range")
     out = np.zeros_like(ds.points)
     nonconst = span > 0
     out[:, nonconst] = (ds.points[:, nonconst] - lo[nonconst]) / span[nonconst]

@@ -94,6 +94,18 @@ def sq_distances(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_distances(points: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``points`` (n x d) are finite, with every
+    squared distance between them within float64 range."""
+    if points.size:
+        # the largest squared distance: not finite if any one overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = np.square(np.ptp(points, axis=0)).sum()
+        if not np.isfinite(reach):
+            raise ValueError("points must be finite, with squared "
+                             "distances within float64 range")
+
+
 def _core_distances(points: np.ndarray, min_pts: int) -> np.ndarray:
     """Each point's ``min_pts``-th smallest squared distance, itself
     included (requires ``min_pts <= n``)."""
@@ -176,14 +188,7 @@ class DbscanIndex:
 
     def __init__(self, points: np.ndarray):
         self.points = np.asarray(points, dtype=np.float64)
-        if self.points.size:
-            # the largest squared distance: not finite if any one overflows
-            with np.errstate(over="ignore", invalid="ignore"):
-                span = self.points.max(axis=0) - self.points.min(axis=0)
-                reach = np.square(span).sum()
-            if not np.isfinite(reach):
-                raise ValueError("points must be finite, with squared "
-                                 "distances within float64 range")
+        check_distances(self.points)
         self._points_t = np.ascontiguousarray(self.points.T)
         self._trees: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray,
                                      np.ndarray]] = {}

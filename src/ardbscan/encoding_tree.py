@@ -29,12 +29,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dbscan_core import NOISE, DbscanParams, run_dbscan
-from .structured_graph import TREE_CHUNK, StructuredGraph, one_dim_se
+from .structured_graph import StructuredGraph, check_memory, one_dim_se
 
 ROOT = -1
 
 # a merge must beat this margin to count as strict descent
 _DESCENT_TOL = -1e-12
+TREE_CHUNK = 16384  # list entries per chunk of the adjacency and first bids
 _ONE_LIST = np.zeros(1, dtype=np.int64)  # the start of a lone list
 
 
@@ -73,9 +74,9 @@ class EncodingTree:
             for g, v in zip(self.cut.tolist(), self.volume.tolist())]
         self.entropy_trace: List[float] = entropy_trace if entropy_trace is not None else []
 
-    def uncertainty(self, k: int) -> List[float]:
-        """Per-object entropy share of each community at graph degree
-        ``k``: entropy / (size * k)."""
+    def uncertainty(self) -> List[float]:
+        """Each community's per-object share, entropy / (size * graph.k)."""
+        k = self.graph.k
         if k < 1:
             raise ValueError("k must be at least 1")
         return [h / (s * k) for h, s in zip(self.entropy, self.size.tolist())]
@@ -144,6 +145,27 @@ def _merge_delta(vol: float, v_a, g_a, v_b: np.ndarray, g_b: np.ndarray,
     ) / vol
 
 
+def tree_bytes(n: int, edges: int) -> int:
+    """Peak bytes :func:`optimize_two_level` allocates beside a graph of n
+    vertices and E edges: the adjacency (both ends of every edge, int32
+    ids and float64 weights), 24 E, beside the largest of three phases,
+    whose chunks hold c = min(2 E, max(``TREE_CHUNK``, n - 1)) entries:
+
+    - the adjacency's build: one end's uint64 sort keys, 8 E, one chunk's
+      int64 positions, indices and values, 24 min(``TREE_CHUNK``, E), and
+      counts and offsets, 34 n;
+    - the first bids: one chunk's per-entry arrays, 86 c, and per vertex
+      the communities' state and its heap entry, 230 n;
+    - the merges: coalesced lists, member ids and the heap, measured at
+      up to 400 n.
+    """
+    chunk = min(2 * edges, max(TREE_CHUNK, n - 1))
+    return 24 * edges + max(
+        8 * edges + 24 * min(TREE_CHUNK, edges) + 34 * n,
+        86 * chunk + 230 * n,
+        400 * n)
+
+
 def _adjacency(graph: StructuredGraph) -> Tuple[np.ndarray, np.ndarray,
                                                 np.ndarray]:
     """Every vertex's neighbours in ascending order, with the weights of
@@ -205,10 +227,13 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
     the lexicographically smallest pair of community minimum-vertex
     ids, which keeps the result independent of heap internals.  A vertex
     of degree 0 (every edge weight underflowed to 0) stays a singleton.
+    A graph of volume zero raises ``ValueError``, and one whose
+    :func:`tree_bytes` exceeds the memory available
+    ``InsufficientMemoryError``, before the adjacency is built.
     """
     n = graph.n
-    if graph.volume <= 0.0:
-        raise ValueError("degenerate graph (volume is zero)")
+    trace = [one_dim_se(graph)]  # refuses a graph of volume zero
+    check_memory("the encoding tree", n, tree_bytes(n, graph.edge_count))
     vol = graph.volume
     dst, wts, starts = _adjacency(graph)
 
@@ -330,7 +355,6 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
         lo = hi
     heapq.heapify(heap)
 
-    trace = [one_dim_se(graph)]
     while heap:
         delta, _, _, a, b, w_ab = heapq.heappop(heap)
         if root[a] != a or root[b] != b:
@@ -396,7 +420,7 @@ class AgentAllocation:
     uncertainty: List[float]
 
 
-def allocate_agents(tree: EncodingTree, k: int, alloc_eps: float,
+def allocate_agents(tree: EncodingTree, alloc_eps: float,
                     alloc_minpts: int) -> AgentAllocation:
     """Pool communities with similar information uncertainty.
 
@@ -404,7 +428,7 @@ def allocate_agents(tree: EncodingTree, k: int, alloc_eps: float,
     ``alloc_eps`` share one search agent; well-separated ones get their
     own.  Partitions are ordered by first appearance of their group.
     """
-    uncertainty = tree.uncertainty(k)
+    uncertainty = tree.uncertainty()
     if not uncertainty:
         raise ValueError("tree has no communities")
     groups = _cluster_uncertainties(uncertainty, alloc_eps, alloc_minpts)

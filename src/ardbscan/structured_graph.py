@@ -19,18 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cpus
-from .dbscan_core import sq_distances
+from .dbscan_core import check_distances, sq_distances
 
 # total edge visits allowed in one k sweep before the sweep strides
 DEFAULT_OP_BUDGET = 200_000_000
 _RANK_BLOCK = 128  # rows per block of the rank table
-# list entries per chunk of the encoding tree's adjacency build and first
-# bids, whose arrays tree_bytes charges for one chunk
-TREE_CHUNK = 16384
 
 
 class InsufficientMemoryError(MemoryError):
-    """The dense k sweep would need more memory than is available."""
+    """A set-up stage would need more memory than is available."""
 
 
 @dataclass(frozen=True)
@@ -251,11 +248,6 @@ def _entropies_for(u, v, prefix_d, d, n, ms):
     return np.array(cpus.deal(run, len(ms), slots), dtype=np.float64)
 
 
-def _edge_bound(n: int, k_max: int) -> int:
-    """Most edges a k-NN graph over n points can have for k <= k_max."""
-    return min(n * (n - 1) // 2, n * k_max)
-
-
 def dense_bytes(n: int, k_max: int, workers: int) -> int:
     """Peak bytes ``select_k`` holds at once for n points and k up to
     k_max on ``workers`` threads, from the arrays it allocates.  The edge
@@ -279,7 +271,7 @@ def dense_bytes(n: int, k_max: int, workers: int) -> int:
       and int32 endpoints: (32 + s + 8 max(2, threads)) E.
     """
     s = np.dtype(_rank_dtype(n)).itemsize
-    edges = _edge_bound(n, k_max)
+    edges = min(n * (n - 1) // 2, n * k_max)
     bounds, b = _row_blocks(n)
     threads = min(workers, len(bounds) - 1)
     return max((s * n + (s + (25 + s) * threads) * b) * n,
@@ -288,33 +280,8 @@ def dense_bytes(n: int, k_max: int, workers: int) -> int:
                (32 + s + 8 * max(2, min(workers, k_max))) * edges)
 
 
-def tree_bytes(n: int, edges: int) -> int:
-    """Peak bytes held while ``encoding_tree.optimize_two_level`` runs on a
-    graph of n vertices and E edges: the graph's own int32 u and v,
-    float64 w and degrees, 16 E + 8 n, beside the largest of the
-    optimizer's three phases.  Its adjacency holds both ends of every
-    edge, int32 ids and float64 weights, 24 E.  Chunks hold at most
-    c = min(2 E, max(``TREE_CHUNK``, n - 1)) list entries.
-
-    - building the adjacency: it, one end's uint64 sort keys, 8 E, and
-      one chunk's int64 positions, indices and values,
-      24 min(``TREE_CHUNK``, E), beside counts and offsets, 34 n;
-    - every vertex's first bid: the adjacency, one chunk's per-entry
-      arrays, 86 c, and per vertex the communities' state and its heap
-      entry, 230 n;
-    - the merges: the adjacency beside the coalesced lists and member ids
-      of merged communities and the heap, measured at up to 400 n.
-    """
-    chunk = min(2 * edges, max(TREE_CHUNK, n - 1))
-    return 16 * edges + 8 * n + 24 * edges + max(
-        8 * edges + 24 * min(TREE_CHUNK, edges) + 34 * n,
-        86 * chunk + 230 * n,
-        400 * n)
-
-
 def _mem_available() -> int | None:
-    """``MemAvailable`` of /proc/meminfo in bytes; None where the kernel
-    does not report it."""
+    """``MemAvailable`` of /proc/meminfo in bytes, or None if not reported."""
     try:
         with open("/proc/meminfo", encoding="ascii") as fh:
             for line in fh:
@@ -323,6 +290,16 @@ def _mem_available() -> int | None:
     except OSError:
         pass
     return None
+
+
+def check_memory(stage: str, n: int, need: int) -> None:
+    """Refuse ``stage`` over n points when its peak, ``need`` bytes, exceeds
+    the memory available now; where that is not reported, pass."""
+    avail = _mem_available()
+    if avail is not None and need > avail:
+        raise InsufficientMemoryError(
+            f"{stage} over {n} points needs about {need / 2**20:.1f} MiB, "
+            f"but only {avail / 2**20:.1f} MiB are available")
 
 
 def _stable_points(ks: np.ndarray, h: np.ndarray) -> list[int]:
@@ -338,8 +315,6 @@ def select_k(
     points: np.ndarray,
     cap: int,
     op_budget: int = DEFAULT_OP_BUDGET,
-    *,
-    tree: bool = False,
 ) -> SelectKResult:
     """Sweep k, find stable points of the normalized entropy, pick the best.
 
@@ -354,26 +329,18 @@ def select_k(
     with the smallest value or, when there is none, the minimum; equal
     values go to the smaller k, with no tolerance.
 
-    Raises :class:`InsufficientMemoryError` before any O(n^2) allocation
-    when :func:`dense_bytes` exceeds the memory the kernel reports
-    available when it starts or, with ``tree`` set (the caller builds the
-    encoding tree on the result), once the sweep has chosen k, when
-    :func:`tree_bytes` at the chosen graph's edge count does.
+    Raises ``ValueError`` for the points ``DbscanIndex`` refuses or fewer
+    than 3, and :class:`InsufficientMemoryError` when :func:`dense_bytes`
+    exceeds the memory available, before any O(n^2) allocation.
     """
     points = np.asarray(points, dtype=np.float64)
+    check_distances(points)
     n = points.shape[0]
     if n < 3:
-        raise ValueError("too few points for stable-point detection")
+        raise ValueError(f"too few points for k selection: {n}, "
+                         "need at least 3")
     k_max = min(n - 1, cap)
-    avail = _mem_available()
-
-    def check(stages, need):
-        if avail is not None and need > avail:
-            raise InsufficientMemoryError(
-                f"{stages} over {n} points needs about {need / 2**20:.1f} "
-                f"MiB, but only {avail / 2**20:.1f} MiB are available")
-
-    check("k selection", dense_bytes(n, k_max, cpus.usable_cpus()))
+    check_memory("k selection", n, dense_bytes(n, k_max, cpus.usable_cpus()))
     u, v, ke, de = _mutual_rank_edges(points, k_max)
     prefix_d = np.cumsum(de)
 
@@ -410,8 +377,6 @@ def select_k(
     else:
         k_star = int(ks[int(np.argmin(h_norm))])
     m = int(all_ms[k_star - 1])
-    if tree:
-        check("k selection with the encoding tree", tree_bytes(n, m))
     w = np.empty(m)
     degrees = _prefix_degrees(n, u, v, prefix_d, de, m, w)
     graph = StructuredGraph(n, k_star, u[:m].astype(np.int32),

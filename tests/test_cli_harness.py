@@ -683,17 +683,18 @@ def test_two_point_dataset_is_data_error(tmp_path, capsys, command):
     assert "at least 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["cluster", "allocate"])
+@pytest.mark.parametrize("command", ["cluster", "allocate", "online"])
 def test_k_selection_beyond_available_memory_is_data_error(
         tmp_path, capsys, monkeypatch, command):
     # 600 points at k_sweep_cap 16, on one thread, need the 2-byte rank
     # table (2 * 600^2 bytes) beside a block of rank values and a 120-row
     # block's buffers and row argsort ((2 + 27) * 120 * 600 bytes):
-    # 2.7 MiB; the guard refuses before any of it is allocated
+    # 2.7 MiB; the guard refuses before any of it is allocated.  online
+    # runs them as one block
     data = tmp_path / "d.csv"
     points = np.random.default_rng(0).random((600, 2))
     data.write_text("".join(f"{x},{y},0\n" for x, y in points))
-    cfg = write_config(tmp_path / "cfg.json", data)
+    cfg = write_config(tmp_path / "cfg.json", data, num_blocks=1)
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
     monkeypatch.setattr(structured_graph, "_mem_available", lambda: 2 << 20)
     out = tmp_path / "out"
@@ -706,41 +707,50 @@ def test_k_selection_beyond_available_memory_is_data_error(
 
 def test_tree_beyond_available_memory_is_data_error(tmp_path, capsys,
                                                     monkeypatch):
-    # 600 points at k_sweep_cap 300, on one thread: the chosen graph is
-    # not complete, so the tree's estimate at its edge count is below the
-    # estimate at the edge bound.  Memory between the two runs; one byte
-    # below the real estimate refuses once the sweep has chosen k, before
-    # the tree is built
+    # 600 points at k_sweep_cap 300: the chosen graph is not complete, and
+    # the tree's estimate at its edge count decides.  With the sweep's own
+    # estimate out of the way, memory at that estimate builds the tree;
+    # one byte below refuses before the adjacency is built
     data = tmp_path / "d.csv"
     points = np.random.default_rng(0).random((600, 2))
     data.write_text("".join(f"{x},{y},0\n" for x, y in points))
     cfg = write_config(tmp_path / "cfg.json", data, k_sweep_cap=300)
-    monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
     norm = normalize(Dataset(points, np.zeros(600, dtype=np.int64)))
     edges = structured_graph.select_k(norm.points, 300).graph.edge_count
-    real = structured_graph.tree_bytes(600, edges)
-    bound = structured_graph.tree_bytes(600, 600 * 599 // 2)
-    assert max(structured_graph.dense_bytes(600, 300, 1), real) < bound
-    monkeypatch.setattr(structured_graph, "_mem_available", lambda: bound - 1)
+    need = encoding_tree.tree_bytes(600, edges)
+    assert need < encoding_tree.tree_bytes(600, 600 * 599 // 2)
+    monkeypatch.setattr(structured_graph, "dense_bytes", lambda *args: 0)
+    monkeypatch.setattr(structured_graph, "_mem_available", lambda: need)
     out = tmp_path / "fits"
     assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "allocation.json").exists()
 
-    def no_tree(graph):
-        raise AssertionError("tree built after the guard refused")
+    def no_adjacency(graph):
+        raise AssertionError("adjacency built after the guard refused")
 
-    # the sweep's own estimate, at the edge bound, is checked first; with
-    # it out of the way the tree's estimate alone decides
-    monkeypatch.setattr(structured_graph, "dense_bytes", lambda *args: 0)
-    monkeypatch.setattr(structured_graph, "_mem_available", lambda: real - 1)
-    monkeypatch.setattr(cli_harness, "optimize_two_level", no_tree)
+    monkeypatch.setattr(structured_graph, "_mem_available", lambda: need - 1)
+    monkeypatch.setattr(encoding_tree, "_adjacency", no_adjacency)
     out = tmp_path / "refused"
     assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err
-    assert ("k selection with the encoding tree over 600 points needs about "
-            "5.6 MiB, but only 5.6 MiB are available") in err
+    assert ("the encoding tree over 600 points needs about 3.9 MiB, but "
+            "only 3.9 MiB are available") in err
     assert not (out / "allocation.json").exists()
+
+
+@pytest.mark.parametrize("command", ["cluster", "allocate", "online",
+                                     "baseline"])
+def test_overflowing_column_range_is_data_error(tmp_path, capsys, command):
+    # every value is finite, but the first column's max - min is not
+    data = tmp_path / "d.csv"
+    data.write_text("1.5e308,0.1,0\n-1.5e308,0.2,1\n0.0,0.3,0\n")
+    cfg = write_config(tmp_path / "cfg.json", data, num_blocks=1)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error: feature column 1 ranges from -1.5e+308" in err
+    assert not (out / "report.json").exists()
 
 
 def test_two_point_online_blocks_are_data_error(tmp_path):

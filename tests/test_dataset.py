@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,17 @@ def test_normalize_linear_map():
 def test_normalize_constant_column():
     ds = normalize(zero_labeled([[5.0, 1.0], [5.0, 3.0]]))
     assert ds.points[:, 0].tolist() == [0.0, 0.0]
+
+
+def test_normalize_rejects_an_overflowing_range():
+    # both values are finite, but max - min is not: numpy used to warn and
+    # return NaN points
+    ds = zero_labeled([[0.5, 1.5e308], [0.25, -1.5e308], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="feature column 2 ranges from "
+                           "-1.5e\\+308 to 1.5e\\+308"):
+            normalize(ds)
 
 
 def test_normalize_max_distance_is_sqrt_d():

@@ -14,6 +14,7 @@ from ardbscan.dbscan_core import (
     run_dbscan,
     sq_distances,
 )
+from ardbscan.structured_graph import select_k
 
 from oracles import canonical_labels, dbscan_bruteforce
 
@@ -91,9 +92,14 @@ def test_matches_bruteforce_on_random_instances():
     [[0.0, 0.0], [1e154, 1e154], [np.inf, 0.0]],
     [[0.0, 0.0], [np.nan, 1.0]],
 ])
-def test_index_rejects_overflowing_or_non_finite_points(points):
+@pytest.mark.parametrize("entry", [DbscanIndex,
+                                   lambda pts: select_k(pts, 2048)],
+                         ids=["DbscanIndex", "select_k"])
+def test_index_rejects_overflowing_or_non_finite_points(entry, points):
+    # k selection refuses the points the index refuses, with the same
+    # check (warnings are errors here)
     with pytest.raises(ValueError, match="finite"):
-        DbscanIndex(np.array(points))
+        entry(np.array(points))
 
 
 @pytest.mark.parametrize("eps", [1e149, 2e149, 3e149, 1e160])

@@ -1,13 +1,17 @@
+import dataclasses
 import heapq
 import math
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ardbscan import encoding_tree, structured_graph
+from ardbscan.config import RunConfig
 from ardbscan.dataset import Dataset, normalize
 from ardbscan.encoding_tree import (
     ROOT,
@@ -236,15 +240,16 @@ def test_information_uncertainty_arithmetic():
     t = optimize_two_level(g)
     expected = [h / (len(members(t, c)) * g.k)
                 for c, h in enumerate(t.entropy)]
-    assert t.uncertainty(g.k) == pytest.approx(expected)
+    assert t.uncertainty() == pytest.approx(expected)
     with pytest.raises(ValueError):
-        t.uncertainty(0)
+        EncodingTree(dataclasses.replace(g, k=0), t.community, t.cut,
+                     t.volume).uncertainty()
 
 
 def test_uncertainty_zero_when_no_cut():
     g = make_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     t = optimize_two_level(g)
-    assert t.uncertainty(1) == [0.0] * t.cut.size
+    assert t.uncertainty() == [0.0] * t.cut.size
 
 
 def test_cluster_uncertainties_threshold_chain():
@@ -256,7 +261,7 @@ def test_cluster_uncertainties_threshold_chain():
 def test_allocate_agents_covers_vertices():
     g = two_cliques()
     t = optimize_two_level(g)
-    alloc = allocate_agents(t, g.k, alloc_eps=0.3, alloc_minpts=1)
+    alloc = allocate_agents(t, alloc_eps=0.3, alloc_minpts=1)
     combined = np.sort(np.concatenate(alloc.partitions))
     assert combined.tolist() == list(range(10))
     assert len(alloc.partitions) >= 1
@@ -269,7 +274,7 @@ def test_allocate_single_intermediate_gives_one_agent():
     g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
     t = tree_of(g, [[0, 1, 2]])
     assert t.cut.size == 1
-    alloc = allocate_agents(t, g.k, 0.3, 1)
+    alloc = allocate_agents(t, 0.3, 1)
     assert len(alloc.partitions) == 1
     assert alloc.partitions[0].tolist() == [0, 1, 2]
 
@@ -284,18 +289,18 @@ def test_allocation_separates_far_uncertainties():
     edges += [(5, 6, 1.0), (5, 7, 1.0), (6, 7, 1.0), (4, 5, 0.05)]
     g = make_graph(8, edges)
     t = optimize_two_level(g)
-    uncs = sorted(t.uncertainty(g.k))
+    uncs = sorted(t.uncertainty())
     gap = min(b - a for a, b in zip(uncs, uncs[1:]))
     assert gap > 0
     # with an epsilon below the smallest gap, every intermediate runs alone
-    alloc = allocate_agents(t, g.k, alloc_eps=gap / 2, alloc_minpts=1)
+    alloc = allocate_agents(t, alloc_eps=gap / 2, alloc_minpts=1)
     assert len(alloc.partitions) == t.cut.size
 
 
 def test_export_nodes_schema():
     g = two_cliques()
     t = optimize_two_level(g)
-    uncertainty = t.uncertainty(g.k)
+    uncertainty = t.uncertainty()
     rows = t.export_nodes(uncertainty)
     assert sorted(r["id"] for r in rows) == \
         [ROOT] + list(range(g.n)) + t.intermediates()
@@ -609,3 +614,48 @@ def test_optimizer_matches_the_reference_bit_for_bit(name):
                           (t.entropy_trace, trace)):
         assert [float(x).hex() for x in got] == \
             [float(x).hex() for x in expected]
+
+
+def decided(t: EncodingTree):
+    """Everything an encoding tree decides, as bytes."""
+    return (t.community.tobytes(), t.cut.tobytes(), t.volume.tobytes(),
+            t.entropy_trace)
+
+
+def test_tree_bytes_matches_traced_peak():
+    # the optimizer's own peak, the graph's arrays being already resident:
+    # the loop phase at n = 600 (k = 599 and 300), the adjacency build at
+    # n = 1000 (k = 999)
+    cap = RunConfig().k_sweep_cap
+    for n, k_cap in ((600, cap), (600, 300), (1000, cap)):
+        graph = select_k(np.random.default_rng(0).random((n, 2)), k_cap).graph
+        tracemalloc.start()
+        try:
+            optimize_two_level(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        need = encoding_tree.tree_bytes(n, graph.edge_count)
+        assert abs(need - peak) <= 0.03 * peak, (n, k_cap)
+
+
+def test_memory_guard_covers_the_tree(monkeypatch):
+    # a library call is guarded like the pipeline's: an estimate that just
+    # fits, or no MemAvailable to compare with, builds the same tree; one
+    # byte short refuses before the adjacency is built
+    pts = np.random.default_rng(0).random((600, 2))
+    graph = select_k(pts, RunConfig().k_sweep_cap).graph
+    need = encoding_tree.tree_bytes(600, graph.edge_count)
+    expected = decided(optimize_two_level(graph))
+    for avail in (need, None):
+        monkeypatch.setattr(structured_graph, "_mem_available", lambda: avail)
+        assert decided(optimize_two_level(graph)) == expected
+
+    def no_adjacency(graph):
+        raise AssertionError("adjacency built after the guard refused")
+
+    monkeypatch.setattr(encoding_tree, "_adjacency", no_adjacency)
+    monkeypatch.setattr(structured_graph, "_mem_available", lambda: need - 1)
+    with pytest.raises(structured_graph.InsufficientMemoryError,
+                       match="the encoding tree over 600 points needs about"):
+        optimize_two_level(graph)

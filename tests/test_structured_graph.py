@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ardbscan import cpus, structured_graph
 from ardbscan.config import RunConfig
-from ardbscan.encoding_tree import optimize_two_level
 from ardbscan.structured_graph import DEFAULT_OP_BUDGET, one_dim_se, select_k
 
 from conftest import edges_of, make_graph
@@ -361,42 +360,6 @@ def test_dense_bytes_matches_traced_peak():
         workers = min(cpus.usable_cpus(), cap)
         need = structured_graph.dense_bytes(600, min(599, cap), workers)
         assert abs(need - peak) <= 0.03 * peak
-
-
-def test_tree_bytes_matches_traced_peak():
-    # the optimizer's own peak, beside the graph's arrays: the loop phase
-    # at n = 600 (k = 599 and 300), the CSR build at n = 1000 (k = 999)
-    for n, cap in ((600, CAP), (600, 300), (1000, CAP)):
-        graph = select_k(np.random.default_rng(0).random((n, 2)), cap).graph
-        tracemalloc.start()
-        try:
-            optimize_two_level(graph)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        held = peak + sum(a.nbytes for a in (graph.u, graph.v, graph.w,
-                                             graph.degrees))
-        need = structured_graph.tree_bytes(n, graph.edge_count)
-        assert abs(need - held) <= 0.03 * held, (n, cap)
-
-
-def test_memory_guard_covers_the_tree(monkeypatch):
-    # 600 points at the default cap, on one thread: the sweep fits, the
-    # complete graph's tree does not; only a caller that builds the tree
-    # is refused
-    pts = np.random.default_rng(0).random((600, 2))
-    monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
-    sweep = structured_graph.dense_bytes(600, 599, 1)
-    tree = structured_graph.tree_bytes(600, 600 * 599 // 2)
-    assert sweep < tree
-    monkeypatch.setattr(structured_graph, "_mem_available", lambda: tree)
-    expected = sweep_bytes(select_k(pts, CAP))
-    assert sweep_bytes(select_k(pts, CAP, tree=True)) == expected
-    monkeypatch.setattr(structured_graph, "_mem_available", lambda: tree - 1)
-    assert sweep_bytes(select_k(pts, CAP)) == expected
-    with pytest.raises(structured_graph.InsufficientMemoryError,
-                       match="with the encoding tree over 600 points"):
-        select_k(pts, CAP, tree=True)
 
 
 def test_memory_guard(monkeypatch):

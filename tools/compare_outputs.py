@@ -3,7 +3,9 @@
     python3 tools/compare_outputs.py --parent-src OLD/src --change-src NEW/src
 
 Each tree runs the same ``ardbscan`` commands on the same inputs, in fresh
-processes with that tree on ``PYTHONPATH`` and BLAS on one thread:
+processes with that tree on ``PYTHONPATH``, BLAS on one thread and
+``-W error::RuntimeWarning`` (as the test suite runs), so a change that
+starts to warn on any input shows as a differing exit code:
 
 - a 60-point three-blob CSV with a small config and seeds 0 and 1:
   ``cluster --trace``, ``cluster --single_agent``, ``cluster --mode
@@ -202,7 +204,8 @@ def run_tree(src: Path, configs: dict, out_root: Path) -> None:
                                    *(flag.lstrip("-") for flag in flags)])
         out.mkdir(parents=True)
         done = subprocess.run(
-            [sys.executable, "-m", "ardbscan", command,
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "ardbscan",
+             command,
              "--config", str(configs[name]), "--out", str(out), *flags],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             text=True)
