@@ -35,8 +35,7 @@ ROOT = -1
 
 # a merge must beat this margin to count as strict descent
 _DESCENT_TOL = -1e-12
-TREE_CHUNK = 16384  # list entries per chunk of the adjacency and first bids
-_ONE_LIST = np.zeros(1, dtype=np.int64)  # the start of a lone list
+TREE_CHUNK = 16384  # edges per chunk of the adjacency's build
 
 
 class EncodingTree:
@@ -120,25 +119,20 @@ def _entropy_term(cut: float, volume: float, parent_volume: float,
     return -(cut / graph_volume) * math.log2(volume / parent_volume)
 
 
-def _merge_delta(vol: float, v_a, g_a, v_b: np.ndarray, g_b: np.ndarray,
-                 w_ab: np.ndarray, own_a=None) -> np.ndarray:
+def _merge_delta(vol: float, v_a: float, g_a: float, v_b: np.ndarray,
+                 g_b: np.ndarray, w_ab: np.ndarray) -> np.ndarray:
     """Entropy change of merging community A with each candidate B.
 
     ``v_*`` are volumes, ``g_*`` cuts and ``w_ab`` the weight between A
-    and each B.  The B terms are arrays.  A's are scalars, or arrays like
-    B's when several communities bid at once; ``own_a`` then holds each
-    A's own term g_a * log2(v_a / vol), which ``math.log2`` computes for
-    a scalar A.  The greedy optimizer's tie-breaking depends on these
-    exact values, so the evaluation order of the expression must not
-    change.
+    and each B; A's terms are scalars, B's arrays.  The greedy optimizer's
+    tie-breaking depends on these exact values, so the evaluation order
+    of the expression must not change.
     """
-    if own_a is None:
-        own_a = g_a * math.log2(v_a / vol)
     v_ab = v_a + v_b
     g_ab = g_a + g_b - 2.0 * w_ab
     return (
         -g_ab * np.log2(v_ab / vol)
-        + own_a
+        + g_a * math.log2(v_a / vol)
         + g_b * np.log2(v_b / vol)
         + v_a * np.log2(v_ab / v_a)
         + v_b * np.log2(v_ab / v_b)
@@ -148,22 +142,16 @@ def _merge_delta(vol: float, v_a, g_a, v_b: np.ndarray, g_b: np.ndarray,
 def tree_bytes(n: int, edges: int) -> int:
     """Peak bytes :func:`optimize_two_level` allocates beside a graph of n
     vertices and E edges: the adjacency (both ends of every edge, int32
-    ids and float64 weights), 24 E, beside the largest of three phases,
-    whose chunks hold c = min(2 E, max(``TREE_CHUNK``, n - 1)) entries:
+    ids and float64 weights), 24 E, beside the larger of two phases:
 
     - the adjacency's build: one end's uint64 sort keys, 8 E, one chunk's
       int64 positions, indices and values, 24 min(``TREE_CHUNK``, E), and
       counts and offsets, 34 n;
-    - the first bids: one chunk's per-entry arrays, 86 c, and per vertex
-      the communities' state and its heap entry, 230 n;
-    - the merges: coalesced lists, member ids and the heap, measured at
-      up to 400 n.
+    - the bids and merges: the heap, coalesced lists and member ids,
+      measured at up to 400 n.
     """
-    chunk = min(2 * edges, max(TREE_CHUNK, n - 1))
     return 24 * edges + max(
-        8 * edges + 24 * min(TREE_CHUNK, edges) + 34 * n,
-        86 * chunk + 230 * n,
-        400 * n)
+        8 * edges + 24 * min(TREE_CHUNK, edges) + 34 * n, 400 * n)
 
 
 def _adjacency(graph: StructuredGraph) -> Tuple[np.ndarray, np.ndarray,
@@ -275,84 +263,49 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
         adj[c] = (d, w)
         return d, w
 
-    def bids(a: np.ndarray, bounds: np.ndarray, d: np.ndarray,
-             w: np.ndarray) -> List[Tuple[float, int, int, int, int, float]]:
-        """Each community a[i]'s best merge over its list d[bounds[i]:
-        bounds[i+1]] (weights w), as a heap entry (delta, lo, hi, a, b,
-        w_ab): the smallest delta, exact ties going to the smallest pair
-        (lo, hi) of the two communities' minimum vertices, and a list that
-        holds a NaN to its first NaN, as argmin picks.  A community of
-        volume 0 (a vertex whose edge weights all underflow to 0) neither
-        bids nor is bid for: a merge with it changes the entropy by 0 in
-        the limit, which is never a strict descent."""
-        # seg[i] is the list of entry i; for one list, the scalar 0
-        # spreads each bidder value over the list as a broadcast
-        one = a.size == 1
-        if one:
-            seg = 0
-        else:
-            seg = np.repeat(np.arange(a.size), np.diff(bounds))
+    def bid(c: int, d: np.ndarray, w: np.ndarray
+            ) -> Optional[Tuple[float, int, int, int, int, float]]:
+        """Community c's best merge over its list d (weights w), as a heap
+        entry (delta, lo, hi, c, b, w_ab), or None: the smallest delta,
+        exact ties going to the smallest pair (lo, hi) of the two
+        communities' minimum vertices, and a list that holds a NaN to its
+        first NaN, as argmin picks.  A community of volume 0 (a vertex
+        whose edge weights all underflow to 0) neither bids nor is bid
+        for: a merge with it changes the entropy by 0 in the limit, which
+        is never a strict descent."""
+        v_a = volume[c]
+        if not v_a > 0.0:
+            return None
         v_b = volume[d]
         keep = v_b > 0.0
-        keep &= (volume[a] > 0.0)[seg]
         if np.count_nonzero(keep) < keep.size:
             d, w, v_b = d[keep], w[keep], v_b[keep]
-            if not one:
-                seg = seg[keep]
         if d.size == 0:
-            return []
-        if one:
-            heads = _ONE_LIST
-        else:  # renumber the lists that kept an entry
-            heads = np.flatnonzero(np.diff(seg, prepend=-1))
-            a = a[seg[heads]]
-            seg = np.repeat(np.arange(heads.size),
-                            np.diff(heads, append=d.size))
-        v_a, g_a = volume[a], cut[a]
-        own = np.array([g * math.log2(v / vol)
-                        for g, v in zip(g_a.tolist(), v_a.tolist())])
-        delta = _merge_delta(vol, v_a[seg], g_a[seg], v_b, cut[d], w,
-                             own[seg])
-        # the candidates: each list's smallest deltas, or its NaNs
-        low = np.minimum.reduceat(delta, heads)
-        hit = delta == low[seg]
-        nan = np.count_nonzero(np.isnan(low)) > 0
-        if nan:
-            hit |= np.isnan(delta)
-        pick = hit.nonzero()[0]
-        if pick.size > heads.size:  # a list with more than one candidate
-            seg = 0 if one else seg[pick]
-            m_a, m_b = minv[a][seg], minv[d[pick]]
-            rule = np.minimum(m_a, m_b) * cap + np.maximum(m_a, m_b)
-            if nan:  # a NaN's rule is its position: the first one wins
-                at = np.isnan(delta[pick])
-                rule[at] = pick[at]
-            firsts = heads if one else np.flatnonzero(
-                np.diff(seg, prepend=-1))
-            pick = pick[rule == np.minimum.reduceat(rule, firsts)[seg]]
-        b = d[pick]
-        m_a, m_b = minv[a].tolist(), minv[b].tolist()
-        return list(zip(delta[pick].tolist(), map(min, m_a, m_b),
-                        map(max, m_a, m_b), a.tolist(), b.tolist(),
-                        w[pick].tolist()))
+            return None
+        delta = _merge_delta(vol, v_a, cut[c], v_b, cut[d], w)
+        i = int(np.argmin(delta))  # a list's first NaN, if it holds one
+        tie = (delta == delta[i]).nonzero()[0]  # empty for a NaN
+        m_a = int(minv[c])
+        if tie.size > 1:
+            m_b = minv[d[tie]]
+            i = int(tie[np.argmin(np.minimum(m_a, m_b) * cap
+                                  + np.maximum(m_a, m_b))])
+        b = int(d[i])
+        m_b = int(minv[b])
+        return (float(delta[i]), min(m_a, m_b), max(m_a, m_b), c, b,
+                float(w[i]))
 
     def push_best(c: int) -> None:
-        d, w = clean(c)
-        for entry in bids(np.array([c]), (0, d.size), d, w):
+        entry = bid(c, *clean(c))
+        if entry is not None:
             heapq.heappush(heap, entry)
 
-    # every vertex's first bid, over chunks of whole lists; the entries
-    # differ unless identical, so the heap's pops do not depend on its
-    # layout
-    heap: List[Tuple[float, int, int, int, int, float]] = []
-    lo = 0
-    while lo < n:
-        hi = max(lo + 1, int(np.searchsorted(starts, starts[lo] + TREE_CHUNK,
-                                             side="right")) - 1)
-        first, last = starts[lo], starts[hi]
-        heap += bids(np.arange(lo, hi), starts[lo:hi + 1] - first,
-                     dst[first:last], wts[first:last])
-        lo = hi
+    # every vertex's first bid; the entries differ unless identical, so
+    # the heap's pops do not depend on its layout
+    bounds = starts.tolist()
+    heap = [entry for entry in (
+        bid(c, dst[bounds[c]:bounds[c + 1]], wts[bounds[c]:bounds[c + 1]])
+        for c in range(n)) if entry is not None]
     heapq.heapify(heap)
 
     while heap:

@@ -83,9 +83,12 @@ def _mutual_rank_edges(points: np.ndarray, cap: int):
     k-NN graph exactly when k_edge <= k.  The one n x n array is the rank
     table (int16 or int32).  Three passes go over blocks of rows: the ranks,
     from the block's distances; the count of the block's edges; and the
-    edges themselves, with distances computed again.  ``cpus.deal`` deals
-    the blocks to one thread per CPU, and each is computed whole by one
-    thread, so the result does not depend on the thread count.
+    edges themselves, with distances computed again.  Between the count
+    and the edges, :func:`check_memory` refuses a table whose
+    :func:`dense_bytes` at the counted edges exceeds the memory available.
+    ``cpus.deal`` deals the blocks to one thread per CPU, and each is
+    computed whole by one thread, so the result does not depend on the
+    thread count.
     """
     n = points.shape[0]
     points_t = np.ascontiguousarray(points.T)
@@ -166,6 +169,8 @@ def _mutual_rank_edges(points: np.ndarray, cap: int):
 
     each_block(rank_rows)  # every rank before any pair's first k
     starts = np.concatenate([[0], np.cumsum(each_block(count_edges))])
+    check_memory("k selection", n, dense_bytes(n, cap, cpus.usable_cpus(),
+                                               int(starts[-1])))
     flat = np.empty(starts[-1], dtype=np.int64)
     ke = np.empty(starts[-1], dtype=dtype)
     de = np.empty(starts[-1])
@@ -248,13 +253,13 @@ def _entropies_for(u, v, prefix_d, d, n, ms):
     return np.array(cpus.deal(run, len(ms), slots), dtype=np.float64)
 
 
-def dense_bytes(n: int, k_max: int, workers: int) -> int:
-    """Peak bytes ``select_k`` holds at once for n points and k up to
-    k_max on ``workers`` threads, from the arrays it allocates.  The edge
-    count E is bounded by n * k_max and by the n(n-1)/2 pairs.  The rank
-    table's row blocks (b rows in the largest) go to
-    T = min(workers, blocks) threads, and the sweep's k values to
-    min(workers, k_max).
+def dense_bytes(n: int, k_max: int, workers: int, edges: int) -> int:
+    """Peak bytes ``select_k`` holds at once for n points, k up to k_max
+    and an edge table of E = ``edges`` pairs on ``workers`` threads, from
+    the arrays it allocates; with E = 0, the peak of the first phase
+    below, the rank table's.  The rank table's row blocks (b rows in the
+    largest) go to T = min(workers, blocks) threads, and the sweep's k
+    values to min(workers, k_max).
 
     - the rank table (int16 or int32, s bytes an entry), s n^2, beside a
       shared block of rank values and each thread's block buffers (two
@@ -271,7 +276,6 @@ def dense_bytes(n: int, k_max: int, workers: int) -> int:
       and int32 endpoints: (32 + s + 8 max(2, threads)) E.
     """
     s = np.dtype(_rank_dtype(n)).itemsize
-    edges = min(n * (n - 1) // 2, n * k_max)
     bounds, b = _row_blocks(n)
     threads = min(workers, len(bounds) - 1)
     return max((s * n + (s + (25 + s) * threads) * b) * n,
@@ -331,7 +335,8 @@ def select_k(
 
     Raises ``ValueError`` for the points ``DbscanIndex`` refuses or fewer
     than 3, and :class:`InsufficientMemoryError` when :func:`dense_bytes`
-    exceeds the memory available, before any O(n^2) allocation.
+    exceeds the memory available: at no edges before any O(n^2)
+    allocation, and at the counted edges before the edge table.
     """
     points = np.asarray(points, dtype=np.float64)
     check_distances(points)
@@ -340,7 +345,8 @@ def select_k(
         raise ValueError(f"too few points for k selection: {n}, "
                          "need at least 3")
     k_max = min(n - 1, cap)
-    check_memory("k selection", n, dense_bytes(n, k_max, cpus.usable_cpus()))
+    check_memory("k selection", n,
+                 dense_bytes(n, k_max, cpus.usable_cpus(), 0))
     u, v, ke, de = _mutual_rank_edges(points, k_max)
     prefix_d = np.cumsum(de)
 

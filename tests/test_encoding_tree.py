@@ -602,7 +602,8 @@ IDENTITY_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(IDENTITY_GRAPHS))
 def test_optimizer_matches_the_reference_bit_for_bit(name):
     # the sorted int32 adjacency, its views for lists not yet cleaned and
-    # the batched first bids give the reference's tree exactly
+    # the first bids, one community at a time, give the reference's tree
+    # exactly
     build, cap = IDENTITY_GRAPHS[name]
     points = build()
     points = normalize(Dataset(points, np.zeros(len(points), dtype=np.int64)))
@@ -623,11 +624,12 @@ def decided(t: EncodingTree):
 
 
 def test_tree_bytes_matches_traced_peak():
-    # the optimizer's own peak, the graph's arrays being already resident:
-    # the loop phase at n = 600 (k = 599 and 300), the adjacency build at
-    # n = 1000 (k = 999)
+    # the optimizer's own peak, the graph's arrays being already resident;
+    # the adjacency's build sets it in each case, the sparse graphs at
+    # n = 2000 (k = 50) and n = 300 (k = 299) among them
     cap = RunConfig().k_sweep_cap
-    for n, k_cap in ((600, cap), (600, 300), (1000, cap)):
+    for n, k_cap in ((600, cap), (600, 300), (1000, cap), (2000, 50),
+                     (300, cap)):
         graph = select_k(np.random.default_rng(0).random((n, 2)), k_cap).graph
         tracemalloc.start()
         try:

@@ -351,6 +351,8 @@ def test_dense_bytes_matches_traced_peak():
     # process are not counted as the sweep's peak
     select_k(pts, 20)
     for cap in (CAP, 20):
+        k_max = min(599, cap)
+        edges = structured_graph._mutual_rank_edges(pts, k_max)[0].size
         tracemalloc.start()
         try:
             select_k(pts, cap)
@@ -358,21 +360,17 @@ def test_dense_bytes_matches_traced_peak():
         finally:
             tracemalloc.stop()
         workers = min(cpus.usable_cpus(), cap)
-        need = structured_graph.dense_bytes(600, min(599, cap), workers)
+        need = structured_graph.dense_bytes(600, k_max, workers, edges)
         assert abs(need - peak) <= 0.03 * peak
 
 
 def test_memory_guard(monkeypatch):
-    # an estimate that just fits, or no MemAvailable to compare with, runs
-    # the sweep unchanged; one byte short refuses before any distance
+    # one byte short of the rank table's phase, the estimate at no edges,
+    # refuses before any distance
     pts = lattice()
     n = pts.shape[0]
     workers = min(cpus.usable_cpus(), n - 1)
-    need = structured_graph.dense_bytes(n, n - 1, workers)
-    expected = sweep_bytes(select_k(pts, CAP))
-    for avail in (need, None):
-        monkeypatch.setattr(structured_graph, "_mem_available", lambda: avail)
-        assert sweep_bytes(select_k(pts, CAP)) == expected
+    need = structured_graph.dense_bytes(n, n - 1, workers, 0)
 
     def no_distances(*args, **kwargs):
         raise AssertionError("distances computed after the guard refused")
@@ -382,6 +380,57 @@ def test_memory_guard(monkeypatch):
     with pytest.raises(structured_graph.InsufficientMemoryError,
                        match=f"over {n} points needs about"):
         select_k(pts, CAP)
+
+
+def test_memory_guard_at_the_counted_edges(monkeypatch):
+    # an estimate at the counted edges that just fits, or no MemAvailable
+    # to compare with, runs the sweep unchanged; one byte short refuses
+    # after the rank table's distances and before the edges' or any sweep
+    pts = lattice()
+    n = pts.shape[0]
+    workers = min(cpus.usable_cpus(), n - 1)
+    edges = structured_graph._mutual_rank_edges(pts, n - 1)[0].size
+    need = structured_graph.dense_bytes(n, n - 1, workers, edges)
+    assert structured_graph.dense_bytes(n, n - 1, workers, 0) < need
+    expected = sweep_bytes(select_k(pts, CAP))
+    for avail in (need, None):
+        monkeypatch.setattr(structured_graph, "_mem_available", lambda: avail)
+        assert sweep_bytes(select_k(pts, CAP)) == expected
+
+    calls = []
+    sq_distances = structured_graph.sq_distances
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sq_distances(*args, **kwargs)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran after the guard refused")
+
+    monkeypatch.setattr(structured_graph, "sq_distances", counted)
+    monkeypatch.setattr(structured_graph, "_entropies_for", no_sweep)
+    monkeypatch.setattr(structured_graph, "_mem_available", lambda: need - 1)
+    with pytest.raises(structured_graph.InsufficientMemoryError,
+                       match=f"over {n} points needs about"):
+        select_k(pts, CAP)
+    # every block's ranks, and no block's edges
+    assert len(calls) == len(structured_graph._row_blocks(n)[0]) - 1
+
+
+def test_memory_guard_runs_below_the_edge_bound(monkeypatch):
+    # at n = 600 and cap 300 the table holds fewer edges than the bound
+    # min(n(n-1)/2, n * cap); memory below the estimate at that bound, but
+    # at the estimate at the counted edges, runs the sweep unchanged
+    pts = np.random.default_rng(0).random((600, 2))
+    workers = min(cpus.usable_cpus(), 300)
+    edges = structured_graph._mutual_rank_edges(pts, 300)[0].size
+    need = structured_graph.dense_bytes(600, 300, workers, edges)
+    bound = structured_graph.dense_bytes(600, 300, workers,
+                                         min(600 * 599 // 2, 600 * 300))
+    assert need < bound
+    expected = sweep_bytes(select_k(pts, 300))
+    monkeypatch.setattr(structured_graph, "_mem_available", lambda: need)
+    assert sweep_bytes(select_k(pts, 300)) == expected
 
 
 def test_select_k_too_few_points():
