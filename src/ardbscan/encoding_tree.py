@@ -120,11 +120,13 @@ def _entropy_term(cut: float, volume: float, parent_volume: float,
 
 
 def _merge_delta(vol: float, v_a: float, g_a: float, v_b: np.ndarray,
-                 g_b: np.ndarray, w_ab: np.ndarray) -> np.ndarray:
+                 g_b: np.ndarray, own_b: np.ndarray,
+                 w_ab: np.ndarray) -> np.ndarray:
     """Entropy change of merging community A with each candidate B.
 
-    ``v_*`` are volumes, ``g_*`` cuts and ``w_ab`` the weight between A
-    and each B; A's terms are scalars, B's arrays.  The greedy optimizer's
+    ``v_*`` are volumes, ``g_*`` cuts, ``own_b`` each B's
+    ``g_b * np.log2(v_b / vol)`` and ``w_ab`` the weight between A and
+    each B; A's terms are scalars, B's arrays.  The greedy optimizer's
     tie-breaking depends on these exact values, so the evaluation order
     of the expression must not change.
     """
@@ -133,7 +135,7 @@ def _merge_delta(vol: float, v_a: float, g_a: float, v_b: np.ndarray,
     return (
         -g_ab * np.log2(v_ab / vol)
         + g_a * math.log2(v_a / vol)
-        + g_b * np.log2(v_b / vol)
+        + own_b
         + v_a * np.log2(v_ab / v_a)
         + v_b * np.log2(v_ab / v_b)
     ) / vol
@@ -142,37 +144,41 @@ def _merge_delta(vol: float, v_a: float, g_a: float, v_b: np.ndarray,
 def tree_bytes(n: int, edges: int) -> int:
     """Peak bytes :func:`optimize_two_level` allocates beside a graph of n
     vertices and E edges: the adjacency (both ends of every edge, int32
-    ids and float64 weights), 24 E, beside the larger of two phases:
+    neighbour ids and int32 edge ids), 16 E, beside the larger of two
+    phases:
 
     - the adjacency's build: one end's uint64 sort keys, 8 E, one chunk's
       int64 positions, indices and values, 24 min(``TREE_CHUNK``, E), and
       counts and offsets, 34 n;
-    - the bids and merges: the heap, coalesced lists and member ids,
-      measured at up to 400 n.
+    - the bids and merges: the heap, coalesced lists, member ids and
+      per-community arrays, 380 n, fit to traced peaks on sparse graphs
+      (n = 1,000 to 2,000, k = 5 and 10).
     """
-    return 24 * edges + max(
-        8 * edges + 24 * min(TREE_CHUNK, edges) + 34 * n, 400 * n)
+    return 16 * edges + max(
+        8 * edges + 24 * min(TREE_CHUNK, edges) + 34 * n, 380 * n)
 
 
 def _adjacency(graph: StructuredGraph) -> Tuple[np.ndarray, np.ndarray,
                                                 np.ndarray]:
-    """Every vertex's neighbours in ascending order, with the weights of
-    the edges to them: vertex c's list is ``dst[starts[c]:starts[c+1]]``
-    (int32 ids) with weights ``wts[starts[c]:starts[c+1]]``.
+    """Every vertex's neighbours in ascending order, with the edges to
+    them: vertex c's list is ``dst[starts[c]:starts[c+1]]`` (int32 ids)
+    over the edges ``eid[starts[c]:starts[c+1]]`` (int32 indices into
+    ``graph.w``).
 
     Each edge (x, y), x < y, is placed twice: among y's neighbours below
     y, and among x's neighbours above x, after all of those below it.
     Each half is one in-place sort of uint64 keys that pack the near end,
     the far end and the edge's index, read back in chunks, so no array
     as long as the edge list is built beside the keys, ``dst`` and
-    ``wts``.
+    ``eid``.
     """
     n, edges = graph.n, graph.edge_count
     id_bits = max(n - 1, 1).bit_length()
     edge_bits = max(edges - 1, 1).bit_length()
-    if 2 * id_bits + edge_bits > 64:
+    if 2 * id_bits + edge_bits > 64 or edges > np.iinfo(np.int32).max:
         raise ValueError(f"a graph of {n} vertices and {edges} edges is "
-                         "too large for 64-bit adjacency keys")
+                         "too large for 64-bit adjacency keys and int32 "
+                         "edge ids")
     far_shift = np.uint64(edge_bits)
     near_shift = np.uint64(edge_bits + id_bits)
     id_mask = np.uint64((1 << id_bits) - 1)
@@ -182,7 +188,7 @@ def _adjacency(graph: StructuredGraph) -> Tuple[np.ndarray, np.ndarray,
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(count_u + count_v, out=starts[1:])
     dst = np.empty(2 * edges, dtype=np.int32)
-    wts = np.empty(2 * edges)
+    eid = np.empty(2 * edges, dtype=np.int32)
     keys = np.empty(edges, dtype=np.uint64)
     for near, far, counts, before in ((graph.v, graph.u, count_v, 0),
                                       (graph.u, graph.v, count_u, count_v)):
@@ -202,8 +208,8 @@ def _adjacency(graph: StructuredGraph) -> Tuple[np.ndarray, np.ndarray,
             at = shift[(key >> near_shift).astype(np.intp)]
             at += np.arange(lo, lo + key.size)
             dst[at] = (key >> far_shift) & id_mask
-            wts[at] = graph.w[(key & edge_mask).astype(np.intp)]
-    return dst, wts, starts
+            eid[at] = key & edge_mask
+    return dst, eid, starts
 
 
 def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
@@ -223,7 +229,7 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
     trace = [one_dim_se(graph)]  # refuses a graph of volume zero
     check_memory("the encoding tree", n, tree_bytes(n, graph.edge_count))
     vol = graph.volume
-    dst, wts, starts = _adjacency(graph)
+    dst, eid, starts = _adjacency(graph)
 
     # root[x] is the live community holding id x, rewritten over members[c]
     # (the ids rooted at c) at each merge; a live community is its own root
@@ -235,17 +241,28 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
     cut = np.zeros(cap)
     cut[:n] = graph.degrees
     minv = np.arange(cap, dtype=np.int64)
+    # cut * log2(volume / vol) of every live community of positive volume,
+    # the term each bid for it as a partner adds
+    own = np.zeros(cap)
+    np.log2(volume[:n] / vol, out=own[:n], where=volume[:n] > 0.0)
+    own[:n] *= cut[:n]
     # a community's neighbor list from its latest clean or merge; a vertex
     # that has had neither reads its list from the adjacency, where it is
     # what a clean would give: roots are the identity, ids ascend once each
     adj: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    bounds = starts.tolist()
     next_id = n
+
+    def listed(c: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Vertex c's list in the adjacency, its ids cast to intp and its
+        weights taken by edge id: numpy indexes by int32 ids more slowly
+        than it casts them or takes by them."""
+        at = slice(bounds[c], bounds[c + 1])
+        return dst[at].astype(np.intp), graph.w.take(eid[at])
 
     def take(c: int) -> Tuple[np.ndarray, np.ndarray]:
         """Community c's neighbor list, removed from ``adj``."""
-        if c in adj:
-            return adj.pop(c)
-        return dst[starts[c]:starts[c + 1]], wts[starts[c]:starts[c + 1]]
+        return adj.pop(c) if c in adj else listed(c)
 
     def clean(c: int) -> Tuple[np.ndarray, np.ndarray]:
         """Resolve community c's neighbor list to live roots and coalesce."""
@@ -282,7 +299,7 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
             d, w, v_b = d[keep], w[keep], v_b[keep]
         if d.size == 0:
             return None
-        delta = _merge_delta(vol, v_a, cut[c], v_b, cut[d], w)
+        delta = _merge_delta(vol, v_a, cut[c], v_b, cut[d], own[d], w)
         i = int(np.argmin(delta))  # a list's first NaN, if it holds one
         tie = (delta == delta[i]).nonzero()[0]  # empty for a NaN
         m_a = int(minv[c])
@@ -302,10 +319,8 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
 
     # every vertex's first bid; the entries differ unless identical, so
     # the heap's pops do not depend on its layout
-    bounds = starts.tolist()
-    heap = [entry for entry in (
-        bid(c, dst[bounds[c]:bounds[c + 1]], wts[bounds[c]:bounds[c + 1]])
-        for c in range(n)) if entry is not None]
+    heap = [entry for entry in (bid(c, *listed(c)) for c in range(n))
+            if entry is not None]
     heapq.heapify(heap)
 
     while heap:
@@ -326,6 +341,7 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
         root[members[c]] = c
         volume[c] = volume[a] + volume[b]
         cut[c] = cut[a] + cut[b] - 2.0 * w_ab
+        own[c] = cut[c] * np.log2(volume[c] / vol)
         minv[c] = min(minv[a], minv[b])
         (da, wa), (db, wb) = take(a), take(b)
         adj[c] = (np.concatenate([da, db]), np.concatenate([wa, wb]))

@@ -14,6 +14,7 @@ of candidate edges and materializes the graph at the chosen k.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,17 +146,22 @@ def _mutual_rank_edges(points: np.ndarray, cap: int):
         lo, hi = blocks[blk]
         m, w = hi - lo, n - lo
         k, mask = pairs_of(blk, kmin, hit)
-        at = np.flatnonzero(mask)  # row-major
-        part = slice(starts[blk], starts[blk + 1])
-        np.take(k, at, out=ke[part], mode="clip")
         d = _block_distances(points, points_t, lo, hi, lo,
                              grid(dist, m, w), grid(tmp, m, w))
-        np.take(d, at, out=de[part], mode="clip")
-        # block position r * w + c to the pair's position (lo + r) * n + lo + c
-        pair = np.floor_divide(at, w, out=flat[part])
-        pair *= lo
-        pair += at
-        pair += lo * (n + 1)
+        part = slice(starts[blk], starts[blk + 1])
+        # one block's positions exist at a time, so the phase's peak does
+        # not depend on how the threads interleave
+        with one_block:
+            at = np.flatnonzero(mask)  # row-major
+            np.take(k, at, out=ke[part], mode="clip")
+            np.take(d, at, out=de[part], mode="clip")
+            # block position r * w + c to the pair's position
+            # (lo + r) * n + lo + c
+            pair = np.floor_divide(at, w, out=flat[part])
+            pair *= lo
+            pair += at
+            pair += lo * (n + 1)
+            del at
 
     # every array a worker fills comes from this thread, so a worker
     # allocates nothing that outlives its block: memory freed in a
@@ -174,6 +180,7 @@ def _mutual_rank_edges(points: np.ndarray, cap: int):
     flat = np.empty(starts[-1], dtype=np.int64)
     ke = np.empty(starts[-1], dtype=dtype)
     de = np.empty(starts[-1])
+    one_block = threading.Lock()
     each_block(edges_of)  # the blocks' edges in block order: row-major
     del rank, flat_rank, buffers
 
@@ -187,13 +194,13 @@ def _mutual_rank_edges(points: np.ndarray, cap: int):
     return u, v, ke, de
 
 
-def _prefix_degrees(n, u, v, prefix_d, d, m, w):
+def _prefix_degrees(n, u, v, total, d, m, w):
     """Weighted degrees of the graph on the first m entries of the sorted
-    edge table, with its edge weights written into ``w``.  A prefix of
-    zero-distance edges (duplicate points) gets weight exp(0) = 1
-    throughout.  The sweep and the chosen graph both compute them here, so
-    the graph's entropy is the one the sweep scored, bit for bit."""
-    total = prefix_d[m - 1]
+    edge table, whose distances sum to ``total``, with its edge weights
+    written into ``w``.  A prefix of zero-distance edges (duplicate points)
+    gets weight exp(0) = 1 throughout.  The sweep and the chosen graph both
+    compute them here, so the graph's entropy is the one the sweep scored,
+    bit for bit."""
     if total > 0:
         # -(d * s) == d * -s bit for bit: negation is exact
         np.multiply(d[:m], -(m / total), out=w)
@@ -231,9 +238,10 @@ class SelectKResult:
     stable_ks: list[int]
 
 
-def _entropies_for(u, v, prefix_d, d, n, ms):
+def _entropies_for(u, v, totals, d, n, ms):
     """One-dimensional structural entropy of the graph on each edge-table
-    prefix length in ``ms``.
+    prefix length in ``ms``, whose distances sum to the matching entry of
+    ``totals``.
 
     ``cpus.deal`` deals the lengths to one thread per CPU of the process
     (numpy's ``exp`` and ``bincount`` release the GIL).  Each thread uses
@@ -247,7 +255,7 @@ def _entropies_for(u, v, prefix_d, d, n, ms):
 
     def run(i, slot):
         m = int(ms[i])
-        deg = _prefix_degrees(n, u, v, prefix_d, d, m, buffers[slot][:m])
+        deg = _prefix_degrees(n, u, v, totals[i], d, m, buffers[slot][:m])
         return _degree_entropy(deg, deg.sum())
 
     return np.array(cpus.deal(run, len(ms), slots), dtype=np.float64)
@@ -266,22 +274,22 @@ def dense_bytes(n: int, k_max: int, workers: int, edges: int) -> int:
       float64 blocks of distances, a block of k_edge and a mask) and
       int64 row argsort: (s + (25 + s) T) b n;
     - after the argsorts, the same without them, beside the edge table of
-      int64 pair indices, k_edge and float64 distances, and each thread's
-      int64 positions of one block's edges (at most min(b n, E)):
-      (s + (17 + s) T) b n + (16 + s) E + 8 T min(b n, E).  Grading the
-      table holds at most (32 + s) E, less than the last phase;
-    - the edge table (int64 endpoints, k_edge and float64 distances) and
-      its cumulative sums, (32 + s) E, beside a float64 weight buffer per
-      sweep thread or, after the sweep, the chosen graph's float64 weights
-      and int32 endpoints: (32 + s + 8 max(2, threads)) E.
+      int64 pair indices, k_edge and float64 distances, and the int64
+      positions of one block's edges (at most min(b n, E)):
+      (s + (17 + s) T) b n + (16 + s) E + 8 min(b n, E);
+    - the edge table without k_edge (int64 endpoints and float64
+      distances), 24 E, beside a float64 weight buffer per sweep thread:
+      (24 + 8 max(2, threads)) E.  At least two buffers are charged, so
+      the phase covers grading the table, (32 + s) E, the distances'
+      cumulative sums and the chosen graph, at most 32 E each.
     """
     s = np.dtype(_rank_dtype(n)).itemsize
     bounds, b = _row_blocks(n)
     threads = min(workers, len(bounds) - 1)
     return max((s * n + (s + (25 + s) * threads) * b) * n,
                (s * n + (s + (17 + s) * threads) * b) * n + (16 + s) * edges
-               + 8 * threads * min(b * n, edges),
-               (32 + s + 8 * max(2, min(workers, k_max))) * edges)
+               + 8 * min(b * n, edges),
+               (24 + 8 * max(2, min(workers, k_max))) * edges)
 
 
 def _mem_available() -> int | None:
@@ -348,19 +356,21 @@ def select_k(
     check_memory("k selection", n,
                  dense_bytes(n, k_max, cpus.usable_cpus(), 0))
     u, v, ke, de = _mutual_rank_edges(points, k_max)
-    prefix_d = np.cumsum(de)
 
     all_ks = np.arange(1, k_max + 1, dtype=np.int64)
     # the needles take k_edge's dtype: int64 ones would make searchsorted
     # copy k_edge to int64
     all_ms = np.searchsorted(ke, all_ks.astype(ke.dtype), side="right")
+    del ke
+    # the distance total of each k's prefix; no k's graph is empty
+    totals = np.cumsum(de)[all_ms - 1]
     total_cost = int(all_ms.sum())
     stride = 1
     if total_cost > op_budget:
         stride = max(2, math.ceil(total_cost / op_budget))
 
     def sweep(ks):
-        h = _entropies_for(u, v, prefix_d, de, n, all_ms[ks - 1])
+        h = _entropies_for(u, v, totals[ks - 1], de, n, all_ms[ks - 1])
         return h / (ks * n)
 
     grid = np.unique(np.concatenate([all_ks[::stride], all_ks[-1:]]))
@@ -383,9 +393,11 @@ def select_k(
     else:
         k_star = int(ks[int(np.argmin(h_norm))])
     m = int(all_ms[k_star - 1])
+    # the int32 endpoints first, so that the int64 ones are freed before
+    # the weights are allocated
+    u, v = u[:m].astype(np.int32), v[:m].astype(np.int32)
     w = np.empty(m)
-    degrees = _prefix_degrees(n, u, v, prefix_d, de, m, w)
-    graph = StructuredGraph(n, k_star, u[:m].astype(np.int32),
-                            v[:m].astype(np.int32), w, degrees,
+    degrees = _prefix_degrees(n, u, v, totals[k_star - 1], de, m, w)
+    graph = StructuredGraph(n, k_star, u, v, w, degrees,
                             float(degrees.sum()))
     return SelectKResult(k_star, graph, ks, h_norm, stable)

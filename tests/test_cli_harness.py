@@ -734,8 +734,8 @@ def test_tree_beyond_available_memory_is_data_error(tmp_path, capsys,
     assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err
-    assert ("the encoding tree over 600 points needs about 3.7 MiB, but "
-            "only 3.7 MiB are available") in err
+    assert ("the encoding tree over 600 points needs about 2.8 MiB, but "
+            "only 2.8 MiB are available") in err
     assert not (out / "allocation.json").exists()
 
 

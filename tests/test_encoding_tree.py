@@ -4,6 +4,7 @@ import math
 import sys
 import time
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -86,9 +87,9 @@ def merge_deltas(g: StructuredGraph, parts, a: int, b: int):
     ca, cb = t.community[parts[a][0]], t.community[parts[b][0]]
     w_ab = sum(w for u, v, w in edges_of(g)
                if {t.community[u], t.community[v]} == {ca, cb})
-    got = _merge_delta(g.volume, t.volume[ca], t.cut[ca],
-                       np.array([t.volume[cb]]), np.array([t.cut[cb]]),
-                       np.array([w_ab]))
+    v_b, g_b = np.array([t.volume[cb]]), np.array([t.cut[cb]])
+    got = _merge_delta(g.volume, t.volume[ca], t.cut[ca], v_b, g_b,
+                       g_b * np.log2(v_b / g.volume), np.array([w_ab]))
     merged = [p for i, p in enumerate(parts) if i not in (a, b)]
     merged.append(list(parts[a]) + list(parts[b]))
     edges = edges_of(g)
@@ -451,13 +452,10 @@ def test_tie_rule_golden(name):
     assert [float(x).hex() for x in t.entropy_trace] == trace
 
 
-def reference_two_level(graph: StructuredGraph):
-    """(community, cut, volume, entropy_trace) as the optimizer computed
-    them with a CSR adjacency in edge order and a coalesced copy of every
-    list before its first bid, each bid taking ``argmin`` and sorting only
-    its exact ties."""
+def reference_adjacency(graph: StructuredGraph):
+    """(dst, wts, starts, ends): a CSR adjacency in edge order, vertex c's
+    neighbours ``dst[starts[c]:ends[c]]`` with weights ``wts[...]``."""
     n = graph.n
-    vol = graph.volume
     edges = graph.edge_count
     key = np.empty(2 * edges, dtype=np.min_scalar_type(n))
     key[:edges], key[edges:] = graph.u, graph.v
@@ -474,6 +472,17 @@ def reference_two_level(graph: StructuredGraph):
     ends = np.cumsum(np.bincount(graph.u, minlength=n)
                      + np.bincount(graph.v, minlength=n))
     starts = np.concatenate([[0], ends[:-1]])
+    return dst, wts, starts, ends
+
+
+def reference_two_level(graph: StructuredGraph):
+    """(community, cut, volume, entropy_trace) as the optimizer computed
+    them with a CSR adjacency in edge order and a coalesced copy of every
+    list before its first bid, each bid taking ``argmin`` and sorting only
+    its exact ties."""
+    n = graph.n
+    vol = graph.volume
+    dst, wts, starts, ends = reference_adjacency(graph)
 
     cap = 2 * n
     root = np.arange(cap, dtype=np.int64)
@@ -617,6 +626,39 @@ def test_optimizer_matches_the_reference_bit_for_bit(name):
             [float(x).hex() for x in expected]
 
 
+@pytest.mark.parametrize("name", sorted(IDENTITY_GRAPHS))
+def test_adjacency_edge_ids_read_the_reference_weights(name):
+    # each vertex's list holds the reference's neighbours in ascending
+    # order, and its int32 edge ids read the reference's weights from
+    # graph.w, bit for bit
+    build, cap = IDENTITY_GRAPHS[name]
+    points = build()
+    points = normalize(Dataset(points, np.zeros(len(points), dtype=np.int64)))
+    graph = select_k(points.points, cap).graph
+    dst, eid, starts = encoding_tree._adjacency(graph)
+    assert dst.dtype == eid.dtype == np.int32
+    ref_dst, ref_wts, ref_starts, ref_ends = reference_adjacency(graph)
+    assert starts[:-1].tolist() == ref_starts.tolist()
+    assert starts[1:].tolist() == ref_ends.tolist()
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        order = np.argsort(ref_dst[lo:hi], kind="stable")
+        assert dst[lo:hi].tolist() == ref_dst[lo:hi][order].tolist()
+        assert graph.w[eid[lo:hi]].tobytes() == \
+            ref_wts[lo:hi][order].tobytes()
+
+
+def test_adjacency_refuses_edges_past_int32_ids():
+    # edge ids are int32: a graph of 2**31 edges is refused before any
+    # array is read or allocated, and one of 2**31 - 1 passes the check
+    # (the stub has no endpoints to read)
+    with pytest.raises(ValueError, match="int32 edge ids"):
+        encoding_tree._adjacency(
+            types.SimpleNamespace(n=1000, edge_count=2**31))
+    with pytest.raises(AttributeError):
+        encoding_tree._adjacency(
+            types.SimpleNamespace(n=1000, edge_count=2**31 - 1))
+
+
 def decided(t: EncodingTree):
     """Everything an encoding tree decides, as bytes."""
     return (t.community.tobytes(), t.cut.tobytes(), t.volume.tobytes(),
@@ -625,11 +667,12 @@ def decided(t: EncodingTree):
 
 def test_tree_bytes_matches_traced_peak():
     # the optimizer's own peak, the graph's arrays being already resident;
-    # the adjacency's build sets it in each case, the sparse graphs at
-    # n = 2000 (k = 50) and n = 300 (k = 299) among them
+    # the adjacency's build sets it in the first five cases, the sparse
+    # graphs at n = 2000 (k = 50) and n = 300 (k = 299) among them, and
+    # the bids and merges in the last three, at k = 5 and 10
     cap = RunConfig().k_sweep_cap
     for n, k_cap in ((600, cap), (600, 300), (1000, cap), (2000, 50),
-                     (300, cap)):
+                     (300, cap), (2000, 5), (2000, 10), (1000, 5)):
         graph = select_k(np.random.default_rng(0).random((n, 2)), k_cap).graph
         tracemalloc.start()
         try:

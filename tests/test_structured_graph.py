@@ -483,7 +483,7 @@ def test_grid_sweep_picks_the_full_sweep_stable_point(monkeypatch):
     def curve(k):
         return 0.5 - 0.004 * k - 0.1 * math.exp(-(((k - 21) / 4) ** 2))
 
-    def fake_entropies(u, v, prefix_d, d, n_pts, ms):
+    def fake_entropies(u, v, totals, d, n_pts, ms):
         return np.array([curve(k_of[int(m)]) * k_of[int(m)] * n_pts for m in ms])
 
     monkeypatch.setattr(structured_graph, "_entropies_for", fake_entropies)

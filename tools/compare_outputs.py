@@ -49,8 +49,10 @@ The benchmark draws come from ``perfbench/workloads.py``, imported and not
 modified.  ``wall_clock_seconds`` is dropped from every JSON output; every
 other file, and each command's exit code, must match byte for byte.  Every
 file that differs or exists on one side only is listed, and the exit code
-is 1 if there is any.  A full comparison takes about two minutes on
-2 vCPUs.
+is 1 if there is any.  Each command's max RSS on each side (from
+``os.wait4``) is reported too, for the commands whose max RSS moved most;
+it does not count as a difference.  A full comparison takes about two
+minutes on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -109,6 +111,8 @@ RUNS = [
     ("single-2k", "allocate", []),
     ("six-gaussian-5k", "allocate", []),
 ]
+
+RSS_SHOWN = 8  # runs listed by how far their max RSS moved
 
 
 def write_blobs(out_dir: Path) -> Path:
@@ -195,24 +199,33 @@ def write_inputs(in_dir: Path) -> dict:
     return configs
 
 
-def run_tree(src: Path, configs: dict, out_root: Path) -> None:
+def run_tree(src: Path, configs: dict, out_root: Path) -> dict:
+    """Run every command of ``RUNS`` on ``src``; returns each run's max
+    RSS in KiB, keyed by its output directory's name."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    max_rss = {}
     for name, command, flags in RUNS:
         out = out_root / "_".join([name, command,
                                    *(flag.lstrip("-") for flag in flags)])
         out.mkdir(parents=True)
-        done = subprocess.run(
+        proc = subprocess.Popen(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "ardbscan",
              command,
              "--config", str(configs[name]), "--out", str(out), *flags],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             text=True)
-        (out / "exit_code.txt").write_text(f"{done.returncode}\n")
-        if done.returncode != 0:
-            print(f"{src}: {name} {command} exited {done.returncode}: "
-                  f"{done.stderr.strip()}", file=sys.stderr)
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        max_rss[out.name] = usage.ru_maxrss
+        (out / "exit_code.txt").write_text(f"{proc.returncode}\n")
+        if proc.returncode != 0:
+            print(f"{src}: {name} {command} exited {proc.returncode}: "
+                  f"{stderr.strip()}", file=sys.stderr)
+    return max_rss
 
 
 def canonical(path: Path) -> bytes:
@@ -248,11 +261,17 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work.resolve() if args.work else Path(tmp)
         configs = write_inputs(work / "inputs")
-        for side, src in (("parent", args.parent_src),
-                          ("change", args.change_src)):
-            run_tree(src.resolve(), configs, work / side)
+        rss = {side: run_tree(src.resolve(), configs, work / side)
+               for side, src in (("parent", args.parent_src),
+                                 ("change", args.change_src))}
         diffs = differing_files(work / "parent", work / "change")
         compared = sum(1 for p in (work / "parent").rglob("*") if p.is_file())
+    moved = sorted(rss["parent"], key=lambda run: -abs(
+        rss["change"][run] - rss["parent"][run]))
+    print("max RSS (MiB), parent -> change, largest moves first:")
+    for run in moved[:RSS_SHOWN]:
+        before, after = rss["parent"][run] / 1024, rss["change"][run] / 1024
+        print(f"  {run}: {before:.1f} -> {after:.1f} ({after - before:+.1f})")
     for rel in diffs:
         print(f"differs: {rel}")
     print(f"{len(diffs)} of {compared} files differ")
