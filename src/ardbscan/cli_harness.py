@@ -351,6 +351,7 @@ def cmd_allocate(config: RunConfig, out_dir: Path) -> dict:
     _, sel, tree, alloc = _set_up(raw, config)
 
     nodes = tree.intermediates()
+    uncertainty = tree.uncertainty()
     partitions = []
     for pid, part in enumerate(alloc.partitions):
         members = np.flatnonzero(alloc.agent == pid).tolist()
@@ -358,7 +359,7 @@ def cmd_allocate(config: RunConfig, out_dir: Path) -> dict:
             "agent": pid,
             "size": int(part.size),
             "nodes": [nodes[c] for c in members],
-            "uncertainties": [alloc.uncertainty[c] for c in members],
+            "uncertainties": [uncertainty[c] for c in members],
         })
     report = {
         "mode": config.mode,
@@ -367,7 +368,7 @@ def cmd_allocate(config: RunConfig, out_dir: Path) -> dict:
         "stable_points": [int(k) for k in sel.stable_ks],
         "num_agents": len(alloc.partitions),
         "partitions": partitions,
-        "tree_nodes": tree.export_nodes(alloc.uncertainty),
+        "tree_nodes": tree.export_nodes(),
         "wall_clock_seconds": time.perf_counter() - started,
     }
     _write_json(out_dir / "allocation.json", report)

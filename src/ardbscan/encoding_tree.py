@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -91,7 +91,7 @@ class EncodingTree:
         n = self.graph.n
         return list(range(n, n + self.cut.size))
 
-    def export_nodes(self, uncertainty: Sequence[float]) -> List[dict]:
+    def export_nodes(self) -> List[dict]:
         """One plain-dict row per node, suitable for JSON output: ``id``,
         ``parent``, ``num_vertices``, ``entropy`` and ``uncertainty``,
         given per community (null for the root and the leaves)."""
@@ -104,7 +104,7 @@ class EncodingTree:
             rows.append({"id": v, "parent": nodes[c], "num_vertices": 1,
                          "entropy": h, "uncertainty": None})
         for nid, size, h, u in zip(nodes, self.size.tolist(), self.entropy,
-                                   uncertainty):
+                                   self.uncertainty()):
             rows.append({"id": nid, "parent": ROOT, "num_vertices": size,
                          "entropy": h, "uncertainty": u})
         return rows
@@ -358,53 +358,40 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
     return EncodingTree(graph, rank[first], cut[kept], volume[kept], trace)
 
 
-def _cluster_uncertainties(values: Sequence[float], eps: float,
-                           min_pts: int) -> List[int]:
-    """Group 1-d uncertainty values by chaining within eps.
-
-    Runs plain density clustering on the values; any value left as
-    noise becomes its own group so every community lands somewhere.
-    """
-    pts = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    result = run_dbscan(pts, DbscanParams(eps=eps, min_pts=min_pts))
-    labels = result.assignment.copy()
-    next_gid = labels.max() + 1 if labels.size else 0
-    for i in np.flatnonzero(labels == NOISE):
-        labels[i] = next_gid
-        next_gid += 1
-    return [int(x) for x in labels]
-
-
 @dataclass(frozen=True)
 class AgentAllocation:
     """Grouping of tree communities into agent partitions.
 
     ``partitions[i]`` holds the sorted vertex ids one agent is
-    responsible for; ``agent[c]`` is community ``c``'s partition index
-    and ``uncertainty[c]`` its information uncertainty.
+    responsible for; ``agent[c]`` is community ``c``'s partition index.
     """
 
     partitions: List[np.ndarray]
     agent: np.ndarray
-    uncertainty: List[float]
 
 
 def allocate_agents(tree: EncodingTree, alloc_eps: float,
                     alloc_minpts: int) -> AgentAllocation:
     """Pool communities with similar information uncertainty.
 
-    Communities whose per-object uncertainties chain within
-    ``alloc_eps`` share one search agent; well-separated ones get their
-    own.  Partitions are ordered by first appearance of their group.
+    A 1-D DBSCAN over the communities' per-object uncertainties, at
+    radius ``alloc_eps`` and ``alloc_minpts``, chains similar ones into
+    one search agent; each community it leaves as noise gets an agent of
+    its own.  Agents are numbered by first appearance over community id.
     """
     uncertainty = tree.uncertainty()
     if not uncertainty:
         raise ValueError("tree has no communities")
-    groups = _cluster_uncertainties(uncertainty, alloc_eps, alloc_minpts)
+    pts = np.asarray(uncertainty, dtype=np.float64).reshape(-1, 1)
+    labels = run_dbscan(pts, DbscanParams(eps=alloc_eps,
+                                          min_pts=alloc_minpts)).assignment
     first_seen: Dict[int, int] = {}
-    agent = np.array([first_seen.setdefault(gid, len(first_seen))
-                      for gid in groups], dtype=np.int64)
+    agent = np.empty(labels.size, dtype=np.int64)
+    for c, label in enumerate(labels.tolist()):
+        # a noise community's key, -1 - c, is its own: labels are >= 0
+        key = -1 - c if label == NOISE else label
+        agent[c] = first_seen.setdefault(key, len(first_seen))
     vertex_agent = agent[tree.community]
     partitions = [np.flatnonzero(vertex_agent == pid)
                   for pid in range(len(first_seen))]
-    return AgentAllocation(partitions, agent, uncertainty)
+    return AgentAllocation(partitions, agent)

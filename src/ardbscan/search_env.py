@@ -203,14 +203,9 @@ class PolicyNetworks:
 
 @dataclass(frozen=True)
 class FusedState:
-    """Attention-fused state vector plus the raw boundary distances.
-
-    The distances stay unscaled so termination can read them directly;
-    a clamped move writes -1 into the affected slot.
-    """
+    """Attention-fused state vector and the per-cluster attention weights."""
 
     vector: np.ndarray
-    boundary_distances: Tuple[float, ...]
     attention: Tuple[float, ...]
 
     def __post_init__(self):
@@ -247,31 +242,29 @@ def _attention(networks: PolicyNetworks, global_out: np.ndarray,
 def build_state(networks: PolicyNetworks, params: DbscanParams,
                 bounds: Bounds, clustering: ClusterResult,
                 points: np.ndarray,
-                clamp_flags: Tuple[int, ...] = ()) -> FusedState:
-    """Fuse the global search position with per-cluster summaries."""
+                clamped: Optional[int] = None) -> FusedState:
+    """Fuse the global search position with per-cluster summaries.
+
+    The global features hold the distances to the four boundaries, eps's
+    scaled by sqrt(d) and min_pts's by the partition size, in
+    :class:`Bounds` order; the boundary a move was ``clamped`` to reads -1.
+    """
     points = np.asarray(points, dtype=np.float64)
     size, d = points.shape
     sqrt_d = math.sqrt(d)
 
     distances = [
-        params.eps - bounds.eps_lo,
-        bounds.eps_hi - params.eps,
-        float(params.min_pts - bounds.minpts_lo),
-        float(bounds.minpts_hi - params.min_pts),
+        (params.eps - bounds.eps_lo) / sqrt_d,
+        (bounds.eps_hi - params.eps) / sqrt_d,
+        (params.min_pts - bounds.minpts_lo) / size,
+        (bounds.minpts_hi - params.min_pts) / size,
     ]
-    for i in clamp_flags:
-        distances[i] = -1.0
-
-    def scaled(value: float, divisor: float) -> float:
-        return value if value == -1.0 else value / divisor
-
+    if clamped is not None:
+        distances[clamped] = -1.0
     global_vec = np.array([
         params.eps / sqrt_d,
         params.min_pts / size,
-        scaled(distances[0], sqrt_d),
-        scaled(distances[1], sqrt_d),
-        scaled(distances[2], size),
-        scaled(distances[3], size),
+        *distances,
         clustering.num_clusters / size,
     ])
     g_out = networks.f_g.forward(global_vec[None])[0]
@@ -292,7 +285,7 @@ def build_state(networks: PolicyNetworks, params: DbscanParams,
         weights = tuple(float(a) for a in att)
 
     fused = np.maximum(np.concatenate([g_out, local_agg]), 0.0)
-    return FusedState(fused, tuple(distances), weights)
+    return FusedState(fused, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -301,31 +294,26 @@ def build_state(networks: PolicyNetworks, params: DbscanParams,
 
 def apply_action(params: DbscanParams, action: Action, theta_eps: float,
                  theta_minpts: int,
-                 bounds: Bounds) -> Tuple[DbscanParams, Tuple[int, ...]]:
-    """Step the parameters; clamped moves flag the crossed boundary."""
-    eps, min_pts = params.eps, params.min_pts
-    flags: List[int] = []
-    if action == Action.LEFT:
-        eps -= theta_eps
-        if eps < bounds.eps_lo:
-            eps = bounds.eps_lo
-            flags.append(0)
-    elif action == Action.RIGHT:
-        eps += theta_eps
-        if eps > bounds.eps_hi:
-            eps = bounds.eps_hi
-            flags.append(1)
-    elif action == Action.DOWN:
-        min_pts -= theta_minpts
-        if min_pts < bounds.minpts_lo:
-            min_pts = bounds.minpts_lo
-            flags.append(2)
-    elif action == Action.UP:
-        min_pts += theta_minpts
-        if min_pts > bounds.minpts_hi:
-            min_pts = bounds.minpts_hi
-            flags.append(3)
-    return DbscanParams(eps, min_pts), tuple(flags)
+                 bounds: Bounds) -> Tuple[DbscanParams, Optional[int]]:
+    """Step the parameters by one lattice move.
+
+    A move that would cross the boundary it heads for stops on it, and
+    that boundary's slot in :class:`Bounds` (0 eps low, 1 eps high,
+    2 min_pts low, 3 min_pts high) comes back beside the new parameters;
+    an unclamped move or STOP gives None.  The actions are numbered like
+    the slots, so an action's index is the slot it heads for.
+    """
+    if action == Action.STOP:
+        return params, None
+    axis, up = divmod(int(action), 2)
+    coords = [params.eps, params.min_pts]
+    step = (theta_eps, theta_minpts)[axis]
+    coords[axis] += step if up else -step
+    edge = bounds[action]
+    if (coords[axis] > edge) if up else (coords[axis] < edge):
+        coords[axis] = edge
+        return DbscanParams(*coords), int(action)
+    return DbscanParams(*coords), None
 
 
 def episode_rewards(immediates: Sequence[float], delta: float) -> List[float]:
@@ -341,9 +329,11 @@ def episode_rewards(immediates: Sequence[float], delta: float) -> List[float]:
     return out
 
 
-def check_termination(state: FusedState, step_index: int, action: Action,
-                      max_steps: int) -> Optional[str]:
-    if min(state.boundary_distances) < 0:
+def check_termination(clamped: Optional[int], step_index: int,
+                      action: Action, max_steps: int) -> Optional[str]:
+    """Why the episode ends after this step, or None: a move ``clamped`` to
+    a boundary, then the step cap, then STOP from the second step on."""
+    if clamped is not None:
         return "bounds"
     if step_index >= max_steps:
         return "timeout"
@@ -551,19 +541,19 @@ def run_episode(env: SearchEnv, epsilon: float) -> EpisodeTrace:
         else:
             logits = env.networks.actor.forward(state.vector[None])[0]
             action = Action(int(logits.argmax()))
-        new_params, flags = apply_action(params, action, layer.theta_eps,
-                                         layer.theta_minpts, layer.bounds)
+        new_params, clamped = apply_action(params, action, layer.theta_eps,
+                                           layer.theta_minpts, layer.bounds)
         outcome = env.evaluator.evaluate(new_params)
         if outcome is None:
             break
         clustering, immediate = outcome
         next_state = build_state(env.networks, new_params, layer.bounds,
                                  clustering, env.evaluator.points,
-                                 clamp_flags=flags)
+                                 clamped=clamped)
         steps.append(EpisodeStep(action, new_params, immediate,
                                  clustering.num_clusters))
         transitions.append((state, action, next_state))
-        reason = check_termination(next_state, step_index, action,
+        reason = check_termination(clamped, step_index, action,
                                    env.config.max_steps)
         td3_update(env.networks, env.buffer, env.config, env.rng)
         params, state = new_params, next_state

@@ -198,15 +198,12 @@ def _prefix_degrees(n, u, v, total, d, m, w):
     """Weighted degrees of the graph on the first m entries of the sorted
     edge table, whose distances sum to ``total``, with its edge weights
     written into ``w``.  A prefix of zero-distance edges (duplicate points)
-    gets weight exp(0) = 1 throughout.  The sweep and the chosen graph both
-    compute them here, so the graph's entropy is the one the sweep scored,
-    bit for bit."""
-    if total > 0:
-        # -(d * s) == d * -s bit for bit: negation is exact
-        np.multiply(d[:m], -(m / total), out=w)
-        np.exp(w, out=w)
-    else:
-        w.fill(1.0)
+    takes scale -0.0, so each of its weights is exp(-0.0) = 1.  The sweep
+    and the chosen graph both compute them here, so the graph's entropy is
+    the one the sweep scored, bit for bit."""
+    # -(d * s) == d * -s bit for bit: negation is exact
+    np.multiply(d[:m], -(m / total) if total > 0 else -0.0, out=w)
+    np.exp(w, out=w)
     deg = np.bincount(u[:m], w, minlength=n)
     deg += np.bincount(v[:m], w, minlength=n)
     return deg
@@ -323,20 +320,17 @@ def _stable_points(ks: np.ndarray, h: np.ndarray) -> list[int]:
     return out
 
 
-def select_k(
-    points: np.ndarray,
-    cap: int,
-    op_budget: int = DEFAULT_OP_BUDGET,
-) -> SelectKResult:
+def select_k(points: np.ndarray, cap: int) -> SelectKResult:
     """Sweep k, find stable points of the normalized entropy, pick the best.
 
     Candidates run from 1 to k_max = min(n - 1, cap); the pipeline passes
     the run's ``k_sweep_cap`` as ``cap``. The sweep evaluates every
     stride-th k from 1, plus k_max; stride is 1 when the total edge-visit
-    cost of all k up to k_max fits op_budget and
-    max(2, ceil(cost / op_budget)) otherwise. Every k within one stride of
-    the four lowest dips of that grid and of its minimum is evaluated too,
-    each k once; at stride 1 this adds nothing and the sweep is complete.
+    cost of all k up to k_max fits the budget ``DEFAULT_OP_BUDGET``, read
+    at each call, and max(2, ceil(cost / budget)) otherwise. Every k
+    within one stride of the four lowest dips of that grid and of its
+    minimum is evaluated too, each k once; at stride 1 this adds nothing
+    and the sweep is complete.
     Over the evaluated k in ascending order, the result is the stable point
     with the smallest value or, when there is none, the minimum; equal
     values go to the smaller k, with no tolerance.
@@ -366,8 +360,8 @@ def select_k(
     totals = np.cumsum(de)[all_ms - 1]
     total_cost = int(all_ms.sum())
     stride = 1
-    if total_cost > op_budget:
-        stride = max(2, math.ceil(total_cost / op_budget))
+    if total_cost > DEFAULT_OP_BUDGET:
+        stride = max(2, math.ceil(total_cost / DEFAULT_OP_BUDGET))
 
     def sweep(ks):
         h = _entropies_for(u, v, totals[ks - 1], de, n, all_ms[ks - 1])

@@ -239,3 +239,39 @@ def best_two_level_partition(n: int, edges) -> tuple[float, list[frozenset]]:
     cost, masks = solve(full)
     parts = [frozenset(v for v in range(n) if m >> v & 1) for m in masks]
     return cost, parts
+
+
+# ---------------------------------------------------------------------------
+# Lattice moves: one branch per action.
+# ---------------------------------------------------------------------------
+
+def apply_action_oracle(eps: float, min_pts: int, action: int,
+                        theta_eps: float, theta_minpts: int, eps_lo: float,
+                        eps_hi: float, minpts_lo: int,
+                        minpts_hi: int) -> tuple[float, int, tuple[int, ...]]:
+    """Step (eps, min_pts) by action 0..4: eps down, eps up, min_pts down,
+    min_pts up, stop.  A move past the boundary it heads for stops on it
+    and flags that boundary, numbered 0..3 in the same order.  Returns
+    (eps, min_pts, flags)."""
+    flags = []
+    if action == 0:
+        eps -= theta_eps
+        if eps < eps_lo:
+            eps = eps_lo
+            flags.append(0)
+    elif action == 1:
+        eps += theta_eps
+        if eps > eps_hi:
+            eps = eps_hi
+            flags.append(1)
+    elif action == 2:
+        min_pts -= theta_minpts
+        if min_pts < minpts_lo:
+            min_pts = minpts_lo
+            flags.append(2)
+    elif action == 3:
+        min_pts += theta_minpts
+        if min_pts > minpts_hi:
+            min_pts = minpts_hi
+            flags.append(3)
+    return eps, min_pts, tuple(flags)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line harness on synthetic data."""
 
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -1036,3 +1037,39 @@ def test_an_agents_exception_reaches_main(tmp_path, monkeypatch, capsys,
     # agent 2 may have been handed out before agent 1 failed
     assert sorted(started) in ([[0, 1]] if workers < 3 else [[0, 1], [0, 1, 2]])
     assert threading.active_count() == before
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's probes
+
+PERFBENCH_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+
+@pytest.mark.skipif(importlib.util.find_spec("scipy") is None,
+                    reason="perfbench's checks need scipy (the bench extra)")
+@pytest.mark.parametrize("flags", [["--trace", "0"], ["--trace", "1"],
+                                   ["--setup-only", "1"]],
+                         ids=["untraced", "traced", "setup_only"])
+def test_perfbench_probes_run_against_the_program(tmp_path, flags):
+    # the benchmark's child process wraps names of the program (run_agent,
+    # _aggregate, best_round_series, allocate_agents, build_state, ...)
+    # and checks every seed's outputs; a name renamed or no longer called
+    # through its module fails here
+    data = write_dataset(tmp_path / "blobs.csv")
+    cfg = write_config(tmp_path / "config.json", data, seeds=[0, 1])
+    result = tmp_path / "result.json"
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH_CHILD),
+         "--root", str(PERFBENCH_CHILD.parents[1]), "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--result", str(result), *flags],
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(result.read_text())
+    assert got["exit_code"] == 0
+    if flags[0] == "--setup-only":
+        assert len(got["seed_starts"]) == 1
+        return
+    assert got["problems"] == [[], []]
+    if flags[1] == "1":
+        assert got["layers"]

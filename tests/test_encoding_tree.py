@@ -19,7 +19,6 @@ from ardbscan.encoding_tree import (
     EncodingTree,
     allocate_agents,
     optimize_two_level,
-    _cluster_uncertainties,
     _merge_delta,
 )
 from ardbscan.structured_graph import StructuredGraph, one_dim_se, select_k
@@ -253,10 +252,33 @@ def test_uncertainty_zero_when_no_cut():
     assert t.uncertainty() == [0.0] * t.cut.size
 
 
+def tree_with_uncertainties(values):
+    """What allocate_agents reads of a tree whose community c is vertex c,
+    with per-object uncertainty values[c]."""
+    return types.SimpleNamespace(uncertainty=lambda: list(values),
+                                 community=np.arange(len(values)))
+
+
+def agents_of(values, eps, min_pts):
+    alloc = allocate_agents(tree_with_uncertainties(values), eps, min_pts)
+    assert [p.tolist() for p in alloc.partitions] == [
+        np.flatnonzero(alloc.agent == i).tolist()
+        for i in range(len(alloc.partitions))]
+    return alloc.agent.tolist()
+
+
 def test_cluster_uncertainties_threshold_chain():
-    assert _cluster_uncertainties([0.10, 0.15, 0.80], 0.3, 1) == [0, 0, 1]
-    assert _cluster_uncertainties([0.5], 0.3, 1) == [0]
-    assert _cluster_uncertainties([0.1, 0.35, 0.6], 0.3, 1) == [0, 0, 0]
+    assert agents_of([0.10, 0.15, 0.80], 0.3, 1) == [0, 0, 1]
+    assert agents_of([0.5], 0.3, 1) == [0]
+    assert agents_of([0.1, 0.35, 0.6], 0.3, 1) == [0, 0, 0]
+
+
+def test_allocate_agents_numbers_noise_communities_by_first_appearance():
+    # at min_pts 2, 0.0/0.05 and 0.5/0.52 pool while 0.3, 0.9 and 0.7 are
+    # 1-D noise: each runs alone, numbered where it first appears
+    values = [0.3, 0.0, 0.9, 0.5, 0.05, 0.52, 0.7]
+    assert agents_of(values, 0.1, 2) == [0, 1, 2, 3, 1, 3, 4]
+    assert agents_of([0.9, 0.1, 0.5], 0.1, 2) == [0, 1, 2]
 
 
 def test_allocate_agents_covers_vertices():
@@ -302,7 +324,7 @@ def test_export_nodes_schema():
     g = two_cliques()
     t = optimize_two_level(g)
     uncertainty = t.uncertainty()
-    rows = t.export_nodes(uncertainty)
+    rows = t.export_nodes()
     assert sorted(r["id"] for r in rows) == \
         [ROOT] + list(range(g.n)) + t.intermediates()
     for r in rows:

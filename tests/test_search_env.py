@@ -28,6 +28,8 @@ from ardbscan.search_env import (
     td3_update,
 )
 
+from oracles import apply_action_oracle
+
 
 def two_blob_points():
     """Ten 1-d points in two tight groups around 0.1 and 0.9."""
@@ -213,16 +215,28 @@ def test_fused_state_length_constant_across_cluster_counts():
     assert lengths == {64}
 
 
-def test_build_state_boundary_distances():
+def test_build_state_boundary_distances(monkeypatch):
     points = two_blob_points()
     nets = make_networks(d=1)
     bounds = Bounds(0.0, 1.0, 1, 5)
     clustering = run_dbscan(points, DbscanParams(0.3, 2))
-    state = build_state(nets, DbscanParams(0.3, 2), bounds, clustering, points)
-    assert state.boundary_distances == pytest.approx((0.3, 0.7, 1.0, 3.0))
-    flagged = build_state(nets, DbscanParams(0.0, 2), bounds, clustering,
-                          points, clamp_flags=(0,))
-    assert flagged.boundary_distances[0] == -1.0
+    seen = []
+    forward = nets.f_g.forward
+
+    def recording(x):
+        seen.append(x[0].copy())
+        return forward(x)
+
+    monkeypatch.setattr(nets.f_g, "forward", recording)
+    # eps distances scale by sqrt(d) = 1, min_pts distances by size 10
+    build_state(nets, DbscanParams(0.3, 2), bounds, clustering, points)
+    assert seen[-1][2:6] == pytest.approx((0.3, 0.7, 0.1, 0.3))
+    build_state(nets, DbscanParams(0.0, 2), bounds, clustering, points,
+                clamped=0)
+    assert seen[-1][2:6] == pytest.approx((-1.0, 1.0, 0.1, 0.3))
+    build_state(nets, DbscanParams(0.3, 5), bounds, clustering, points,
+                clamped=3)
+    assert seen[-1][2:6] == pytest.approx((0.3, 0.7, 0.4, -1.0))
 
 
 # ---------------------------------------------------------------- actions
@@ -231,33 +245,60 @@ def test_build_state_boundary_distances():
 def test_apply_action_arithmetic():
     bounds = Bounds(0.0, 1.0, 1, 10)
     p = DbscanParams(0.5, 3)
-    stepped, flags = apply_action(p, Action.RIGHT, 0.1, 2, bounds)
+    stepped, clamped = apply_action(p, Action.RIGHT, 0.1, 2, bounds)
     assert stepped.eps == pytest.approx(0.6)
-    assert stepped.min_pts == 3 and flags == ()
-    stepped, flags = apply_action(p, Action.LEFT, 0.1, 2, bounds)
+    assert stepped.min_pts == 3 and clamped is None
+    stepped, clamped = apply_action(p, Action.LEFT, 0.1, 2, bounds)
     assert stepped.eps == pytest.approx(0.4)
-    stepped, flags = apply_action(p, Action.UP, 0.1, 2, bounds)
+    stepped, clamped = apply_action(p, Action.UP, 0.1, 2, bounds)
     assert stepped.min_pts == 5
-    stepped, flags = apply_action(p, Action.DOWN, 0.1, 2, bounds)
-    assert stepped.min_pts == 1 and flags == ()
-    stepped, flags = apply_action(p, Action.STOP, 0.1, 2, bounds)
-    assert stepped == p and flags == ()
+    stepped, clamped = apply_action(p, Action.DOWN, 0.1, 2, bounds)
+    assert stepped.min_pts == 1 and clamped is None
+    stepped, clamped = apply_action(p, Action.STOP, 0.1, 2, bounds)
+    assert stepped == p and clamped is None
 
 
 def test_apply_action_clamps_and_flags():
     bounds = Bounds(0.0, 1.0, 1, 10)
-    stepped, flags = apply_action(DbscanParams(0.05, 1), Action.LEFT, 0.1, 3,
-                                  bounds)
-    assert stepped.eps == 0.0 and flags == (0,)
-    stepped, flags = apply_action(DbscanParams(0.95, 1), Action.RIGHT, 0.1, 3,
-                                  bounds)
-    assert stepped.eps == 1.0 and flags == (1,)
-    stepped, flags = apply_action(DbscanParams(0.5, 1), Action.DOWN, 0.1, 3,
-                                  bounds)
-    assert stepped.min_pts == 1 and flags == (2,)
-    stepped, flags = apply_action(DbscanParams(0.5, 9), Action.UP, 0.1, 3,
-                                  bounds)
-    assert stepped.min_pts == 10 and flags == (3,)
+    stepped, clamped = apply_action(DbscanParams(0.05, 1), Action.LEFT, 0.1,
+                                    3, bounds)
+    assert stepped.eps == 0.0 and clamped == 0
+    stepped, clamped = apply_action(DbscanParams(0.95, 1), Action.RIGHT, 0.1,
+                                    3, bounds)
+    assert stepped.eps == 1.0 and clamped == 1
+    stepped, clamped = apply_action(DbscanParams(0.5, 1), Action.DOWN, 0.1,
+                                    3, bounds)
+    assert stepped.min_pts == 1 and clamped == 2
+    stepped, clamped = apply_action(DbscanParams(0.5, 9), Action.UP, 0.1, 3,
+                                    bounds)
+    assert stepped.min_pts == 10 and clamped == 3
+
+
+def test_apply_action_matches_the_four_branch_reference():
+    # random boxes and walks from the corners, the edges and inside, with
+    # steps both smaller and larger than the box
+    rng = np.random.default_rng(24)
+    for _ in range(1000):
+        eps_lo = float(rng.choice([0.0, rng.random()]))
+        eps_hi = eps_lo + float(rng.choice([0.0, rng.random() * 2]))
+        minpts_lo = int(rng.integers(1, 6))
+        minpts_hi = minpts_lo + int(rng.integers(0, 40))
+        bounds = Bounds(eps_lo, eps_hi, minpts_lo, minpts_hi)
+        theta_eps = float(rng.random() * (eps_hi - eps_lo + 0.1))
+        theta_minpts = int(rng.integers(1, 12))
+        eps = float(rng.choice([eps_lo, eps_hi, rng.uniform(eps_lo, eps_hi)]))
+        min_pts = int(rng.choice([minpts_lo, minpts_hi,
+                                  rng.integers(minpts_lo, minpts_hi + 1)]))
+        for action in rng.integers(len(Action), size=20).tolist():
+            want_eps, want_min_pts, flags = apply_action_oracle(
+                eps, min_pts, action, theta_eps, theta_minpts, *bounds)
+            got, clamped = apply_action(DbscanParams(eps, min_pts),
+                                        Action(action), theta_eps,
+                                        theta_minpts, bounds)
+            assert float(got.eps).hex() == float(want_eps).hex()
+            assert got.min_pts == want_min_pts
+            assert clamped == (flags[0] if flags else None)
+            eps, min_pts = got.eps, got.min_pts
 
 
 # ---------------------------------------------------------------- rewards
@@ -310,23 +351,14 @@ def test_episode_rewards_properties(immediates, delta):
 # ---------------------------------------------------------------- stopping
 
 
-def _state_with_distances(dists):
-    from ardbscan.search_env import FusedState
-
-    return FusedState(vector=np.zeros(64), boundary_distances=tuple(dists),
-                      attention=())
-
-
 def test_check_termination_rules():
-    fine = _state_with_distances((0.5, 0.5, 1.0, 3.0))
-    oob = _state_with_distances((-1.0, 0.5, 1.0, 3.0))
-    assert check_termination(fine, 1, Action.STOP, 30) is None
-    assert check_termination(fine, 2, Action.STOP, 30) == "action"
-    assert check_termination(fine, 5, Action.RIGHT, 30) is None
-    assert check_termination(fine, 30, Action.RIGHT, 30) == "timeout"
-    assert check_termination(oob, 1, Action.RIGHT, 30) == "bounds"
+    assert check_termination(None, 1, Action.STOP, 30) is None
+    assert check_termination(None, 2, Action.STOP, 30) == "action"
+    assert check_termination(None, 5, Action.RIGHT, 30) is None
+    assert check_termination(None, 30, Action.RIGHT, 30) == "timeout"
+    assert check_termination(0, 1, Action.RIGHT, 30) == "bounds"
     # bounds outranks the stop action when both hold
-    assert check_termination(oob, 3, Action.STOP, 30) == "bounds"
+    assert check_termination(0, 3, Action.STOP, 30) == "bounds"
 
 
 # ---------------------------------------------------------------- buffer

@@ -231,14 +231,22 @@ def test_sweep_is_bit_identical_across_thread_counts(monkeypatch, workers):
     # sweep calls); 3 threads on fewer cores, switching often, must write
     # every value the default thread count writes, bit for bit
     cases = [(lattice(), DEFAULT_OP_BUDGET), (blobs(seed=8, n_per=30), 30_000)]
-    results = [select_k(pts, CAP, budget) for pts, budget in cases]
+
+    def sweeps():
+        out = []
+        for pts, budget in cases:
+            monkeypatch.setattr(structured_graph, "DEFAULT_OP_BUDGET", budget)
+            out.append(select_k(pts, CAP))
+        return out
+
+    results = sweeps()
     assert results[1].ks.size < 59  # the budget forces a stride
     reference = [sweep_bytes(res) for res in results]
     calls = on_cpus(monkeypatch, workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = [sweep_bytes(select_k(pts, CAP, budget)) for pts, budget in cases]
+        got = [sweep_bytes(res) for res in sweeps()]
     finally:
         sys.setswitchinterval(interval)
     assert got == reference
@@ -463,10 +471,13 @@ def test_heavy_duplicates_give_finite_weights():
     assert np.all(select_k(pts, cap=7).graph.w == 1.0)
 
 
-def test_select_k_strided_matches_exact_on_small_input():
+def test_select_k_strided_matches_exact_on_small_input(monkeypatch):
     pts = blobs(seed=8, n_per=30)
     exact = select_k(pts, CAP)
-    strided = select_k(pts, CAP, op_budget=30_000)  # forces a strided grid
+    # a budget that forces a strided grid
+    monkeypatch.setattr(structured_graph, "DEFAULT_OP_BUDGET", 30_000)
+    strided = select_k(pts, CAP)
+    assert strided.ks.size < exact.ks.size
     assert strided.k == exact.k
 
 
@@ -488,7 +499,8 @@ def test_grid_sweep_picks_the_full_sweep_stable_point(monkeypatch):
 
     monkeypatch.setattr(structured_graph, "_entropies_for", fake_entropies)
     full = select_k(pts, CAP)
-    grid = select_k(pts, CAP, op_budget=20_000)
+    monkeypatch.setattr(structured_graph, "DEFAULT_OP_BUDGET", 20_000)
+    grid = select_k(pts, CAP)
     assert full.stable_ks == [21] and full.k == 21
     assert len(grid.ks) < n - 1  # the budget forces a strided grid
     assert 21 in grid.stable_ks

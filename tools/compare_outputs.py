@@ -16,7 +16,11 @@ starts to warn on any input shows as a differing exit code:
   in DBSCAN's spanning trees;
 - a 30 x 30 unit lattice labelled by quadrant, with the same config:
   ``cluster`` and ``allocate``.  Equal distances tie many neighbor ranks,
-  edge weights and merge deltas;
+  edge weights and merge deltas.  Again ``allocate --alloc_eps 1e-6
+  --alloc_minpts 2``, the one run whose 1-D allocation DBSCAN leaves
+  noise: 10 agents, where communities 902 and 910, and 906 and 908, pool
+  and 900, 901, 903 and others run alone, so agents of noise communities
+  are numbered between pooled ones;
 - a seeded mixture of three 8-D Gaussians, 80 points each, with the same
   config: ``cluster`` and ``allocate``.  Every other input is 2-D, and
   only d >= 3 shows the order in which a distance's squared coordinate
@@ -51,8 +55,11 @@ other file, and each command's exit code, must match byte for byte.  Every
 file that differs or exists on one side only is listed, and the exit code
 is 1 if there is any.  Each command's max RSS on each side (from
 ``os.wait4``) is reported too, for the commands whose max RSS moved most;
-it does not count as a difference.  A full comparison takes about two
-minutes on 2 vCPUs.
+it does not count as a difference, and it cannot attribute a move under
+about 15 MiB on the single-2k runs: one commit's single-2k ``allocate``
+has read 117-119 MiB from one checkout and 131-133 MiB from another, with
+the mode following incidental context such as the output path.  A full
+comparison takes about two minutes on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -97,6 +104,7 @@ RUNS = [
     ("duplicates", "baseline", []),
     ("lattice", "cluster", []),
     ("lattice", "allocate", []),
+    ("lattice", "allocate", ["--alloc_eps", "1e-6", "--alloc_minpts", "2"]),
     ("mixture-8d", "cluster", []),
     ("mixture-8d", "allocate", []),
     ("mixture-8d", "allocate", ["--alloc_eps", "5e-5"]),
