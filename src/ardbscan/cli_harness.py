@@ -151,19 +151,19 @@ def _run_seed(norm: Dataset, partitions: List[PartitionIndex],
         len(partitions))
     if trace_dir is not None:
         _write_traces(trace_dir, seed, results)
-    merged = merge_agent_results(results, norm.n, num_rounds=config.round_budget)
-    nmi_series, ari_series = best_round_series(merged.round_assignments,
-                                               norm.labels)
+    rounds = merge_agent_results(results, norm.n, num_rounds=config.round_budget)
+    nmi_series, ari_series = best_round_series(rounds, norm.labels)
+    final = rounds[-1]
     summary = {
         "seed": seed,
         "nmi_series": nmi_series,
         "ari_series": ari_series,
         "final_nmi": nmi_series[-1],
         "final_ari": ari_series[-1],
-        "num_clusters": int(merged.final.num_clusters),
+        "num_clusters": int(final.max()) + 1 if (final != NOISE).any() else 0,
         "agents": [_agent_summary(r) for r in results],
     }
-    return summary, merged.final.assignment
+    return summary, final
 
 
 def _set_up(raw: Dataset, config: RunConfig, allocate: bool = True
@@ -311,11 +311,11 @@ def _load_dataset(config: RunConfig) -> Dataset:
     if not config.dataset:
         raise ValueError("config must set a dataset path")
     path = Path(config.dataset)
-    if not path.exists():
-        raise DataError(f"dataset not found: {path}")
     try:
         return load_csv(path)
-    except ValueError as exc:
+    except FileNotFoundError:
+        raise DataError(f"dataset not found: {path}") from None
+    except (OSError, ValueError) as exc:
         raise DataError(f"unreadable dataset {path}: {exc}") from exc
 
 

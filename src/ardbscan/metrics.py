@@ -7,35 +7,23 @@ Noise (-1) is treated as an ordinary label value in both indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    counts: np.ndarray  # (num predicted ids, num true ids), integer
-    row_marginals: np.ndarray
-    col_marginals: np.ndarray
-    total: int
-
-
-def contingency_table(pred, truth) -> ContingencyTable:
+def contingency_table(pred, truth) -> np.ndarray:
+    """Counts of points per (predicted id, true id), ids in sorted order."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ValueError("label sequences must be 1-D and of equal length")
+    if pred.size == 0:
+        raise ValueError("need at least one point")
     _, pi = np.unique(pred, return_inverse=True)
     _, ti = np.unique(truth, return_inverse=True)
     rows = int(pi.max()) + 1
     cols = int(ti.max()) + 1
-    counts = np.bincount(pi * cols + ti, minlength=rows * cols).reshape(rows, cols)
-    return ContingencyTable(
-        counts=counts,
-        row_marginals=counts.sum(axis=1),
-        col_marginals=counts.sum(axis=0),
-        total=int(counts.sum()),
-    )
+    return np.bincount(pi * cols + ti, minlength=rows * cols).reshape(rows, cols)
 
 
 def nmi(pred, truth) -> float:
@@ -44,21 +32,20 @@ def nmi(pred, truth) -> float:
     Two constant labelings are identical partitions and score 1.0; otherwise a
     zero entropy on either side scores 0.0.
     """
-    t = contingency_table(pred, truth)
-    if t.total < 1:
-        raise ValueError("need at least one point")
-    n = float(t.total)
-    if t.counts.shape == (1, 1):
+    counts = contingency_table(pred, truth)
+    if counts.shape == (1, 1):
         return 1.0
-    pr = t.row_marginals / n
-    pc = t.col_marginals / n
+    rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+    n = float(rows.sum())
+    pr = rows / n
+    pc = cols / n
     h_pred = -np.sum(pr * np.log(pr))
     h_truth = -np.sum(pc * np.log(pc))
     if h_pred == 0.0 or h_truth == 0.0:
         return 0.0
-    nz = t.counts > 0
-    joint = t.counts[nz] / n
-    outer = np.outer(t.row_marginals, t.col_marginals)[nz] / (n * n)
+    nz = counts > 0
+    joint = counts[nz] / n
+    outer = np.outer(rows, cols)[nz] / (n * n)
     info = float(np.sum(joint * np.log(joint / outer)))
     value = info / ((h_pred + h_truth) / 2.0)
     return min(max(value, 0.0), 1.0)
@@ -70,13 +57,15 @@ def ari(pred, truth) -> float:
     Returns 1.0 when the chance-adjusted denominator vanishes (both labelings
     degenerate in the same way).
     """
-    t = contingency_table(pred, truth)
-    if t.total < 2:
+    counts = contingency_table(pred, truth)
+    rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+    total = int(rows.sum())
+    if total < 2:
         raise ValueError("need at least two points")
-    index = sum(math.comb(int(c), 2) for c in t.counts.ravel())
-    sum_rows = sum(math.comb(int(c), 2) for c in t.row_marginals)
-    sum_cols = sum(math.comb(int(c), 2) for c in t.col_marginals)
-    pairs = math.comb(t.total, 2)
+    index = sum(math.comb(int(c), 2) for c in counts.ravel())
+    sum_rows = sum(math.comb(int(c), 2) for c in rows)
+    sum_cols = sum(math.comb(int(c), 2) for c in cols)
+    pairs = math.comb(total, 2)
     expected = sum_rows * sum_cols / pairs
     max_index = (sum_rows + sum_cols) / 2.0
     den = max_index - expected

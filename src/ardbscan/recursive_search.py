@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import RunConfig
 from .dataset import Dataset, LabeledSubset
-from .dbscan_core import NOISE, ClusterResult, DbscanIndex, DbscanParams
+from .dbscan_core import NOISE, DbscanIndex, DbscanParams
 from .dbscan_core import run_dbscan  # noqa: F401 (perfbench --trace wraps it)
 from .search_env import (
     Bounds,
@@ -30,7 +30,6 @@ from .search_env import (
     EpisodeTrace,
     PolicyNetworks,
     ReplayBuffer,
-    SearchEnv,
     SearchLayer,
     run_episode,
 )
@@ -56,12 +55,6 @@ class AgentResult:
     rounds_used: int
     layer_history: Tuple[DbscanParams, ...]
     episodes: Tuple[EpisodeTrace, ...]
-
-
-@dataclass(frozen=True)
-class MergedResult:
-    final: ClusterResult
-    round_assignments: List[np.ndarray]
 
 
 def _round_half_up(x: float) -> int:
@@ -145,24 +138,25 @@ def lattice_walk(evaluator: ClusterEvaluator, config: RunConfig, seed: int
 
     for layer_index in range(config.resolved_l_max()):
         if layer_index > 0:
-            layer = next_layer(layer, evaluator.best_params, config)
+            layer = next_layer(layer, evaluator.best, config)
         nets_rng = np.random.default_rng(root_rng.integers(2 ** 63))
         env_rng = np.random.default_rng(root_rng.integers(2 ** 63))
-        env = SearchEnv(evaluator, layer, PolicyNetworks(dim, nets_rng, config),
-                        ReplayBuffer(config.buffer_capacity), config, env_rng)
+        networks = PolicyNetworks(dim, nets_rng, config)
+        buffer = ReplayBuffer(config.buffer_capacity)
 
         for episode in range(config.episodes):
             frac = episode / max(config.episodes - 1, 1)
             explore = config.epsilon_start - frac * (
                 config.epsilon_start - config.epsilon_end)
-            episodes.append(run_episode(env, explore))
+            episodes.append(run_episode(evaluator, layer, networks, buffer,
+                                        config, env_rng, explore))
             if evaluator.exhausted:
                 break
 
-        layer_history.append(evaluator.best_params)
+        layer_history.append(evaluator.best)
         if evaluator.exhausted:
             break
-        del env  # free this layer's networks before the next builds its own
+        del networks, buffer  # freed before the next layer builds its own
     return tuple(layer_history), tuple(episodes)
 
 
@@ -179,7 +173,7 @@ def random_draws(evaluator: ClusterEvaluator, config: RunConfig, seed: int
             rng.uniform(bounds.eps_lo, bounds.eps_hi),
             int(rng.integers(bounds.minpts_lo, bounds.minpts_hi + 1)),
         ))
-    return (evaluator.best_params,), ()
+    return (evaluator.best,), ()
 
 
 def run_agent(partition: PartitionIndex, dataset: Dataset,
@@ -205,11 +199,11 @@ def run_agent(partition: PartitionIndex, dataset: Dataset,
         start = first_layer(evaluator.points.shape[1], ids.size, config).start
         evaluator.evaluate(start)
         layer_history, episodes = (start,), ()
-    best_result, best_reward = evaluator.cache[evaluator.best_key]
+    best_result, best_reward = evaluator.cache[evaluator.best]
     return AgentResult(
         partition_id=partition_id,
         partition=ids,
-        params=evaluator.best_params,
+        params=evaluator.best,
         reward=best_reward,
         assignment=best_result.assignment.copy(),
         round_assignments=list(evaluator.round_assignments),
@@ -232,7 +226,7 @@ def _scatter(n: int, results: List[AgentResult],
 
 
 def merge_agent_results(results: List[AgentResult], n: int,
-                        num_rounds: int) -> MergedResult:
+                        num_rounds: int) -> List[np.ndarray]:
     """Combine per-partition labelings into one global labeling per round.
 
     Cluster ids are offset agent by agent (in partition-id order) so
@@ -251,10 +245,7 @@ def merge_agent_results(results: List[AgentResult], n: int,
         raise ValueError("agent partitions do not cover all points")
 
     total = max([num_rounds] + [len(r.round_assignments) for r in results])
-    rounds = [_scatter(n, results,
-                       [r.round_assignments[min(i, len(r.round_assignments) - 1)]
-                        for r in results])
-              for i in range(total)]
-    final = rounds[-1]
-    num_clusters = int(final.max()) + 1 if (final != NOISE).any() else 0
-    return MergedResult(ClusterResult(final, num_clusters), rounds)
+    return [_scatter(n, results,
+                     [r.round_assignments[min(i, len(r.round_assignments) - 1)]
+                      for r in results])
+            for i in range(total)]

@@ -140,11 +140,10 @@ class MLP:
 
 
 class Adam:
-    def __init__(self, pairs: List[Tuple[np.ndarray, np.ndarray]],
-                 lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.pairs = pairs
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, pairs: List[Tuple[np.ndarray, np.ndarray]], lr: float):
+        self.pairs, self.lr = pairs, lr
         self.t = 0
         self.m = [np.zeros_like(p) for p, _ in pairs]
         self.v = [np.zeros_like(p) for p, _ in pairs]
@@ -434,7 +433,7 @@ class ClusterEvaluator:
 
     A "round" is one clustering at parameters the agent has not tried
     before; revisits are free.  evaluate() returns None once the budget
-    is spent.  Each paid round may replace ``best_key`` only by a strictly
+    is spent.  Each paid round may replace ``best`` only by a strictly
     higher reward, so the earliest paid round wins ties, and appends the
     running best's assignment to ``round_assignments``.  With no labeled
     points every reward is 0.
@@ -452,23 +451,17 @@ class ClusterEvaluator:
         self.labeled_truth = np.asarray(labeled_truth)
         self.round_budget = round_budget
         self.rounds_used = 0
-        self.cache: Dict[Tuple[float, int], Tuple[ClusterResult, float]] = {}
-        self.best_key: Optional[Tuple[float, int]] = None
+        self.cache: Dict[DbscanParams, Tuple[ClusterResult, float]] = {}
+        self.best: Optional[DbscanParams] = None
         self.round_assignments: List[np.ndarray] = []
 
     @property
     def exhausted(self) -> bool:
         return self.rounds_used >= self.round_budget
 
-    @property
-    def best_params(self) -> DbscanParams:
-        """Parameters of ``best_key``; valid once a round has been paid."""
-        return DbscanParams(*self.best_key)
-
     def evaluate(self, params: DbscanParams
                  ) -> Optional[Tuple[ClusterResult, float]]:
-        key = (params.eps, params.min_pts)
-        hit = self.cache.get(key)
+        hit = self.cache.get(params)
         if hit is not None:
             return hit
         if self.exhausted:
@@ -477,23 +470,11 @@ class ClusterEvaluator:
         reward = nmi(result.assignment[self.labeled_idx], self.labeled_truth) \
             if self.labeled_idx.size else 0.0
         self.rounds_used += 1
-        self.cache[key] = (result, reward)
-        if self.best_key is None or reward > self.cache[self.best_key][1]:
-            self.best_key = key
-        self.round_assignments.append(self.cache[self.best_key][0].assignment)
+        self.cache[params] = (result, reward)
+        if self.best is None or reward > self.cache[self.best][1]:
+            self.best = params
+        self.round_assignments.append(self.cache[self.best][0].assignment)
         return result, reward
-
-
-@dataclass
-class SearchEnv:
-    """Everything one agent needs to run episodes on one layer."""
-
-    evaluator: ClusterEvaluator
-    layer: SearchLayer
-    networks: PolicyNetworks
-    buffer: ReplayBuffer
-    config: RunConfig
-    rng: np.random.Generator
 
 
 @dataclass(frozen=True)
@@ -513,7 +494,10 @@ class EpisodeTrace:
     start: DbscanParams
 
 
-def run_episode(env: SearchEnv, epsilon: float) -> EpisodeTrace:
+def run_episode(evaluator: ClusterEvaluator, layer: SearchLayer,
+                networks: PolicyNetworks, buffer: ReplayBuffer,
+                config: RunConfig, rng: np.random.Generator,
+                epsilon: float) -> EpisodeTrace:
     """One episode from the layer's start parameters.
 
     Steps until a stop condition fires or the evaluation budget runs
@@ -521,13 +505,12 @@ def run_episode(env: SearchEnv, epsilon: float) -> EpisodeTrace:
     the future maximum), so the trace enters the replay buffer only at
     the end; per-step training draws on earlier episodes.
     """
-    layer = env.layer
-    first = env.evaluator.evaluate(layer.start)
+    first = evaluator.evaluate(layer.start)
     if first is None:
         return EpisodeTrace(layer.index, [], [], "budget", layer.start)
     clustering, _ = first
-    state = build_state(env.networks, layer.start, layer.bounds, clustering,
-                        env.evaluator.points)
+    state = build_state(networks, layer.start, layer.bounds, clustering,
+                        evaluator.points)
     params = layer.start
 
     steps: List[EpisodeStep] = []
@@ -536,33 +519,33 @@ def run_episode(env: SearchEnv, epsilon: float) -> EpisodeTrace:
     step_index = 0
     while True:
         step_index += 1
-        if env.rng.random() < epsilon:
-            action = Action(int(env.rng.integers(len(Action))))
+        if rng.random() < epsilon:
+            action = Action(int(rng.integers(len(Action))))
         else:
-            logits = env.networks.actor.forward(state.vector[None])[0]
+            logits = networks.actor.forward(state.vector[None])[0]
             action = Action(int(logits.argmax()))
         new_params, clamped = apply_action(params, action, layer.theta_eps,
                                            layer.theta_minpts, layer.bounds)
-        outcome = env.evaluator.evaluate(new_params)
+        outcome = evaluator.evaluate(new_params)
         if outcome is None:
             break
         clustering, immediate = outcome
-        next_state = build_state(env.networks, new_params, layer.bounds,
-                                 clustering, env.evaluator.points,
+        next_state = build_state(networks, new_params, layer.bounds,
+                                 clustering, evaluator.points,
                                  clamped=clamped)
         steps.append(EpisodeStep(action, new_params, immediate,
                                  clustering.num_clusters))
         transitions.append((state, action, next_state))
         reason = check_termination(clamped, step_index, action,
-                                   env.config.max_steps)
-        td3_update(env.networks, env.buffer, env.config, env.rng)
+                                   config.max_steps)
+        td3_update(networks, buffer, config, rng)
         params, state = new_params, next_state
         if reason is not None:
             stop_reason = reason
             break
 
     rewards = episode_rewards([s.immediate for s in steps],
-                              env.config.delta) if steps else []
+                              config.delta) if steps else []
     for (before, action, after), reward in zip(transitions, rewards):
-        env.buffer.insert(RLTuple(before.vector, action, after.vector, reward))
+        buffer.insert(RLTuple(before.vector, action, after.vector, reward))
     return EpisodeTrace(layer.index, steps, rewards, stop_reason, layer.start)

@@ -667,6 +667,17 @@ def test_nonexistent_dataset_is_data_error(tmp_path):
     assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["cluster", "allocate", "online",
+                                     "baseline"])
+def test_dataset_naming_a_directory_is_data_error(tmp_path, capsys, command):
+    folder = tmp_path / "data"
+    folder.mkdir()
+    cfg = write_config(tmp_path / "cfg.json", folder)
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "data error: unreadable dataset" in capsys.readouterr().err
+
+
 def test_tiny_dataset_is_data_error(tmp_path):
     data = tmp_path / "one.csv"
     data.write_text("0.5,0.5,0\n")

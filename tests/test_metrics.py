@@ -11,11 +11,11 @@ labelings = st.lists(st.integers(-1, 4), min_size=2, max_size=8)
 
 
 def test_contingency_totals():
-    t = contingency_table([0, 0, 1, 1], [0, 1, 1, 1])
-    assert t.total == 4
-    assert t.counts.sum() == 4
-    assert t.row_marginals.tolist() == [2, 2]
-    assert t.col_marginals.tolist() == [1, 3]
+    counts = contingency_table([0, 0, 1, 1], [0, 1, 1, 1])
+    assert counts.tolist() == [[1, 1], [0, 2]]
+    assert counts.sum() == 4
+    assert counts.sum(axis=1).tolist() == [2, 2]
+    assert counts.sum(axis=0).tolist() == [1, 3]
 
 
 def test_nmi_identity():
@@ -59,6 +59,15 @@ def test_ari_against_pair_oracle_example():
 def test_ari_length_mismatch():
     with pytest.raises(ValueError):
         ari([0, 1, 2], [0, 1])
+
+
+def test_indices_refuse_too_few_points():
+    for index in (nmi, ari):
+        with pytest.raises(ValueError, match="need at least one point"):
+            index([], [])
+    with pytest.raises(ValueError, match="need at least two points"):
+        ari([0], [0])
+    assert nmi([0], [0]) == 1.0
 
 
 @settings(max_examples=200)

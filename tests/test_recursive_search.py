@@ -436,24 +436,24 @@ def stub_result(partition_id, partition, assignment, rounds=None):
 def test_merge_offsets_cluster_ids():
     a = stub_result(0, [0, 1, 2], [0, 1, 0])
     b = stub_result(1, [3, 4, 5, 6], [0, 1, 2, NOISE])
-    merged = merge_agent_results([a, b], 7, num_rounds=1)
-    assert merged.final.assignment.tolist() == [0, 1, 0, 2, 3, 4, NOISE]
-    assert merged.final.num_clusters == 5
+    rounds = merge_agent_results([a, b], 7, num_rounds=1)
+    assert rounds[-1].tolist() == [0, 1, 0, 2, 3, 4, NOISE]
+    assert rounds[-1].max() + 1 == 5
 
 
 def test_merge_all_noise_agent_adds_no_clusters():
     a = stub_result(0, [0, 1, 2], [0, 1, 0])
     b = stub_result(1, [3, 4, 5, 6], [NOISE] * 4)
-    merged = merge_agent_results([a, b], 7, num_rounds=1)
-    assert merged.final.assignment.tolist() == [0, 1, 0, NOISE, NOISE, NOISE, NOISE]
-    assert merged.final.num_clusters == 2
+    rounds = merge_agent_results([a, b], 7, num_rounds=1)
+    assert rounds[-1].tolist() == [0, 1, 0, NOISE, NOISE, NOISE, NOISE]
+    assert rounds[-1].max() + 1 == 2
 
 
 def test_merge_scatters_through_interleaved_partitions():
     a = stub_result(0, [0, 2, 4], [0, 0, 1])
     b = stub_result(1, [1, 3, 5], [0, NOISE, 0])
-    merged = merge_agent_results([a, b], 6, num_rounds=1)
-    assert merged.final.assignment.tolist() == [0, 2, 0, NOISE, 1, 2]
+    rounds = merge_agent_results([a, b], 6, num_rounds=1)
+    assert rounds[-1].tolist() == [0, 2, 0, NOISE, 1, 2]
 
 
 def test_merge_aligns_rounds_by_repeating_last():
@@ -461,20 +461,20 @@ def test_merge_aligns_rounds_by_repeating_last():
     b_rounds = [[NOISE, 0], [0, 0], [0, 1], [1, 0]]
     a = stub_result(0, [0, 1, 2], [0, 1, NOISE], rounds=a_rounds)
     b = stub_result(1, [3, 4], [1, 0], rounds=b_rounds)
-    merged = merge_agent_results([a, b], 5, num_rounds=1)
-    assert len(merged.round_assignments) == 4
+    rounds = merge_agent_results([a, b], 5, num_rounds=1)
+    assert len(rounds) == 4
     # rounds 3 and 4 reuse agent A's final round
-    assert merged.round_assignments[2].tolist()[:3] == [0, 1, NOISE]
-    assert merged.round_assignments[3].tolist()[:3] == [0, 1, NOISE]
-    assert merged.round_assignments[0].tolist() == [0, 0, NOISE, NOISE, 1]
-    assert merged.round_assignments[3].tolist() == [0, 1, NOISE, 3, 2]
+    assert rounds[2].tolist()[:3] == [0, 1, NOISE]
+    assert rounds[3].tolist()[:3] == [0, 1, NOISE]
+    assert rounds[0].tolist() == [0, 0, NOISE, NOISE, 1]
+    assert rounds[-1].tolist() == [0, 1, NOISE, 3, 2]
 
 
 def test_merge_pads_to_requested_round_count():
     a = stub_result(0, [0, 1], [0, 0], rounds=[[0, 0]])
-    merged = merge_agent_results([a], 2, num_rounds=5)
-    assert len(merged.round_assignments) == 5
-    for r in merged.round_assignments:
+    rounds = merge_agent_results([a], 2, num_rounds=5)
+    assert len(rounds) == 5
+    for r in rounds:
         assert r.tolist() == [0, 0]
 
 
@@ -495,5 +495,5 @@ def test_merge_rejects_uncovered_points():
 def test_merge_orders_agents_by_partition_id():
     b = stub_result(1, [3, 4, 5, 6], [0, 1, 2, NOISE])
     a = stub_result(0, [0, 1, 2], [0, 1, 0])
-    merged = merge_agent_results([b, a], 7, num_rounds=1)
-    assert merged.final.assignment.tolist() == [0, 1, 0, 2, 3, 4, NOISE]
+    rounds = merge_agent_results([b, a], 7, num_rounds=1)
+    assert rounds[-1].tolist() == [0, 1, 0, 2, 3, 4, NOISE]

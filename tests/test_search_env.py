@@ -17,7 +17,6 @@ from ardbscan.search_env import (
     PolicyNetworks,
     ReplayBuffer,
     RLTuple,
-    SearchEnv,
     SearchLayer,
     _attention,
     apply_action,
@@ -51,19 +50,16 @@ def make_networks(d=1, seed=0):
 
 def make_env(round_budget=30, seed=3, start=DbscanParams(0.5, 3),
              networks=None, max_steps=30):
+    """The evaluator, layer, networks, buffer, config and rng that
+    ``run_episode`` takes, in its order."""
     points = two_blob_points()
     ev = ClusterEvaluator(DbscanIndex(points), np.arange(10), blob_truth(),
                           round_budget=round_budget)
     nets = networks if networks is not None else make_networks(d=1, seed=seed)
     bounds = Bounds(0.0, 1.0, 1, 5)
-    return SearchEnv(
-        evaluator=ev,
-        layer=SearchLayer(0, bounds, bounds, 0.1, 1, start),
-        networks=nets,
-        buffer=ReplayBuffer(CONFIG.buffer_capacity),
-        config=RunConfig(max_steps=max_steps),
-        rng=np.random.default_rng(seed),
-    )
+    return (ev, SearchLayer(0, bounds, bounds, 0.1, 1, start), nets,
+            ReplayBuffer(CONFIG.buffer_capacity),
+            RunConfig(max_steps=max_steps), np.random.default_rng(seed))
 
 
 def force_constant_action(networks, action):
@@ -521,19 +517,20 @@ def test_run_episode_stop_action():
     nets = make_networks(d=1, seed=0)
     force_constant_action(nets, Action.STOP)
     env = make_env(networks=nets)
-    trace = run_episode(env, epsilon=0.0)
+    trace = run_episode(*env, epsilon=0.0)
     assert len(trace.steps) == 2
     assert trace.stop_reason == "action"
     assert all(s.action == Action.STOP for s in trace.steps)
     # STOP leaves the params alone, so only the start evaluation costs
-    assert env.evaluator.rounds_used == 1
+    ev, *_ = env
+    assert ev.rounds_used == 1
 
 
 def test_run_episode_walks_out_of_bounds():
     nets = make_networks(d=1, seed=0)
     force_constant_action(nets, Action.LEFT)
     env = make_env(networks=nets, start=DbscanParams(0.25, 3))
-    trace = run_episode(env, epsilon=0.0)
+    trace = run_episode(*env, epsilon=0.0)
     assert trace.stop_reason == "bounds"
     assert len(trace.steps) == 3
     assert trace.steps[-1].params.eps == 0.0
@@ -543,7 +540,7 @@ def test_run_episode_up_clamp_terminates():
     nets = make_networks(d=1, seed=0)
     force_constant_action(nets, Action.UP)
     env = make_env(networks=nets)
-    trace = run_episode(env, epsilon=0.0)
+    trace = run_episode(*env, epsilon=0.0)
     # UP from min_pts=3 with bound 5: clamped at step 3 and flagged
     assert trace.stop_reason == "bounds"
     assert len(trace.steps) == 3
@@ -553,7 +550,7 @@ def test_run_episode_timeout():
     nets = make_networks(d=1, seed=0)
     force_constant_action(nets, Action.STOP)
     env = make_env(networks=nets, max_steps=1)
-    trace = run_episode(env, epsilon=0.0)
+    trace = run_episode(*env, epsilon=0.0)
     # the stop-action guard needs step >= 2, so the cap fires first
     assert trace.stop_reason == "timeout"
     assert len(trace.steps) == 1
@@ -563,11 +560,12 @@ def test_run_episode_rewards_and_buffer():
     nets = make_networks(d=1, seed=0)
     force_constant_action(nets, Action.STOP)
     env = make_env(networks=nets)
-    trace = run_episode(env, epsilon=0.0)
+    trace = run_episode(*env, epsilon=0.0)
+    _, _, _, buffer, config, _ = env
     assert trace.rewards == episode_rewards(
-        [s.immediate for s in trace.steps], env.config.delta)
-    assert len(env.buffer) == len(trace.steps)
-    for stored, reward in zip(env.buffer, trace.rewards):
+        [s.immediate for s in trace.steps], config.delta)
+    assert len(buffer) == len(trace.steps)
+    for stored, reward in zip(buffer, trace.rewards):
         assert stored.reward == reward
 
 
@@ -575,7 +573,7 @@ def test_run_episode_deterministic():
     traces = []
     for _ in range(2):
         env = make_env(seed=8)
-        trace = run_episode(env, epsilon=0.5)
+        trace = run_episode(*env, epsilon=0.5)
         traces.append([(s.action, s.params.eps, s.params.min_pts, s.immediate)
                        for s in trace.steps] + [trace.stop_reason])
     assert traces[0] == traces[1]
@@ -585,10 +583,22 @@ def test_run_episode_budget_exhaustion():
     nets = make_networks(d=1, seed=0)
     force_constant_action(nets, Action.LEFT)  # a fresh eval every step
     env = make_env(networks=nets, round_budget=2)
-    trace = run_episode(env, epsilon=0.0)
+    trace = run_episode(*env, epsilon=0.0)
     assert trace.stop_reason == "budget"
     assert len(trace.steps) == 1
-    assert env.evaluator.rounds_used == 2
+    ev, *_ = env
+    assert ev.rounds_used == 2
+
+
+def test_run_episode_budget_spent_before_the_start():
+    env = make_env(round_budget=1)
+    ev, _, _, buffer, _, _ = env
+    ev.evaluate(DbscanParams(0.2, 2))  # the one round, spent elsewhere
+    trace = run_episode(*env, epsilon=0.0)
+    assert trace.stop_reason == "budget"
+    assert trace.steps == [] and trace.rewards == []
+    assert ev.rounds_used == 1
+    assert len(buffer) == 0
 
 
 def round_scores(ev: ClusterEvaluator) -> list:
@@ -606,7 +616,7 @@ def test_evaluator_cache_is_free():
     again = ev.evaluate(p)
     assert ev.rounds_used == 1
     assert first[1] == again[1]
-    assert ev.best_key == (0.2, 2)
+    assert ev.best == DbscanParams(0.2, 2)
     assert round_scores(ev) == [first[1]]
 
 
@@ -649,8 +659,7 @@ def test_evaluator_records_earliest_best_per_paid_round():
     ev.evaluate(DbscanParams(1.0, 1))  # cache hit: no round
     assert ev.evaluate(DbscanParams(0.4, 2)) is None  # budget spent
     assert ev.rounds_used == 3
-    assert ev.best_key == (0.2, 2)
-    assert ev.best_params == DbscanParams(0.2, 2)
+    assert ev.best == DbscanParams(0.2, 2)
     assert round_scores(ev) == [merged[1], split[1], split[1]]
     assert len(ev.round_assignments) == ev.rounds_used
     expect = [merged[0], split[0], split[0]]
@@ -668,6 +677,7 @@ def test_evaluator_without_labeled_points_scores_zero():
 
 def test_episode_trains_networks_once_buffer_filled():
     env = make_env(seed=13)
-    fill_buffer_uniform(env.buffer, np.random.default_rng(1), 32)
-    run_episode(env, epsilon=1.0)  # pure exploration, moves around
-    assert env.networks.train_steps > 0
+    _, _, nets, buffer, _, _ = env
+    fill_buffer_uniform(buffer, np.random.default_rng(1), 32)
+    run_episode(*env, epsilon=1.0)  # pure exploration, moves around
+    assert nets.train_steps > 0

@@ -3,9 +3,10 @@
     python3 tools/compare_outputs.py --parent-src OLD/src --change-src NEW/src
 
 Each tree runs the same ``ardbscan`` commands on the same inputs, in fresh
-processes with that tree on ``PYTHONPATH``, BLAS on one thread and
-``-W error::RuntimeWarning`` (as the test suite runs), so a change that
-starts to warn on any input shows as a differing exit code:
+processes with that tree on ``PYTHONPATH``, BLAS on one thread,
+``PYTHONDONTWRITEBYTECODE=1`` (so neither tree gains a ``__pycache__``)
+and ``-W error::RuntimeWarning`` (as the test suite runs), so a change
+that starts to warn on any input shows as a differing exit code:
 
 - a 60-point three-blob CSV with a small config and seeds 0 and 1:
   ``cluster --trace``, ``cluster --single_agent``, ``cluster --mode
@@ -210,7 +211,7 @@ def write_inputs(in_dir: Path) -> dict:
 def run_tree(src: Path, configs: dict, out_root: Path) -> dict:
     """Run every command of ``RUNS`` on ``src``; returns each run's max
     RSS in KiB, keyed by its output directory's name."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     max_rss = {}
