@@ -5,7 +5,8 @@ its k nearest neighbors (union rule); rank ties are broken toward the lower
 vertex index. Edge weights decay exponentially with distance, rescaled so the
 exponents average to 1 over the edge set. k is chosen by sweeping candidate
 values and keeping the local minimum of the normalized one-dimensional
-structural entropy with the smallest value (a "stable point").
+structural entropy with the smallest value (a "stable point"), over one
+fixed grid of k (:func:`sweep_grid`).
 
 ``select_k`` is the only way to build a graph: it sweeps k over one table
 of candidate edges and materializes the graph at the chosen k.
@@ -13,7 +14,6 @@ of candidate edges and materializes the graph at the chosen k.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 
@@ -22,8 +22,8 @@ import numpy as np
 from . import cpus
 from .dbscan_core import check_distances, sq_distances
 
-# total edge visits allowed in one k sweep before the sweep strides
-DEFAULT_OP_BUDGET = 200_000_000
+K_DENSE = 64  # the sweep scores every k up to here
+K_RATIO = 1.1  # and past it, each k about this factor above the last
 _RANK_BLOCK = 128  # rows per block of the rank table
 
 
@@ -264,7 +264,7 @@ def dense_bytes(n: int, k_max: int, workers: int, edges: int) -> int:
     the arrays it allocates; with E = 0, the peak of the first phase
     below, the rank table's.  The rank table's row blocks (b rows in the
     largest) go to T = min(workers, blocks) threads, and the sweep's k
-    values to min(workers, k_max).
+    values to min(workers, grid length).
 
     - the rank table (int16 or int32, s bytes an entry), s n^2, beside a
       shared block of rank values and each thread's block buffers (two
@@ -283,10 +283,11 @@ def dense_bytes(n: int, k_max: int, workers: int, edges: int) -> int:
     s = np.dtype(_rank_dtype(n)).itemsize
     bounds, b = _row_blocks(n)
     threads = min(workers, len(bounds) - 1)
+    sweep_threads = min(workers, len(sweep_grid(k_max)))
     return max((s * n + (s + (25 + s) * threads) * b) * n,
                (s * n + (s + (17 + s) * threads) * b) * n + (16 + s) * edges
                + 8 * min(b * n, edges),
-               (24 + 8 * max(2, min(workers, k_max))) * edges)
+               (24 + 8 * max(2, sweep_threads)) * edges)
 
 
 def _mem_available() -> int | None:
@@ -320,20 +321,30 @@ def _stable_points(ks: np.ndarray, h: np.ndarray) -> list[int]:
     return out
 
 
+def sweep_grid(k_max: int) -> np.ndarray:
+    """The k values ``select_k`` scores up to k_max, ascending: every k
+    from 1 to ``K_DENSE``, then round(K_DENSE * K_RATIO**i) for i = 1, 2,
+    ... while below k_max, then k_max.  The grid depends on k_max alone."""
+    ks = list(range(1, min(K_DENSE, k_max) + 1))
+    i = 1
+    while (k := round(K_DENSE * K_RATIO ** i)) < k_max:
+        ks.append(k)
+        i += 1
+    if ks[-1] < k_max:
+        ks.append(k_max)
+    return np.array(ks, dtype=np.int64)
+
+
 def select_k(points: np.ndarray, cap: int) -> SelectKResult:
     """Sweep k, find stable points of the normalized entropy, pick the best.
 
-    Candidates run from 1 to k_max = min(n - 1, cap); the pipeline passes
-    the run's ``k_sweep_cap`` as ``cap``. The sweep evaluates every
-    stride-th k from 1, plus k_max; stride is 1 when the total edge-visit
-    cost of all k up to k_max fits the budget ``DEFAULT_OP_BUDGET``, read
-    at each call, and max(2, ceil(cost / budget)) otherwise. Every k
-    within one stride of the four lowest dips of that grid and of its
-    minimum is evaluated too, each k once; at stride 1 this adds nothing
-    and the sweep is complete.
-    Over the evaluated k in ascending order, the result is the stable point
-    with the smallest value or, when there is none, the minimum; equal
-    values go to the smaller k, with no tolerance.
+    Candidates run up to k_max = min(n - 1, cap); the pipeline passes the
+    run's ``k_sweep_cap`` as ``cap``.  The sweep scores each k of
+    :func:`sweep_grid` once, exactly: every k up to ``K_DENSE``, then a
+    geometric grid of ratio ``K_RATIO``, then k_max, whatever the input's
+    edge counts.  Over the grid in ascending order, the result is the stable
+    point with the smallest value or, when there is none, the minimum;
+    equal values go to the smaller k, with no tolerance.
 
     Raises ``ValueError`` for the points ``DbscanIndex`` refuses or fewer
     than 3, and :class:`InsufficientMemoryError` when :func:`dense_bytes`
@@ -351,47 +362,25 @@ def select_k(points: np.ndarray, cap: int) -> SelectKResult:
                  dense_bytes(n, k_max, cpus.usable_cpus(), 0))
     u, v, ke, de = _mutual_rank_edges(points, k_max)
 
-    all_ks = np.arange(1, k_max + 1, dtype=np.int64)
+    ks = sweep_grid(k_max)
     # the needles take k_edge's dtype: int64 ones would make searchsorted
     # copy k_edge to int64
-    all_ms = np.searchsorted(ke, all_ks.astype(ke.dtype), side="right")
+    ms = np.searchsorted(ke, ks.astype(ke.dtype), side="right")
     del ke
     # the distance total of each k's prefix; no k's graph is empty
-    totals = np.cumsum(de)[all_ms - 1]
-    total_cost = int(all_ms.sum())
-    stride = 1
-    if total_cost > DEFAULT_OP_BUDGET:
-        stride = max(2, math.ceil(total_cost / DEFAULT_OP_BUDGET))
-
-    def sweep(ks):
-        h = _entropies_for(u, v, totals[ks - 1], de, n, all_ms[ks - 1])
-        return h / (ks * n)
-
-    grid = np.unique(np.concatenate([all_ks[::stride], all_ks[-1:]]))
-    grid_norm = sweep(grid)
-    dips = _stable_points(grid, grid_norm)
-    dips.sort(key=lambda k: grid_norm[int(np.searchsorted(grid, k))])
-    centers = dips[:4] + [int(grid[int(np.argmin(grid_norm))])]
-    window = np.concatenate(
-        [np.arange(max(1, c - stride), min(k_max, c + stride) + 1) for c in centers]
-    )
-    extra = np.setdiff1d(window, grid)
-    ks = np.concatenate([grid, extra])
-    h_norm = np.concatenate([grid_norm, sweep(extra)])
-    order = np.argsort(ks)
-    ks, h_norm = ks[order], h_norm[order]
+    totals = np.cumsum(de)[ms - 1]
+    h_norm = _entropies_for(u, v, totals, de, n, ms) / (ks * n)
 
     stable = _stable_points(ks, h_norm)
-    if stable:
-        k_star = min(stable, key=lambda k: h_norm[int(np.searchsorted(ks, k))])
-    else:
-        k_star = int(ks[int(np.argmin(h_norm))])
-    m = int(all_ms[k_star - 1])
+    # the candidates' grid positions; argmin takes the first, smallest k
+    cand = np.searchsorted(ks, stable) if stable else np.arange(ks.size)
+    at = int(cand[np.argmin(h_norm[cand])])
+    k_star, m = int(ks[at]), int(ms[at])
     # the int32 endpoints first, so that the int64 ones are freed before
     # the weights are allocated
     u, v = u[:m].astype(np.int32), v[:m].astype(np.int32)
     w = np.empty(m)
-    degrees = _prefix_degrees(n, u, v, totals[k_star - 1], de, m, w)
+    degrees = _prefix_degrees(n, u, v, totals[at], de, m, w)
     graph = StructuredGraph(n, k_star, u, v, w, degrees,
                             float(degrees.sum()))
     return SelectKResult(k_star, graph, ks, h_norm, stable)

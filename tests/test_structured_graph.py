@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from ardbscan import cpus, structured_graph
 from ardbscan.config import RunConfig
-from ardbscan.structured_graph import DEFAULT_OP_BUDGET, one_dim_se, select_k
+from ardbscan.structured_graph import (K_DENSE, K_RATIO, one_dim_se, select_k,
+                                      sweep_grid)
 
 from conftest import edges_of, make_graph
 from oracles import knn_graph_oracle, one_dim_entropy_oracle
@@ -131,7 +132,9 @@ def lattice(cols=5, rows=4, step=0.25):
     )
 
 
-def assert_agrees_with_naive_scan(pts):
+def assert_agrees_with_naive_scan(pts, ks=None):
+    """``select_k`` against a naive scan over every k from 1 to n - 1, or
+    over ``ks`` (ascending, ending at n - 1)."""
     result = select_k(pts, CAP)
     k_star, graph = result.k, result.graph
     assert graph.k == k_star
@@ -139,25 +142,26 @@ def assert_agrees_with_naive_scan(pts):
     # independent scan: rebuild every candidate graph by plain loops and
     # re-detect minima
     n = pts.shape[0]
+    ks = list(range(1, n)) if ks is None else ks
     rows = pts.tolist()
-    graphs = [knn_graph_oracle(rows, k) for k in range(1, n)]
-    h = [one_dim_entropy_oracle(n, g) / (k * n) for k, g in enumerate(graphs, 1)]
+    graphs = [knn_graph_oracle(rows, k) for k in ks]
+    h = [one_dim_entropy_oracle(n, g) / (k * n) for k, g in zip(ks, graphs)]
     stable = [
-        i + 1
+        ks[i]
         for i in range(1, len(h) - 1)
         if h[i] < h[i - 1] and h[i] < h[i + 1]
     ]
     if stable:
-        expected = min(stable, key=lambda k: h[k - 1])
+        expected = min(stable, key=lambda k: h[ks.index(k)])
     else:
-        expected = int(np.argmin(h)) + 1
+        expected = ks[int(np.argmin(h))]
     assert k_star == expected
     assert result.stable_ks == stable
-    assert result.ks.tolist() == list(range(1, n))
+    assert result.ks.tolist() == ks
     assert np.allclose(result.h_norm, h, atol=1e-9)
 
     mine = sorted(edges_of(graph))
-    oracle = graphs[k_star - 1]
+    oracle = graphs[ks.index(k_star)]
     assert [e[:2] for e in mine] == [e[:2] for e in oracle]
     assert np.allclose([e[2] for e in mine], [e[2] for e in oracle], atol=1e-12)
 
@@ -168,6 +172,31 @@ def test_select_k_agrees_with_naive_scan():
 
 def test_select_k_agrees_with_naive_scan_on_lattice():
     assert_agrees_with_naive_scan(lattice())
+
+
+def test_select_k_agrees_with_naive_scan_on_the_grid():
+    # k_max = 79 > K_DENSE: every k to 64, then the geometric part
+    assert_agrees_with_naive_scan(blobs(seed=8, n_per=40),
+                                  list(range(1, 65)) + [70, 77, 79])
+
+
+def test_sweep_grid_lengths():
+    assert [len(sweep_grid(k)) for k in (499, 1999, 2047)] == [86, 101, 101]
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 63, 64, 65, 70, 71, 77, 499, 2047])
+def test_sweep_grid_shape(k_max):
+    ks = sweep_grid(k_max).tolist()
+    dense = min(K_DENSE, k_max)
+    assert ks[:dense] == list(range(1, dense + 1))
+    assert all(a < b for a, b in zip(ks, ks[1:]))
+    assert ks[-1] == k_max
+    if k_max <= K_DENSE:
+        assert ks == list(range(1, k_max + 1))
+    # past K_DENSE, each k is at most K_RATIO times the last, up to the
+    # rounding of both
+    for a, b in zip(ks[K_DENSE - 1:], ks[K_DENSE:]):
+        assert b - 0.5 <= K_RATIO * (a + 0.5)
 
 
 def test_chosen_graph_has_the_swept_entropy():
@@ -227,26 +256,18 @@ def assert_dealt_to(calls, workers):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_sweep_is_bit_identical_across_thread_counts(monkeypatch, workers):
-    # a complete sweep over rank and weight ties, and a strided one (two
-    # sweep calls); 3 threads on fewer cores, switching often, must write
-    # every value the default thread count writes, bit for bit
-    cases = [(lattice(), DEFAULT_OP_BUDGET), (blobs(seed=8, n_per=30), 30_000)]
-
-    def sweeps():
-        out = []
-        for pts, budget in cases:
-            monkeypatch.setattr(structured_graph, "DEFAULT_OP_BUDGET", budget)
-            out.append(select_k(pts, CAP))
-        return out
-
-    results = sweeps()
-    assert results[1].ks.size < 59  # the budget forces a stride
+    # a sweep over rank and weight ties, and one past K_DENSE, each over
+    # more k than threads; 3 threads on fewer cores, switching often, must
+    # write every value the default thread count writes, bit for bit
+    cases = [lattice(), blobs(seed=8, n_per=50)]
+    results = [select_k(pts, CAP) for pts in cases]
+    assert results[1].ks[-1] > K_DENSE
     reference = [sweep_bytes(res) for res in results]
     calls = on_cpus(monkeypatch, workers)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = [sweep_bytes(res) for res in sweeps()]
+        got = [sweep_bytes(select_k(pts, CAP)) for pts in cases]
     finally:
         sys.setswitchinterval(interval)
     assert got == reference
@@ -446,12 +467,58 @@ def test_select_k_too_few_points():
         select_k(np.zeros((2, 2)), CAP)
 
 
-def test_select_k_stable_points_are_local_minima():
+def fake_entropy_curve(monkeypatch, pts, curve):
+    """Make ``select_k`` on ``pts``, points with no two equal distances,
+    score each k as ``curve(k)`` in place of H / (k n).  The fake sweep
+    finds each k by its union-rule k-NN graph's edge count."""
+    n = len(pts)
+    d = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    np.fill_diagonal(d, np.inf)
+    order = np.argsort(d, axis=1)
+    counts = []
+    for k in range(1, n):
+        near = np.zeros((n, n), dtype=bool)
+        near[np.arange(n)[:, None], order[:, :k]] = True
+        counts.append(int(np.count_nonzero(np.triu(near | near.T))))
+    assert all(a < b for a, b in zip(counts, counts[1:]))
+    k_of = dict(zip(counts, range(1, n)))
+
+    def fake_entropies(u, v, totals, d, n_pts, ms):
+        return np.array([curve(k_of[int(m)]) * k_of[int(m)] * n_pts
+                         for m in ms])
+
+    monkeypatch.setattr(structured_graph, "_entropies_for", fake_entropies)
+
+
+def two_valleys(k):
+    """Falls to its lowest value at k = 199, with one valley centred on
+    k = 21 and a deeper one on k = 113, a point of the geometric grid."""
+    return (0.5 - 0.001 * k - 0.1 * math.exp(-(((k - 21) / 4) ** 2))
+            - 0.05 * max(0.0, 1 - abs(k - 113) / 15))
+
+
+def test_select_k_stable_points_are_local_minima(monkeypatch):
+    # no input is known whose own entropy curve has a stable point, so
+    # the curve is given
     pts = blobs(seed=5, n_per=25, centers=((0, 0), (0.5, 0.9), (1, 0)))
+    fake_entropy_curve(monkeypatch, pts, two_valleys)
     res = select_k(pts, CAP)
     h = res.h_norm
+    assert res.stable_ks == [21]
     for k in res.stable_ks:
-        assert h[k - 1] < h[k - 2] and h[k - 1] < h[k]
+        i = int(np.searchsorted(res.ks, k))
+        assert h[i] < h[i - 1] and h[i] < h[i + 1]
+
+
+def test_select_k_ties_go_to_the_smaller_k(monkeypatch):
+    # powers of two survive the fake sweep's scaling by k n exactly
+    pts = blobs(seed=5, n_per=25, centers=((0, 0), (0.5, 0.9), (1, 0)))
+    fake_entropy_curve(monkeypatch, pts, lambda k: 0.5)
+    assert select_k(pts, CAP).k == 1
+    fake_entropy_curve(monkeypatch, pts,
+                       lambda k: 0.25 if k in (10, 70) else 0.5)
+    res = select_k(pts, CAP)
+    assert res.stable_ks == [10, 70] and res.k == 10
 
 
 def test_identical_points_give_unit_weights():
@@ -471,37 +538,16 @@ def test_heavy_duplicates_give_finite_weights():
     assert np.all(select_k(pts, cap=7).graph.w == 1.0)
 
 
-def test_select_k_strided_matches_exact_on_small_input(monkeypatch):
-    pts = blobs(seed=8, n_per=30)
-    exact = select_k(pts, CAP)
-    # a budget that forces a strided grid
-    monkeypatch.setattr(structured_graph, "DEFAULT_OP_BUDGET", 30_000)
-    strided = select_k(pts, CAP)
-    assert strided.ks.size < exact.ks.size
-    assert strided.k == exact.k
-
-
 def test_grid_sweep_picks_the_full_sweep_stable_point(monkeypatch):
-    # an entropy curve with one valley centred on k = 21 and its lowest
-    # value at k_max = 59: the stable point 21 must win on both paths
-    pts = np.random.default_rng(4).random((60, 2))
-    n = pts.shape[0]
-    rows = pts.tolist()
-    edges_at = [len(knn_graph_oracle(rows, k)) for k in range(1, n)]
-    assert all(a < b for a, b in zip(edges_at, edges_at[1:]))
-    k_of = {m: k for k, m in enumerate(edges_at, 1)}
-
-    def curve(k):
-        return 0.5 - 0.004 * k - 0.1 * math.exp(-(((k - 21) / 4) ** 2))
-
-    def fake_entropies(u, v, totals, d, n_pts, ms):
-        return np.array([curve(k_of[int(m)]) * k_of[int(m)] * n_pts for m in ms])
-
-    monkeypatch.setattr(structured_graph, "_entropies_for", fake_entropies)
-    full = select_k(pts, CAP)
-    monkeypatch.setattr(structured_graph, "DEFAULT_OP_BUDGET", 20_000)
+    # the grid must find both of the full sweep's stable points, the one
+    # on its every-k part and the one on its geometric part, and pick the
+    # lower one over the cap's lowest value
+    pts = np.random.default_rng(4).random((200, 2))
+    full = [two_valleys(k) for k in range(1, 200)]
+    assert [k for k in range(2, 199)
+            if full[k - 1] < full[k - 2] and full[k - 1] < full[k]] == [21, 113]
+    fake_entropy_curve(monkeypatch, pts, two_valleys)
     grid = select_k(pts, CAP)
-    assert full.stable_ks == [21] and full.k == 21
-    assert len(grid.ks) < n - 1  # the budget forces a strided grid
-    assert 21 in grid.stable_ks
-    assert grid.k == full.k
+    assert grid.ks.size < 199
+    assert grid.stable_ks == [21, 113]
+    assert grid.k == 113
