@@ -8,7 +8,7 @@ partitions, and let one reinforcement-learning agent per partition search the
 """
 
 from ardbscan.config import RunConfig
-from ardbscan.dataset import Dataset, LabeledSubset, load_csv, normalize
+from ardbscan.dataset import Dataset, load_csv, normalize
 from ardbscan.dbscan_core import ClusterResult, DbscanParams, run_dbscan
 from ardbscan.encoding_tree import allocate_agents, optimize_two_level
 from ardbscan.metrics import ari, nmi
@@ -17,7 +17,6 @@ from ardbscan.structured_graph import select_k
 
 __all__ = [
     "Dataset",
-    "LabeledSubset",
     "load_csv",
     "normalize",
     "DbscanParams",

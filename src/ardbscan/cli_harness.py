@@ -5,10 +5,15 @@ by a flag of the same name): ``cluster`` runs the full offline pipeline,
 ``allocate`` stops after agent allocation, ``online`` reruns the
 pipeline per stream block, and ``baseline`` scores uniform random
 parameter draws for the same round budget.  ``cluster``, ``online`` and
-``baseline`` run their seeds through one driver (``_run_seeds`` and
-``_run_seed``), which runs every agent through ``run_agent``; they differ
-only in the search policy they pass it: ``lattice_walk`` or
-``random_draws``.  ``_run_seeds`` builds one ``partition_index`` record
+``baseline`` run through one driver, ``run_offline_pipeline``: the
+set-up (``_set_up``), then every seed (``_run_seeds`` and ``_run_seed``),
+every agent through ``run_agent``.  They differ only in the search policy
+they pass it (``lattice_walk`` or ``random_draws``) and in whether the run
+is one partition.  A one-partition run (``baseline``, and ``cluster`` or
+``online`` with ``single_agent``) only normalizes the data and searches it
+whole, reporting ``selected_k`` null and no stable points; every other
+run also selects k, builds the encoding tree and allocates the agents.
+``_run_seeds`` builds one ``partition_index`` record
 per partition and every seed's search of that partition shares it, so
 each (partition, ``min_pts``) spanning tree is built once per run, by
 the first round that asks for it.  Each agent's result carries
@@ -166,17 +171,20 @@ def _run_seed(norm: Dataset, partitions: List[PartitionIndex],
     return summary, final
 
 
-def _set_up(raw: Dataset, config: RunConfig, allocate: bool = True
-            ) -> Tuple[Dataset, SelectKResult, Optional[EncodingTree],
-                       Optional[AgentAllocation]]:
-    """Normalize the data, select k and, when ``allocate`` is set, build
-    the encoding tree and the agent allocation.  Each stage checks its own
-    input and memory; what it refuses is a data error."""
+def _set_up(raw: Dataset, config: RunConfig, one_partition: bool
+            ) -> Tuple[Dataset, Optional[SelectKResult],
+                       Optional[EncodingTree], Optional[AgentAllocation]]:
+    """Normalize the data; unless ``one_partition`` is set, also select k,
+    build the encoding tree and allocate the agents.  A one-partition run
+    needs 2 points, the rest 3 (``select_k``'s own check).  Each stage
+    checks its own input and memory; what it refuses is a data error."""
+    if one_partition and raw.n < 2:
+        raise DataError(f"dataset too small: {raw.n} points, need at least 2")
     try:
         norm = normalize(raw)
+        if one_partition:
+            return norm, None, None, None
         sel = select_k(norm.points, cap=config.k_sweep_cap)
-        if not allocate:
-            return norm, sel, None, None
         tree = optimize_two_level(sel.graph)
     except (ValueError, InsufficientMemoryError) as exc:
         raise DataError(str(exc)) from exc
@@ -214,15 +222,17 @@ def _run_seeds(norm: Dataset, sel: Optional[SelectKResult],
     return body, first_assignment
 
 
-def run_offline_pipeline(raw: Dataset, config: RunConfig,
+def run_offline_pipeline(raw: Dataset, config: RunConfig, policy: Policy,
+                         one_partition: bool,
                          trace_dir: Optional[Path] = None
                          ) -> Tuple[dict, np.ndarray, Dataset]:
-    """Full pipeline on one dataset; returns the report body, the first
-    seed's merged assignment and the normalized dataset."""
-    norm, sel, _, alloc = _set_up(raw, config,
-                                  allocate=not config.single_agent)
+    """Set-up and every seed's search of one dataset, by ``policy``, over
+    the allocated partitions or, with ``one_partition``, over the whole
+    dataset as one partition; returns the report body, the first seed's
+    merged assignment and the normalized dataset."""
+    norm, sel, _, alloc = _set_up(raw, config, one_partition)
     partitions = [np.arange(norm.n)] if alloc is None else list(alloc.partitions)
-    body, assignment = _run_seeds(norm, sel, partitions, config, lattice_walk,
+    body, assignment = _run_seeds(norm, sel, partitions, config, policy,
                                   trace_dir)
     return body, assignment, norm
 
@@ -336,19 +346,18 @@ def _write_run(out_dir: Path, config: RunConfig, body: dict,
 
 
 def cmd_cluster(config: RunConfig, out_dir: Path, trace: bool = False) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     raw = _load_dataset(config)
     started = time.perf_counter()
     body, assignment, norm = run_offline_pipeline(
-        raw, config, trace_dir=out_dir if trace else None)
+        raw, config, lattice_walk, one_partition=config.single_agent,
+        trace_dir=out_dir if trace else None)
     return _write_run(out_dir, config, body, assignment, norm, started)
 
 
 def cmd_allocate(config: RunConfig, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     raw = _load_dataset(config)
     started = time.perf_counter()
-    _, sel, tree, alloc = _set_up(raw, config)
+    _, sel, tree, alloc = _set_up(raw, config, one_partition=False)
 
     nodes = tree.intermediates()
     uncertainty = tree.uncertainty()
@@ -378,7 +387,6 @@ def cmd_allocate(config: RunConfig, out_dir: Path) -> dict:
 
 
 def cmd_online(config: RunConfig, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     raw = _load_dataset(config)
     started = time.perf_counter()
     try:
@@ -387,7 +395,8 @@ def cmd_online(config: RunConfig, out_dir: Path) -> dict:
         raise DataError(str(exc)) from exc
     block_reports = []
     for index, block in enumerate(blocks):
-        body, assignment, _ = run_offline_pipeline(block, config)
+        body, assignment, _ = run_offline_pipeline(
+            block, config, lattice_walk, one_partition=config.single_agent)
         block_reports.append({"block": index, **body})
         _write_assignment(out_dir / f"assignment_block_{index}.csv", assignment)
     report = {
@@ -403,20 +412,12 @@ def cmd_online(config: RunConfig, out_dir: Path) -> dict:
 
 
 def cmd_baseline_random(config: RunConfig, out_dir: Path) -> dict:
-    """Random-draw reference: the whole dataset is one partition searched
-    by ``run_agent`` with ``random_draws``; k selection and allocation are
-    skipped, so 2 points are enough."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Random-draw reference: ``run_offline_pipeline`` with ``random_draws``
+    on the whole dataset as one partition."""
     raw = _load_dataset(config)
-    if raw.n < 2:
-        raise DataError(f"dataset too small: {raw.n} points, need at least 2")
     started = time.perf_counter()
-    try:
-        norm = normalize(raw)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    body, assignment = _run_seeds(norm, None, [np.arange(norm.n)], config,
-                                  random_draws)
+    body, assignment, norm = run_offline_pipeline(raw, config, random_draws,
+                                                  one_partition=True)
     return _write_run(out_dir, config, body, assignment, norm, started)
 
 

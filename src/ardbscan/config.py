@@ -83,6 +83,8 @@ class RunConfig:
             raise ValueError("seeds must be a list of nonnegative integers")
         if not self.seeds:
             raise ValueError("seeds must not be empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if not 0.0 < self.label_proportion <= 1.0:
             raise ValueError("label_proportion must lie in (0, 1]")
         if self.l_max is not None and self.l_max < 1:

@@ -45,18 +45,6 @@ class Dataset:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
-class LabeledSubset:
-    """Indices of the points whose labels the search may consult."""
-
-    indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-
-
 def load_csv(path: str | Path) -> Dataset:
     """Parse a headerless CSV of points with a final label column.
 
@@ -137,8 +125,10 @@ def normalize(ds: Dataset) -> Dataset:
     return Dataset(out, ds.labels)
 
 
-def sample_labeled_subset(ds: Dataset, proportion: float, seed: int) -> LabeledSubset:
-    """Draw a fixed random fraction of point indices, without replacement.
+def sample_labeled_subset(ds: Dataset, proportion: float, seed: int) -> np.ndarray:
+    """Draw a fixed random fraction of point indices, without replacement,
+    as a sorted, read-only int64 array: the points whose labels the search
+    may consult.
 
     The subset size is floor(proportion * n + 0.5). Deterministic per seed.
     """
@@ -146,8 +136,9 @@ def sample_labeled_subset(ds: Dataset, proportion: float, seed: int) -> LabeledS
         raise ValueError("proportion must be in (0, 1]")
     size = int(np.floor(proportion * ds.n + 0.5))
     rng = np.random.default_rng(seed)
-    indices = np.sort(rng.choice(ds.n, size=size, replace=False))
-    return LabeledSubset(indices)
+    indices = np.sort(rng.choice(ds.n, size=size, replace=False)).astype(np.int64, copy=False)
+    indices.setflags(write=False)
+    return indices
 
 
 def split_blocks(ds: Dataset, num_blocks: int) -> list[Dataset]:

@@ -21,7 +21,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .config import RunConfig
-from .dataset import Dataset, LabeledSubset
+from .dataset import Dataset
 from .dbscan_core import NOISE, DbscanIndex, DbscanParams
 from .dbscan_core import run_dbscan  # noqa: F401 (perfbench --trace wraps it)
 from .search_env import (
@@ -177,10 +177,12 @@ def random_draws(evaluator: ClusterEvaluator, config: RunConfig, seed: int
 
 
 def run_agent(partition: PartitionIndex, dataset: Dataset,
-              labeled: LabeledSubset, config: RunConfig, seed: int,
+              labeled: np.ndarray, config: RunConfig, seed: int,
               policy: Policy, partition_id: int) -> AgentResult:
     """Search (eps, min_pts) for one partition with ``policy`` and build
     the result from the evaluator's record of its best round so far.
+    ``labeled`` holds the sorted ids of the points whose labels it may
+    consult.
 
     ``policy`` spends the round budget, which spans all layers (revisits
     are free), and returns the layer history and the episodes it ran.  A
@@ -189,7 +191,7 @@ def run_agent(partition: PartitionIndex, dataset: Dataset,
     round, reward 0.
     """
     ids = partition.ids
-    global_labeled = labeled.indices[np.isin(labeled.indices, ids)]
+    global_labeled = labeled[np.isin(labeled, ids)]
     evaluator = ClusterEvaluator(
         partition.index, np.searchsorted(ids, global_labeled),
         dataset.labels[global_labeled], config.round_budget)

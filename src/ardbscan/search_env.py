@@ -361,9 +361,6 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __iter__(self):
-        return iter(self._items)
-
 
 def td3_update(networks: PolicyNetworks, buffer: ReplayBuffer,
                config: RunConfig,

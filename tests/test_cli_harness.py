@@ -182,11 +182,23 @@ def test_config_rejects_unknown_keys():
         {"minpts_cap_fraction": float("inf")},
         *(json.loads(text) for text in ('{"noise_sigma": NaN}',
                                         '{"noise_clip": Infinity}')),
+        # a repeated seed would be counted twice in the means and rewrite
+        # the first pass's trace files
+        {"seeds": [0, 0]},
     ],
 )
 def test_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         RunConfig.from_dict(bad)
+
+
+def test_repeated_seed_flag_is_config_error(workspace, capsys):
+    tmp, data, cfg = workspace
+    out = tmp / "out"
+    assert main(["cluster", "--config", str(cfg), "--out", str(out),
+                 "--seeds", "1,1"]) == 1
+    assert "seeds must be distinct" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_config_zero_round_budget_message():
@@ -453,12 +465,23 @@ def test_cluster_builds_each_spanning_tree_once_per_run(workspace,
     assert built == Counter(dict.fromkeys(seeds_of, 1))
 
 
-def test_cluster_single_agent_flag_reuses_whole_dataset(workspace):
+def test_cluster_single_agent_flag_reuses_whole_dataset(workspace,
+                                                       monkeypatch):
+    # one partition needs neither k nor the tree: the run reports what
+    # baseline reports for them
     tmp, data, cfg = workspace
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("one-partition run built a graph or a tree")
+
+    monkeypatch.setattr(cli_harness, "select_k", refuse)
+    monkeypatch.setattr(cli_harness, "optimize_two_level", refuse)
     out = tmp / "out"
     assert main(["cluster", "--config", str(cfg), "--out", str(out),
                  "--single_agent"]) == 0
     report = json.loads((out / "report.json").read_text())
+    assert report["selected_k"] is None
+    assert report["stable_points"] == []
     assert report["partition_sizes"] == [60]
 
 
@@ -778,6 +801,38 @@ def test_baseline_accepts_two_points(tmp_path):
     data.write_text("0.1,0.1,0\n0.9,0.9,1\n")
     cfg = write_config(tmp_path / "cfg.json", data)
     assert main(["baseline", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
+def test_single_agent_accepts_two_points(tmp_path):
+    # a one-partition run selects no k, so 2 points are enough, in each
+    # online block too
+    data = tmp_path / "four.csv"
+    data.write_text("0.1,0.1,0\n0.9,0.9,1\n0.2,0.1,0\n0.8,0.9,1\n")
+    cfg = write_config(tmp_path / "cfg.json", data, num_blocks=2)
+    two = tmp_path / "two.csv"
+    two.write_text("0.1,0.1,0\n0.9,0.9,1\n")
+    two_cfg = write_config(tmp_path / "two.json", two)
+    assert main(["cluster", "--config", str(two_cfg), "--out",
+                 str(tmp_path / "cluster"), "--single_agent"]) == 0
+    out = tmp_path / "online"
+    assert main(["online", "--config", str(cfg), "--out", str(out),
+                 "--single_agent"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [b["n"] for b in report["blocks"]] == [2, 2]
+    assert [b["selected_k"] for b in report["blocks"]] == [None, None]
+
+
+@pytest.mark.parametrize("flags", [["baseline"], ["cluster", "--single_agent"]],
+                         ids=["baseline", "single_agent"])
+def test_one_point_one_partition_run_is_data_error(tmp_path, capsys, flags):
+    data = tmp_path / "one.csv"
+    data.write_text("0.5,0.5,0\n")
+    cfg = write_config(tmp_path / "cfg.json", data)
+    out = tmp_path / "out"
+    assert main([flags[0], "--config", str(cfg), "--out", str(out),
+                 *flags[1:]]) == 2
+    assert "need at least 2" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_malformed_dataset_is_data_error(tmp_path):

@@ -136,18 +136,19 @@ def labeled(n, d=2):
 
 def test_subset_size_rounding():
     sub = sample_labeled_subset(labeled(10), 0.2, seed=1)
-    assert len(sub.indices) == 2
+    assert len(sub) == 2
 
 
 def test_subset_full_proportion():
     sub = sample_labeled_subset(labeled(7), 1.0, seed=1)
-    assert sub.indices.tolist() == list(range(7))
+    assert sub.tolist() == list(range(7))
+    assert sub.dtype == np.int64 and not sub.flags.writeable
 
 
 def test_subset_deterministic():
     a = sample_labeled_subset(labeled(50), 0.2, seed=9)
     b = sample_labeled_subset(labeled(50), 0.2, seed=9)
-    assert a.indices.tolist() == b.indices.tolist()
+    assert a.tolist() == b.tolist()
 
 
 def test_split_blocks_even():

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ardbscan import recursive_search, search_env
 from ardbscan.config import RunConfig
-from ardbscan.dataset import Dataset, LabeledSubset
+from ardbscan.dataset import Dataset
 from ardbscan.dbscan_core import NOISE, DbscanParams, run_dbscan
 from ardbscan.metrics import nmi
 from ardbscan.recursive_search import (
@@ -214,7 +214,7 @@ def agent(partition, dataset, labeled, config, seed):
 
 def test_run_agent_keeps_perfect_start_params():
     ds = two_blob_dataset()
-    sub = LabeledSubset(np.arange(20))
+    sub = np.arange(20)
     res = agent(np.arange(20), ds, sub, small_config(), seed=7)
     # the layer-0 midpoint already scores a perfect labeled NMI, and
     # ties break toward the earliest evaluation
@@ -225,14 +225,14 @@ def test_run_agent_keeps_perfect_start_params():
 
 def round_scores(res, ds, sub) -> list:
     """Labeled-subset NMI of each paid round's best-so-far assignment."""
-    labeled = sub.indices[np.isin(sub.indices, res.partition)]
+    labeled = sub[np.isin(sub, res.partition)]
     local = np.searchsorted(res.partition, labeled)
     return [nmi(a[local], ds.labels[labeled]) for a in res.round_assignments]
 
 
 def test_run_agent_is_deterministic():
     ds = two_blob_dataset()
-    sub = LabeledSubset(np.arange(0, 20, 3))
+    sub = np.arange(0, 20, 3)
     a = agent(np.arange(20), ds, sub, small_config(), seed=11)
     b = agent(np.arange(20), ds, sub, small_config(), seed=11)
     assert a.params == b.params
@@ -245,7 +245,7 @@ def test_run_agent_is_deterministic():
 
 def test_run_agent_respects_round_budget():
     ds = two_blob_dataset()
-    sub = LabeledSubset(np.arange(20))
+    sub = np.arange(20)
     cfg = small_config(round_budget=5)
     res = agent(np.arange(20), ds, sub, cfg, seed=3)
     assert res.rounds_used <= 5
@@ -254,7 +254,7 @@ def test_run_agent_respects_round_budget():
 
 def test_run_agent_round_series_is_nondecreasing():
     ds = two_blob_dataset()
-    sub = LabeledSubset(np.arange(0, 20, 2))
+    sub = np.arange(0, 20, 2)
     res = agent(np.arange(20), ds, sub, small_config(), seed=5)
     scores = round_scores(res, ds, sub)
     for earlier, later in zip(scores, scores[1:]):
@@ -265,7 +265,7 @@ def test_run_agent_round_series_is_nondecreasing():
 def test_run_agent_partition_subset_of_dataset():
     ds = two_blob_dataset()
     part = np.arange(10)  # only the low blob
-    sub = LabeledSubset(np.array([0, 3, 6, 14, 17]))
+    sub = np.array([0, 3, 6, 14, 17])
     res = agent(part, ds, sub, small_config(), seed=2)
     assert res.assignment.shape == (10,)
     assert all(len(a) == 10 for a in res.round_assignments)
@@ -275,7 +275,7 @@ def test_run_agent_shares_a_partition_index():
     # a shared record gives each seed the result a fresh one gives, and
     # keeps the spanning trees the earlier seeds built
     ds = two_blob_dataset()
-    sub = LabeledSubset(np.arange(0, 20, 3))
+    sub = np.arange(0, 20, 3)
     part = np.array([12, 3, 0, 7, 19, 5, 10, 15])  # any order
     record = partition_index(ds, part)
     np.testing.assert_array_equal(record.ids, np.sort(part))
@@ -297,7 +297,7 @@ def test_run_agent_shares_a_partition_index():
 def test_run_agent_degenerate_without_labels():
     ds = two_blob_dataset()
     part = np.arange(10)
-    sub = LabeledSubset(np.array([15, 16]))  # none fall in the partition
+    sub = np.array([15, 16])  # none fall in the partition
     res = agent(part, ds, sub, small_config(), seed=4)
     assert res.rounds_used == 1
     assert res.reward == 0.0
@@ -326,7 +326,7 @@ def test_run_agent_params_are_earliest_paid_maximum(monkeypatch, seed):
     points = np.round(np.concatenate([rng.normal(c, 0.08, (15, 2))
                                       for c in (0.2, 0.5, 0.8)]), 1)
     ds = Dataset(points, np.repeat([0, 1, 2], 15))
-    sub = LabeledSubset(np.arange(0, 45, 4))
+    sub = np.arange(0, 45, 4)
     res = agent(np.arange(45), ds, sub, small_config(l_max=3), seed=seed)
     rewards = [r for _, r in paid]
     assert res.params == paid[rewards.index(max(rewards))][0]
@@ -337,7 +337,7 @@ def test_run_agent_params_are_earliest_paid_maximum(monkeypatch, seed):
 def test_run_agent_single_point_partition():
     ds = two_blob_dataset()
     part = np.array([0])
-    sub = LabeledSubset(np.array([0]))
+    sub = np.array([0])
     res = agent(part, ds, sub, small_config(), seed=9)
     assert res.assignment.tolist() == [0]
     assert res.reward == pytest.approx(1.0)
@@ -345,7 +345,7 @@ def test_run_agent_single_point_partition():
 
 def test_run_agent_layer_history_length():
     ds = two_blob_dataset()
-    sub = LabeledSubset(np.arange(20))
+    sub = np.arange(20)
     cfg = small_config(l_max=3, round_budget=30)
     res = agent(np.arange(20), ds, sub, cfg, seed=1)
     assert 1 <= len(res.layer_history) <= 3
@@ -366,7 +366,7 @@ def test_lattice_walk_frees_a_layers_networks_before_the_next(monkeypatch):
     monkeypatch.setattr(recursive_search, "PolicyNetworks", Recorded)
     ds = two_blob_dataset()
     cfg = small_config(l_max=3, round_budget=30)
-    res = agent(np.arange(20), ds, LabeledSubset(np.arange(20)), cfg, seed=1)
+    res = agent(np.arange(20), ds, np.arange(20), cfg, seed=1)
     assert len(built) == len(res.layer_history) == 3
 
 
@@ -384,7 +384,7 @@ def three_blob_dataset():
 def test_run_agent_episodes_stop_at_max_steps():
     cfg = small_config(max_steps=3, round_budget=40, episodes=10)
     res = agent(np.arange(60), three_blob_dataset(),
-                LabeledSubset(np.arange(0, 60, 3)), cfg, seed=0)
+                np.arange(0, 60, 3), cfg, seed=0)
     assert any(t.stop_reason == "timeout" for t in res.episodes)
     assert max(len(t.steps) for t in res.episodes) == 3
 
@@ -408,7 +408,7 @@ def test_run_agent_trains_with_the_run_td3_values(monkeypatch):
                noise_sigma=0.3, noise_clip=0.7)
     cfg = small_config(round_budget=40, episodes=10, **run)
     agent(np.arange(60), three_blob_dataset(),
-          LabeledSubset(np.arange(0, 60, 3)), cfg, seed=0)
+          np.arange(0, 60, 3), cfg, seed=0)
     assert any(trained for _, trained in seen)
     assert {values for values, _ in seen} == {tuple(run[k] for k in TD3_KEYS)}
 

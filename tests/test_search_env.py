@@ -366,7 +366,8 @@ def test_replay_buffer_fifo_and_sampling():
     for i in range(7):
         buf.insert(RLTuple(s, Action.LEFT, s, float(i) / 10))
     assert len(buf) == 5
-    rewards = {t.reward for t in buf}
+    everything = buf.sample(len(buf), np.random.default_rng(0))
+    rewards = {t.reward for t in everything}
     assert rewards == {0.2, 0.3, 0.4, 0.5, 0.6}
     batch = buf.sample(3, np.random.default_rng(0))
     assert len(batch) == 3
@@ -556,16 +557,28 @@ def test_run_episode_timeout():
     assert len(trace.steps) == 1
 
 
+class InsertionOrder(ReplayBuffer):
+    """A replay buffer that also lists its transitions in insertion order."""
+
+    def __init__(self, capacity):
+        super().__init__(capacity)
+        self.inserted = []
+
+    def insert(self, item):
+        super().insert(item)
+        self.inserted.append(item)
+
+
 def test_run_episode_rewards_and_buffer():
     nets = make_networks(d=1, seed=0)
     force_constant_action(nets, Action.STOP)
-    env = make_env(networks=nets)
-    trace = run_episode(*env, epsilon=0.0)
-    _, _, _, buffer, config, _ = env
+    ev, layer, nets, _, config, rng = make_env(networks=nets)
+    buffer = InsertionOrder(CONFIG.buffer_capacity)
+    trace = run_episode(ev, layer, nets, buffer, config, rng, epsilon=0.0)
     assert trace.rewards == episode_rewards(
         [s.immediate for s in trace.steps], config.delta)
     assert len(buffer) == len(trace.steps)
-    for stored, reward in zip(buffer, trace.rewards):
+    for stored, reward in zip(buffer.inserted, trace.rewards):
         assert stored.reward == reward
 
 

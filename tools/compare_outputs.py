@@ -54,7 +54,10 @@ The benchmark draws come from ``perfbench/workloads.py``, imported and not
 modified.  ``wall_clock_seconds`` is dropped from every JSON output; every
 other file, and each command's exit code, must match byte for byte.  Every
 file that differs or exists on one side only is listed, and the exit code
-is 1 if there is any.  Each command's max RSS on each side (from
+is 1 if there is any.  Under each JSON file found on both sides that
+differs, the first few key paths whose values differ are listed with both
+values (``selected_k: 16 -> null``, ``per_seed[1].final_nmi: ...``), so a
+change that moves outputs shows which values moved.  Each command's max RSS on each side (from
 ``os.wait4``) is reported too, for the commands whose max RSS moved most;
 it does not count as a difference, and it cannot attribute a move under
 about 15 MiB on the single-2k runs: one commit's single-2k ``allocate``
@@ -122,6 +125,8 @@ RUNS = [
 ]
 
 RSS_SHOWN = 8  # runs listed by how far their max RSS moved
+KEYS_SHOWN = 5  # differing key paths listed per differing JSON file
+VALUE_WIDTH = 40  # characters of each side's value shown beside a key path
 
 
 def write_blobs(out_dir: Path) -> Path:
@@ -237,13 +242,57 @@ def run_tree(src: Path, configs: dict, out_root: Path) -> dict:
     return max_rss
 
 
-def canonical(path: Path) -> bytes:
-    if path.suffix != ".json":
-        return path.read_bytes()
+def load_json(path: Path):
     payload = json.loads(path.read_text(encoding="utf-8"))
     if isinstance(payload, dict):
         payload.pop("wall_clock_seconds", None)
-    return json.dumps(payload, indent=2, sort_keys=True).encode()
+    return payload
+
+
+def canonical(path: Path) -> bytes:
+    if path.suffix != ".json":
+        return path.read_bytes()
+    return json.dumps(load_json(path), indent=2, sort_keys=True).encode()
+
+
+def shown(value) -> str:
+    """A value's JSON text, cut to ``VALUE_WIDTH`` characters."""
+    text = json.dumps(value, sort_keys=True)
+    return text if len(text) <= VALUE_WIDTH else text[:VALUE_WIDTH - 3] + "..."
+
+
+def differing_keys(a, b, path: str = "") -> list:
+    """``(key path, parent value, change value)`` wherever two parsed JSON
+    values differ, in key order: a key on one side only (its other value
+    shown as ``(absent)``), a list whose length changed, or a leaf whose
+    JSON text differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        found = []
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key in a and key in b:
+                found += differing_keys(a[key], b[key], sub)
+            else:
+                found.append((sub, shown(a[key]) if key in a else "(absent)",
+                              shown(b[key]) if key in b else "(absent)"))
+        return found
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [found for i, (x, y) in enumerate(zip(a, b))
+                for found in differing_keys(x, y, f"{path}[{i}]")]
+    if json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True):
+        return []
+    return [(path or "(whole file)", shown(a), shown(b))]
+
+
+def key_report(a: Path, b: Path) -> list:
+    """Lines naming the first ``KEYS_SHOWN`` key paths at which two JSON
+    files differ, each with both sides' values."""
+    found = differing_keys(load_json(a), load_json(b))
+    lines = [f"    {path}: {left} -> {right}"
+             for path, left, right in found[:KEYS_SHOWN]]
+    if len(found) > KEYS_SHOWN:
+        lines.append(f"    ... and {len(found) - KEYS_SHOWN} more key paths")
+    return lines
 
 
 def differing_files(a: Path, b: Path) -> list:
@@ -275,6 +324,10 @@ def main(argv=None) -> int:
                                  ("change", args.change_src))}
         diffs = differing_files(work / "parent", work / "change")
         compared = sum(1 for p in (work / "parent").rglob("*") if p.is_file())
+        details = {rel: key_report(work / "parent" / rel, work / "change" / rel)
+                   for rel in diffs if rel.suffix == ".json"
+                   and (work / "parent" / rel).is_file()
+                   and (work / "change" / rel).is_file()}
     moved = sorted(rss["parent"], key=lambda run: -abs(
         rss["change"][run] - rss["parent"][run]))
     print("max RSS (MiB), parent -> change, largest moves first:")
@@ -283,6 +336,8 @@ def main(argv=None) -> int:
         print(f"  {run}: {before:.1f} -> {after:.1f} ({after - before:+.1f})")
     for rel in diffs:
         print(f"differs: {rel}")
+        for line in details.get(rel, []):
+            print(line)
     print(f"{len(diffs)} of {compared} files differ")
     return 1 if diffs else 0
 
