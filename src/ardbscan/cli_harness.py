@@ -13,6 +13,10 @@ is one partition.  A one-partition run (``baseline``, and ``cluster`` or
 ``online`` with ``single_agent``) only normalizes the data and searches it
 whole, reporting ``selected_k`` null and no stable points; every other
 run also selects k, builds the encoding tree and allocates the agents.
+The search holds only the normalized points, the partitions and the
+report's ``selected_k`` and ``stable_points``: the k-NN graph, the tree
+and the allocation are dropped before the first seed, and only
+``allocate``, which writes the tree and does not search, keeps them.
 ``_run_seeds`` builds one ``partition_index`` record
 per partition and every seed's search of that partition shares it, so
 each (partition, ``min_pts``) spanning tree is built once per run, by
@@ -192,14 +196,14 @@ def _set_up(raw: Dataset, config: RunConfig, one_partition: bool
     return norm, sel, tree, alloc
 
 
-def _run_seeds(norm: Dataset, sel: Optional[SelectKResult],
-               partitions: List[np.ndarray], config: RunConfig,
-               policy: Policy,
+def _run_seeds(norm: Dataset, selected_k: Optional[int],
+               stable_points: List[int], partitions: List[np.ndarray],
+               config: RunConfig, policy: Policy,
                trace_dir: Optional[Path] = None) -> Tuple[dict, np.ndarray]:
     """Every configured seed through ``_run_seed``, all sharing one
-    ``partition_index`` record per partition; returns the report body and
-    the first seed's merged assignment.  Without a k selection (``sel``
-    None) the body reports ``selected_k`` null and no stable points."""
+    ``partition_index`` record per partition; returns the report body,
+    which carries ``selected_k`` and ``stable_points`` as given, and the
+    first seed's merged assignment."""
     records = [partition_index(norm, part) for part in partitions]
     per_seed = []
     first_assignment: Optional[np.ndarray] = None
@@ -212,8 +216,8 @@ def _run_seeds(norm: Dataset, sel: Optional[SelectKResult],
 
     body = {
         "n": int(norm.n),
-        "selected_k": None if sel is None else int(sel.k),
-        "stable_points": [] if sel is None else [int(k) for k in sel.stable_ks],
+        "selected_k": selected_k,
+        "stable_points": stable_points,
         "num_agents": len(partitions),
         "partition_sizes": [int(p.size) for p in partitions],
         "per_seed": per_seed,
@@ -229,11 +233,22 @@ def run_offline_pipeline(raw: Dataset, config: RunConfig, policy: Policy,
     """Set-up and every seed's search of one dataset, by ``policy``, over
     the allocated partitions or, with ``one_partition``, over the whole
     dataset as one partition; returns the report body, the first seed's
-    merged assignment and the normalized dataset."""
-    norm, sel, _, alloc = _set_up(raw, config, one_partition)
-    partitions = [np.arange(norm.n)] if alloc is None else list(alloc.partitions)
-    body, assignment = _run_seeds(norm, sel, partitions, config, policy,
-                                  trace_dir)
+    merged assignment and the normalized dataset.  The seeds get only the
+    normalized dataset, the partitions and the report's two k selection
+    values: nothing references the k-NN graph, the encoding tree or the
+    allocation once the search starts."""
+    norm, sel, tree, alloc = _set_up(raw, config, one_partition)
+    if alloc is None:
+        partitions, selected_k, stable_points = [np.arange(norm.n)], None, []
+    else:
+        partitions = list(alloc.partitions)
+        selected_k = int(sel.k)
+        stable_points = [int(k) for k in sel.stable_ks]
+    # frees the graph's 16 bytes an edge and the tree's arrays before the
+    # search allocates, so set-up, not the search, sets the peak
+    del sel, tree, alloc
+    body, assignment = _run_seeds(norm, selected_k, stable_points,
+                                  partitions, config, policy, trace_dir)
     return body, assignment, norm
 
 

@@ -151,11 +151,14 @@ def tree_bytes(n: int, edges: int) -> int:
       int64 positions, indices and values, 24 min(``TREE_CHUNK``, E), and
       counts and offsets, 34 n;
     - the bids and merges: the heap, coalesced lists, member ids and
-      per-community arrays, 380 n, fit to traced peaks on sparse graphs
-      (n = 1,000 to 2,000, k = 5 and 10).
+      per-community arrays, 520 n, the least whole-ten bytes a vertex
+      within 3% of every traced peak of a fresh process on sparse graphs
+      (n = 1,000 to 8,000, k = 2 to 10).  This phase's peak grows with the
+      number of communities the merges leave, which n and E do not give,
+      so the estimate is up to 14% above the peak where few are left.
     """
     return 16 * edges + max(
-        8 * edges + 24 * min(TREE_CHUNK, edges) + 34 * n, 380 * n)
+        8 * edges + 24 * min(TREE_CHUNK, edges) + 34 * n, 520 * n)
 
 
 def _adjacency(graph: StructuredGraph) -> Tuple[np.ndarray, np.ndarray,

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line harness on synthetic data."""
 
 import csv
+import gc
 import importlib.util
 import json
 import os
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -399,6 +401,47 @@ def test_cluster_calls_search_through_module_globals(workspace, monkeypatch):
     assert all(calls[name] == 1 for name in per_run), calls
     for module in (cli_harness, recursive_search, search_env, encoding_tree):
         assert callable(getattr(module, "run_dbscan"))
+
+
+@pytest.mark.parametrize("command", [["cluster"],
+                                     ["online", "--num_blocks", "2"]])
+def test_search_starts_without_the_set_up_state(workspace, monkeypatch,
+                                                command):
+    # the search reads only the points and the partitions: by the time a
+    # seed samples its labeled subset, the k selection with its graph's
+    # weights, the tree and the allocation have no reference left
+    tmp, data, cfg = workspace
+    kept, seed_starts = [], []
+
+    def keeping(name, *parts):
+        original = getattr(cli_harness, name)
+
+        def wrapper(*args, **kwargs):
+            out = original(*args, **kwargs)
+            kept.extend((name, weakref.ref(obj))
+                        for obj in [out] + [part(out) for part in parts])
+            return out
+        return wrapper
+
+    original_sample = cli_harness.sample_labeled_subset
+
+    def sampling(*args, **kwargs):
+        gc.collect()
+        alive = [name for name, ref in kept if ref() is not None]
+        assert kept and alive == [], alive
+        seed_starts.append(len(kept))
+        return original_sample(*args, **kwargs)
+
+    monkeypatch.setattr(cli_harness, "select_k",
+                        keeping("select_k", lambda sel: sel.graph.w))
+    monkeypatch.setattr(cli_harness, "optimize_two_level",
+                        keeping("optimize_two_level"))
+    monkeypatch.setattr(cli_harness, "allocate_agents",
+                        keeping("allocate_agents"))
+    monkeypatch.setattr(cli_harness, "sample_labeled_subset", sampling)
+    assert main([*command, "--config", str(cfg), "--out", str(tmp / "out"),
+                 "--seeds", "0,1"]) == 0
+    assert len(seed_starts) == 2 * (2 if command[0] == "online" else 1)
 
 
 def test_baseline_runs_its_agents_through_run_agent(workspace, monkeypatch):

@@ -57,12 +57,15 @@ file that differs or exists on one side only is listed, and the exit code
 is 1 if there is any.  Under each JSON file found on both sides that
 differs, the first few key paths whose values differ are listed with both
 values (``selected_k: 16 -> null``, ``per_seed[1].final_nmi: ...``), so a
-change that moves outputs shows which values moved.  Each command's max RSS on each side (from
-``os.wait4``) is reported too, for the commands whose max RSS moved most;
-it does not count as a difference, and it cannot attribute a move under
-about 15 MiB on the single-2k runs: one commit's single-2k ``allocate``
-has read 117-119 MiB from one checkout and 131-133 MiB from another, with
-the mode following incidental context such as the output path.  A full
+change that moves outputs shows which values moved.  Each command's max
+RSS on each side (from ``os.wait4``) is reported too, for the commands
+whose max RSS moved most; it does not count as a difference.  On the
+single-2k runs ``cluster``'s peak is set-up's, as ``allocate``'s is: over
+six output paths, ``cluster`` (one or four seeds) read 114.6-116.6 MiB
+and ``allocate`` 118.0-118.3 MiB, so a move under about 4 MiB there is
+not attributable.  Earlier commits also read a 130-133 MiB mode for the
+same code, following incidental context such as the output path; a
+single-2k reading near it says nothing about a change.  A full
 comparison takes about two minutes on 2 vCPUs.
 """
 
