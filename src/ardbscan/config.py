@@ -103,6 +103,9 @@ class RunConfig:
                      "num_blocks", "alloc_minpts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.batch_size > self.buffer_capacity:  # TD3 would never train
+            raise ValueError(f"batch_size {self.batch_size} exceeds "
+                             f"buffer_capacity {self.buffer_capacity}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
         if not 0.0 < self.tau <= 1.0:

@@ -75,38 +75,45 @@ class SearchLayer:
 # tiny dense-network substrate
 
 
-class Linear:
-    """One dense layer, float64, with an explicit backward pass."""
+class Layer(NamedTuple):
+    """One dense layer, in (weight, bias) pairs: the values and, in a
+    trained network, their gradients and Adam's first and second moments.
+    A target's layers hold None in those six fields."""
 
-    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator):
-        limit = 1.0 / math.sqrt(fan_in)
-        self.weight = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        self.bias = rng.uniform(-limit, limit, size=fan_out)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
-        self._input: Optional[np.ndarray] = None
+    weight: np.ndarray
+    bias: np.ndarray
+    grad_weight: Optional[np.ndarray] = None
+    grad_bias: Optional[np.ndarray] = None
+    m_weight: Optional[np.ndarray] = None
+    m_bias: Optional[np.ndarray] = None
+    v_weight: Optional[np.ndarray] = None
+    v_bias: Optional[np.ndarray] = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._input = x
-        return x @ self.weight.T + self.bias
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        self.grad_weight[:] = grad_out.T @ self._input
-        self.grad_bias[:] = grad_out.sum(axis=0)
-        return grad_out @ self.weight
+def _layer(fan_in: int, fan_out: int, rng: np.random.Generator) -> Layer:
+    limit = 1.0 / math.sqrt(fan_in)
+    weight = rng.uniform(-limit, limit, size=(fan_out, fan_in))
+    bias = rng.uniform(-limit, limit, size=fan_out)
+    return Layer(weight, bias, *(np.zeros_like(a) for _ in range(3)
+                                 for a in (weight, bias)))
 
 
 class MLP:
-    """Dense layers with ReLU between them and a linear output."""
+    """Dense layers, float64, with ReLU between them and a linear output,
+    an explicit backward pass and Adam (``step``).  A target copy only
+    runs forward and trails its source (``soft_update``)."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8  # Adam's
 
     def __init__(self, dims: Sequence[int], rng: np.random.Generator):
-        self.layers = [Linear(a, b, rng) for a, b in zip(dims, dims[1:])]
-        self._acts: List[np.ndarray] = []
+        self.layers = [_layer(a, b, rng) for a, b in zip(dims, dims[1:])]
+        self._acts: List[np.ndarray] = []  # each layer's input, then the output
+        self.t = 0  # Adam steps taken
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._acts = [x]
         for i, layer in enumerate(self.layers):
-            x = layer.forward(x)
+            x = x @ layer.weight.T + layer.bias
             if i < len(self.layers) - 1:
                 x = np.maximum(x, 0.0)
             self._acts.append(x)
@@ -115,66 +122,59 @@ class MLP:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         g = grad_out
         for i in range(len(self.layers) - 1, -1, -1):
-            g = self.layers[i].backward(g)
+            layer = self.layers[i]
+            layer.grad_weight[:] = g.T @ self._acts[i]
+            layer.grad_bias[:] = g.sum(axis=0)
+            g = g @ layer.weight
             if i > 0:
                 g = g * (self._acts[i] > 0)
         return g
 
     def target_copy(self) -> MLP:
         """A copy of the weights and biases for a target network.  Targets
-        only run forward, so their layers hold no gradient buffers."""
+        only run forward, so their layers hold no gradients or moments."""
         twin = copy(self)
         twin._acts = []
-        twin.layers = [copy(layer) for layer in self.layers]
-        for layer in twin.layers:
-            layer.weight, layer.bias = layer.weight.copy(), layer.bias.copy()
-            layer.grad_weight = layer.grad_bias = None
+        twin.layers = [Layer(layer.weight.copy(), layer.bias.copy())
+                       for layer in self.layers]
         return twin
 
-    def param_pairs(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        out = []
-        for layer in self.layers:
-            out.append((layer.weight, layer.grad_weight))
-            out.append((layer.bias, layer.grad_bias))
-        return out
-
-
-class Adam:
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-
-    def __init__(self, pairs: List[Tuple[np.ndarray, np.ndarray]], lr: float):
-        self.pairs, self.lr = pairs, lr
-        self.t = 0
-        self.m = [np.zeros_like(p) for p, _ in pairs]
-        self.v = [np.zeros_like(p) for p, _ in pairs]
-
-    def step(self) -> None:
+    def step(self, lr: float) -> None:
+        """One Adam step at rate ``lr`` on the last backward's gradients."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for (param, grad), m, v in zip(self.pairs, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            param -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        for layer in self.layers:
+            for param, grad, m, v in zip(layer[:2], layer[2:4], layer[4:6],
+                                         layer[6:]):
+                m *= self.beta1
+                m += (1.0 - self.beta1) * grad
+                v *= self.beta2
+                v += (1.0 - self.beta2) * grad * grad
+                param -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
-
-def _soft_update(source: MLP, target: MLP, tau: float) -> None:
-    for s, t in zip(source.layers, target.layers):
-        t.weight *= 1.0 - tau
-        t.weight += tau * s.weight
-        t.bias *= 1.0 - tau
-        t.bias += tau * s.bias
+    def soft_update(self, source: MLP, tau: float) -> None:
+        """Move this target's weights and biases ``tau`` of the way to
+        ``source``'s."""
+        for s, t in zip(source.layers, self.layers):
+            for param, value in ((t.weight, s.weight), (t.bias, s.bias)):
+                param *= 1.0 - tau
+                param += tau * value
 
 
 class PolicyNetworks:
     """All networks one agent trains, plus their target copies.
 
     Built for ``d``-dimensional points with ``config.hidden_width`` wide
-    encoders, ``config.body_width`` wide actor and critic bodies and
-    Adam at ``config.learning_rate``; the networks draw their initial
-    weights from ``rng`` in declaration order.
+    encoders and ``config.body_width`` wide actor and critic bodies; the
+    networks draw their initial weights from ``rng`` in declaration order.
+
+    What the learner does not do, left for the ablations to measure: the
+    state encoders ``f_g``, ``f_l`` and ``f_s`` are never stepped, so the
+    actor and critics read a fixed random projection of the state
+    features; and :class:`RLTuple` has no terminal flag, so every stored
+    transition, an episode's last one included, bootstraps
+    ``gamma * min Q'``.
     """
 
     def __init__(self, d: int, rng: np.random.Generator, config: RunConfig):
@@ -189,11 +189,6 @@ class PolicyNetworks:
         self.target_actor = self.actor.target_copy()
         self.target_critic_1 = self.critic_1.target_copy()
         self.target_critic_2 = self.critic_2.target_copy()
-        lr = config.learning_rate
-        self.actor_opt = Adam(self.actor.param_pairs(), lr)
-        self.critic_1_opt = Adam(self.critic_1.param_pairs(), lr)
-        self.critic_2_opt = Adam(self.critic_2.param_pairs(), lr)
-        self.train_steps = 0
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +361,13 @@ def td3_update(networks: PolicyNetworks, buffer: ReplayBuffer,
                config: RunConfig,
                rng: np.random.Generator) -> Optional[Tuple[float, Optional[float]]]:
     """One critic step on a ``config.batch_size`` batch, with the actor and
-    targets trailing every ``config.actor_delay`` steps.
+    targets trailing every ``config.actor_delay`` steps, counted by
+    ``critic_1.t``.
 
     Reads ``gamma``, ``batch_size``, ``tau``, ``actor_delay``,
-    ``noise_sigma`` and ``noise_clip`` from ``config``.  Returns (critic
-    loss, actor loss or None), or None while the buffer is still
-    underfull.
+    ``learning_rate``, ``noise_sigma`` and ``noise_clip`` from ``config``.
+    Returns (critic loss, actor loss or None), or None while the buffer
+    is still underfull.
     """
     m = config.batch_size
     if len(buffer) < m:
@@ -396,27 +392,25 @@ def td3_update(networks: PolicyNetworks, buffer: ReplayBuffer,
 
     critic_in = np.concatenate([states, eye[actions]], axis=1)
     critic_loss = 0.0
-    for critic, opt in ((networks.critic_1, networks.critic_1_opt),
-                        (networks.critic_2, networks.critic_2_opt)):
+    for critic in (networks.critic_1, networks.critic_2):
         q = critic.forward(critic_in)[:, 0]
         err = q - targets
         critic_loss += float((err * err).sum())
         critic.backward(2.0 * err[:, None])
-        opt.step()
+        critic.step(config.learning_rate)
 
-    networks.train_steps += 1
     actor_loss: Optional[float] = None
-    if networks.train_steps % config.actor_delay == 0:
+    if networks.critic_1.t % config.actor_delay == 0:
         logits = networks.actor.forward(states)
         actor_in = np.concatenate([states, logits], axis=1)
         q = networks.critic_1.forward(actor_in)[:, 0]
         actor_loss = float(-q.mean())
         grad_in = networks.critic_1.backward(np.full((m, 1), -1.0 / m))
         networks.actor.backward(grad_in[:, -n_actions:])
-        networks.actor_opt.step()
-        _soft_update(networks.actor, networks.target_actor, config.tau)
-        _soft_update(networks.critic_1, networks.target_critic_1, config.tau)
-        _soft_update(networks.critic_2, networks.target_critic_2, config.tau)
+        networks.actor.step(config.learning_rate)
+        networks.target_actor.soft_update(networks.actor, config.tau)
+        networks.target_critic_1.soft_update(networks.critic_1, config.tau)
+        networks.target_critic_2.soft_update(networks.critic_2, config.tau)
     return critic_loss, actor_loss
 
 

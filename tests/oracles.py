@@ -10,6 +10,8 @@ import math
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
+
 
 # ---------------------------------------------------------------------------
 # Density-based clustering: index-ordered scan-and-expand, O(n^2).
@@ -275,3 +277,38 @@ def apply_action_oracle(eps: float, min_pts: int, action: int,
             min_pts = minpts_hi
             flags.append(3)
     return eps, min_pts, tuple(flags)
+
+
+# ---------------------------------------------------------------------------
+# TD3's update routines, one array pair at a time, with the expressions and
+# the order of in-place operations that fix the learner's bits.
+# ---------------------------------------------------------------------------
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step_oracle(params, grads, ms, vs, t: int, lr: float) -> None:
+    """Adam's step number ``t`` (from 1) over parallel lists of parameter,
+    gradient, first-moment and second-moment arrays, in list order; updates
+    params, ms and vs in place."""
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for param, grad, m, v in zip(params, grads, ms, vs):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad * grad
+        param -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
+def soft_update_oracle(source, target, tau: float) -> None:
+    """Polyak averaging over parallel lists of arrays: each target array is
+    scaled by 1 - tau, then tau times its source is added, in place."""
+    for s, t in zip(source, target):
+        t *= 1.0 - tau
+        t += tau * s
+
+
+def target_copy_oracle(arrays) -> list:
+    """Fresh copies of a network's weight and bias arrays."""
+    return [a.copy() for a in arrays]

@@ -187,6 +187,9 @@ def test_config_rejects_unknown_keys():
         # a repeated seed would be counted twice in the means and rewrite
         # the first pass's trace files
         {"seeds": [0, 0]},
+        # the replay buffer would never hold a batch, so TD3 would train
+        # nothing
+        {"batch_size": 32, "buffer_capacity": 8},
     ],
 )
 def test_config_rejects_bad_values(bad):
@@ -200,6 +203,15 @@ def test_repeated_seed_flag_is_config_error(workspace, capsys):
     assert main(["cluster", "--config", str(cfg), "--out", str(out),
                  "--seeds", "1,1"]) == 1
     assert "seeds must be distinct" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_batch_larger_than_buffer_is_config_error(workspace, capsys):
+    tmp, data, cfg = workspace
+    out = tmp / "out"
+    assert main(["cluster", "--config", str(cfg), "--out", str(out),
+                 "--batch_size", "32", "--buffer_capacity", "8"]) == 1
+    assert "batch_size 32 exceeds buffer_capacity 8" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

@@ -11,6 +11,7 @@ from ardbscan.dbscan_core import (ClusterResult, DbscanIndex, DbscanParams,
                                   run_dbscan)
 from ardbscan.metrics import nmi
 from ardbscan.search_env import (
+    MLP,
     Action,
     Bounds,
     ClusterEvaluator,
@@ -27,7 +28,8 @@ from ardbscan.search_env import (
     td3_update,
 )
 
-from oracles import apply_action_oracle
+from oracles import (adam_step_oracle, apply_action_oracle,
+                     soft_update_oracle, target_copy_oracle)
 
 
 def two_blob_points():
@@ -400,7 +402,7 @@ def test_td3_update_noop_when_underfull():
     before = copy.deepcopy(nets.critic_1.layers[0].weight)
     assert td3_update(nets, buf, CONFIG, np.random.default_rng(0)) is None
     assert np.array_equal(nets.critic_1.layers[0].weight, before)
-    assert nets.train_steps == 0
+    assert nets.critic_1.t == 0
 
 
 def test_td3_update_zero_critics_identical_tuples():
@@ -444,17 +446,62 @@ def test_td3_update_deterministic():
 
 
 def test_target_networks_hold_no_gradient_buffers():
+    # targets only run forward: no gradients, no Adam moments, and no array
+    # shared with the network they trail
     nets = make_networks()
-    for net in (nets.target_actor, nets.target_critic_1,
-                nets.target_critic_2):
-        for layer in net.layers:
-            arrays = {name for name, value in vars(layer).items()
-                      if isinstance(value, np.ndarray)}
-            assert arrays == {"weight", "bias"}
     for source, target in ((nets.actor, nets.target_actor),
-                           (nets.critic_1, nets.target_critic_1)):
+                           (nets.critic_1, nets.target_critic_1),
+                           (nets.critic_2, nets.target_critic_2)):
         for s, t in zip(source.layers, target.layers):
-            assert t.weight is not s.weight and t.bias is not s.bias
+            assert all(value is None for value in t[2:])
+            assert all(not np.shares_memory(a, b)
+                       for a in (t.weight, t.bias) for b in s)
+
+
+def _arrays(net, fields=("weight", "bias")):
+    return [getattr(layer, f) for layer in net.layers for f in fields]
+
+
+def _bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+# the default config's actor and critic shapes
+NET_SHAPES = [[64, 256, 256, 5], [69, 256, 256, 1]]
+
+
+@pytest.mark.parametrize("dims", NET_SHAPES)
+def test_adam_step_matches_oracle_bit_for_bit(dims):
+    rng = np.random.default_rng(31)
+    net = MLP(dims, rng)
+    params = target_copy_oracle(_arrays(net))
+    ms = [np.zeros_like(a) for a in params]
+    vs = [np.zeros_like(a) for a in params]
+    for t in range(1, 21):
+        grads = [rng.normal(size=a.shape) for a in params]
+        for dst, src in zip(_arrays(net, ("grad_weight", "grad_bias")), grads):
+            dst[:] = src
+        net.step(CONFIG.learning_rate)
+        adam_step_oracle(params, grads, ms, vs, t, CONFIG.learning_rate)
+        assert net.t == t
+        assert _bytes(_arrays(net)) == _bytes(params)
+        assert _bytes(_arrays(net, ("m_weight", "m_bias"))) == _bytes(ms)
+        assert _bytes(_arrays(net, ("v_weight", "v_bias"))) == _bytes(vs)
+
+
+@pytest.mark.parametrize("dims", NET_SHAPES)
+def test_target_copy_and_soft_update_match_oracle_bit_for_bit(dims):
+    rng = np.random.default_rng(32)
+    net = MLP(dims, rng)
+    target = net.target_copy()
+    want = target_copy_oracle(_arrays(net))
+    assert _bytes(_arrays(target)) == _bytes(want)
+    for _ in range(20):
+        for a in _arrays(net):
+            a += rng.normal(size=a.shape)
+        target.soft_update(net, CONFIG.tau)
+        soft_update_oracle(_arrays(net), want, CONFIG.tau)
+        assert _bytes(_arrays(target)) == _bytes(want)
 
 
 def test_td3_update_matches_deep_copied_targets():
@@ -693,4 +740,4 @@ def test_episode_trains_networks_once_buffer_filled():
     _, _, nets, buffer, _, _ = env
     fill_buffer_uniform(buffer, np.random.default_rng(1), 32)
     run_episode(*env, epsilon=1.0)  # pure exploration, moves around
-    assert nets.train_steps > 0
+    assert nets.critic_1.t > 0

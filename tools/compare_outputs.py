@@ -58,8 +58,12 @@ is 1 if there is any.  Under each JSON file found on both sides that
 differs, the first few key paths whose values differ are listed with both
 values (``selected_k: 16 -> null``, ``per_seed[1].final_nmi: ...``), so a
 change that moves outputs shows which values moved.  Each command's max
-RSS on each side (from ``os.wait4``) is reported too, for the commands
-whose max RSS moved most; it does not count as a difference.  On the
+RSS and minor page faults on each side (``ru_maxrss`` and ``ru_minflt``
+from ``os.wait4``) are reported too, each for the commands where it moved
+most; neither counts as a difference.  Faults show memory churn that the
+peak hides: updates that allocate temporaries the size of a whole
+network can multiply a run's faults (agents-500 ``cluster --trace``
+reads about 15-16k) while its max RSS hardly moves.  On the
 single-2k runs ``cluster``'s peak is set-up's, as ``allocate``'s is: over
 six output paths, ``cluster`` (one or four seeds) read 114.6-116.6 MiB
 and ``allocate`` 118.0-118.3 MiB, so a move under about 4 MiB there is
@@ -127,7 +131,7 @@ RUNS = [
     ("six-gaussian-5k", "allocate", []),
 ]
 
-RSS_SHOWN = 8  # runs listed by how far their max RSS moved
+MOVES_SHOWN = 8  # runs listed by how far their max RSS or faults moved
 KEYS_SHOWN = 5  # differing key paths listed per differing JSON file
 VALUE_WIDTH = 40  # characters of each side's value shown beside a key path
 
@@ -217,12 +221,13 @@ def write_inputs(in_dir: Path) -> dict:
 
 
 def run_tree(src: Path, configs: dict, out_root: Path) -> dict:
-    """Run every command of ``RUNS`` on ``src``; returns each run's max
-    RSS in KiB, keyed by its output directory's name."""
+    """Run every command of ``RUNS`` on ``src``; returns each run's
+    ``(max RSS in KiB, minor page faults)``, keyed by its output
+    directory's name."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    max_rss = {}
+    usages = {}
     for name, command, flags in RUNS:
         out = out_root / "_".join([name, command,
                                    *(flag.lstrip("-") for flag in flags)])
@@ -237,12 +242,27 @@ def run_tree(src: Path, configs: dict, out_root: Path) -> dict:
         proc.stderr.close()
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
-        max_rss[out.name] = usage.ru_maxrss
+        usages[out.name] = (usage.ru_maxrss, usage.ru_minflt)
         (out / "exit_code.txt").write_text(f"{proc.returncode}\n")
         if proc.returncode != 0:
             print(f"{src}: {name} {command} exited {proc.returncode}: "
                   f"{stderr.strip()}", file=sys.stderr)
-    return max_rss
+    return usages
+
+
+def print_moves(usages: dict, field: int, title: str, scale: float,
+                fmt: str) -> None:
+    """List the ``MOVES_SHOWN`` runs whose ``usages`` value at ``field``
+    moved most between the sides, each divided by ``scale``."""
+    parent, change = usages["parent"], usages["change"]
+    moved = sorted(parent, key=lambda run: -abs(change[run][field]
+                                                - parent[run][field]))
+    print(f"{title}, parent -> change, largest moves first:")
+    for run in moved[:MOVES_SHOWN]:
+        before = parent[run][field] / scale
+        after = change[run][field] / scale
+        print(f"  {run}: {before:{fmt}} -> {after:{fmt}} "
+              f"({after - before:+{fmt}})")
 
 
 def load_json(path: Path):
@@ -322,7 +342,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work.resolve() if args.work else Path(tmp)
         configs = write_inputs(work / "inputs")
-        rss = {side: run_tree(src.resolve(), configs, work / side)
+        usages = {side: run_tree(src.resolve(), configs, work / side)
                for side, src in (("parent", args.parent_src),
                                  ("change", args.change_src))}
         diffs = differing_files(work / "parent", work / "change")
@@ -331,12 +351,8 @@ def main(argv=None) -> int:
                    for rel in diffs if rel.suffix == ".json"
                    and (work / "parent" / rel).is_file()
                    and (work / "change" / rel).is_file()}
-    moved = sorted(rss["parent"], key=lambda run: -abs(
-        rss["change"][run] - rss["parent"][run]))
-    print("max RSS (MiB), parent -> change, largest moves first:")
-    for run in moved[:RSS_SHOWN]:
-        before, after = rss["parent"][run] / 1024, rss["change"][run] / 1024
-        print(f"  {run}: {before:.1f} -> {after:.1f} ({after - before:+.1f})")
+    print_moves(usages, 0, "max RSS (MiB)", 1024, ".1f")
+    print_moves(usages, 1, "minor page faults", 1, ",.0f")
     for rel in diffs:
         print(f"differs: {rel}")
         for line in details.get(rel, []):
