@@ -55,7 +55,7 @@ from typing import (Any, List, Optional, Tuple, Union, get_args, get_origin,
 import numpy as np
 
 from .config import RunConfig
-from .cpus import deal, one_blas_thread
+from .cpus import InsufficientMemoryError, deal, one_blas_thread
 from .dataset import Dataset, load_csv, normalize, sample_labeled_subset, split_blocks
 from .dbscan_core import NOISE
 from .dbscan_core import run_dbscan  # noqa: F401 (perfbench --trace wraps it)
@@ -76,7 +76,7 @@ from .recursive_search import (
     random_draws,
     run_agent,
 )
-from .structured_graph import InsufficientMemoryError, SelectKResult, select_k
+from .structured_graph import SelectKResult, select_k
 
 
 class DataError(Exception):
@@ -190,7 +190,7 @@ def _set_up(raw: Dataset, config: RunConfig, one_partition: bool
             return norm, None, None, None
         sel = select_k(norm.points, cap=config.k_sweep_cap)
         tree = optimize_two_level(sel.graph)
-    except (ValueError, InsufficientMemoryError) as exc:
+    except ValueError as exc:
         raise DataError(str(exc)) from exc
     alloc = allocate_agents(tree, config.alloc_eps, config.alloc_minpts)
     return norm, sel, tree, alloc
@@ -527,7 +527,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             report = cmd_baseline_random(config, out_dir)
             print(f"baseline: mean NMI {report['mean_nmi']:.4f} "
                   f"-> {out_dir / 'report.json'}")
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, FileNotFoundError, InsufficientMemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -1,6 +1,7 @@
 """The CPUs a process may run on, the one way work is dealt to them (the
-rank table's row blocks, the k sweep and a seed's agents), and numpy's
-OpenBLAS set to one thread so that the dealt work owns the CPUs."""
+rank table's row blocks, the k sweep and a seed's agents), numpy's
+OpenBLAS set to one thread so that the dealt work owns the CPUs, and the
+one memory guard every large allocation passes first."""
 
 from __future__ import annotations
 
@@ -90,3 +91,29 @@ def one_blas_thread() -> bool:
                 done = True
                 break
     return done
+
+
+class InsufficientMemoryError(MemoryError):
+    """A stage would need more memory than is available."""
+
+
+def _mem_available() -> int | None:
+    """``MemAvailable`` of /proc/meminfo in bytes, or None if not reported."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
+def check_memory(stage: str, n: int, need: int) -> None:
+    """Refuse ``stage`` over n points when its peak, ``need`` bytes, exceeds
+    the memory available now; where that is not reported, pass."""
+    avail = _mem_available()
+    if avail is not None and need > avail:
+        raise InsufficientMemoryError(
+            f"{stage} over {n} points needs about {need / 2**20:.1f} MiB, "
+            f"but only {avail / 2**20:.1f} MiB are available")

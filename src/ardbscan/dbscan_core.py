@@ -24,16 +24,30 @@ the adjacent cluster with the smallest id; this equals the classic
 index-ordered scan-and-expand formulation (Schubert et al., *DBSCAN
 Revisited, Revisited*, TODS 2017) and makes results fully deterministic.
 
-No n-by-n array is ever held: the tree is built by Prim's method, which
-recomputes one distance row per step, core distances run over blocks of
-``_CORE_BLOCK`` rows, and the border test over blocks of about
-``_BORDER_CELLS`` distances. The tree's kept edges form a forest rooted at
-vertex 0, so a query labels its components by pointer jumping.
+The core distances of every ``min_pts`` are order statistics of the same
+rows, so the index holds one n x K table: each point's K smallest squared
+distances, sorted, built over blocks of ``_CORE_BLOCK`` rows. A tree's
+core distances are its column ``min_pts - 1``, the value a full sort of
+the row puts there. The first query builds the table at K = ``min(n, 2 *
+min_pts)``; a query past K rebuilds it at ``min(n, max(min_pts, 2K))``,
+freeing the old table first, so K at least doubles with each rebuild.
+The lattice walk starts at the middle of its ``min_pts`` box, so at the
+default cap fraction of 0.25 (the box runs to n/4) its first table
+already spans the box: about n/4 columns of 8 bytes, 2n^2 bytes (8 MB
+at n = 2,000). Uniform draws start anywhere in the box and may rebuild
+a few times. Each table's n * K * 8 bytes are checked against the memory
+available before it is allocated.
+
+That table is the one O(n^2) array: the tree is built by Prim's method,
+which recomputes one distance row per step, and the border test runs
+over blocks of about ``_BORDER_CELLS`` distances. The tree's kept edges
+form a forest rooted at vertex 0, so a query labels its components by
+pointer jumping.
 
 A tree depends only on the points and ``min_pts``, so a run builds one
 index per agent partition and shares it among all its seeds' searches
-(``cli_harness._run_seeds``); each tree is built lazily, by the first
-query that asks for its ``min_pts``.
+(``cli_harness._run_seeds``); the table and each tree are built lazily,
+by the first query that needs them.
 """
 
 from __future__ import annotations
@@ -43,8 +57,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .cpus import check_memory
+
 NOISE = -1
-_CORE_BLOCK = 32  # rows per core-distance block; its buffers stay in cache
+_CORE_BLOCK = 32  # rows per neighbour-table block; its buffers stay in cache
 _BORDER_CELLS = 1 << 16  # distances per border-test block
 
 
@@ -106,20 +122,23 @@ def check_distances(points: np.ndarray) -> None:
                              "distances within float64 range")
 
 
-def _core_distances(points: np.ndarray, min_pts: int) -> np.ndarray:
-    """Each point's ``min_pts``-th smallest squared distance, itself
-    included (requires ``min_pts <= n``)."""
+def _sorted_neighbours(points: np.ndarray, width: int) -> np.ndarray:
+    """Each point's ``width`` smallest squared distances, itself included,
+    in ascending order (n x ``width``, requires ``width <= n``).  Column
+    ``m - 1`` is every point's ``m``-th smallest, the value a sort of its
+    whole row puts there, bit for bit."""
     n = points.shape[0]
+    check_memory("the neighbour-distance table", n, 8 * n * width)
     points_t = np.ascontiguousarray(points.T)
     block = np.empty((min(_CORE_BLOCK, n), n))
     tmp = np.empty_like(block)
-    out = np.empty(n)
+    out = np.empty((n, width))
     for lo in range(0, n, _CORE_BLOCK):
         rows = points[lo:lo + _CORE_BLOCK]
         d2 = sq_distances(rows.T[:, :, None], points_t, block[:len(rows)],
                           tmp[:len(rows)])
-        d2.partition(min_pts - 1, axis=1)
-        out[lo:lo + _CORE_BLOCK] = d2[:, min_pts - 1]
+        d2.partition(width - 1, axis=1)
+        out[lo:lo + _CORE_BLOCK] = np.sort(d2[:, :width], axis=1)
     return out
 
 
@@ -179,24 +198,39 @@ class DbscanIndex:
 
     For each ``min_pts`` it is asked for, the index keeps the squared core
     distances and the mutual-reachability MST; any eps is then answered by
-    cutting the tree. Building the index computes nothing: each tree is
-    built by the first query with its ``min_pts``. Build one per point set
-    that is clustered repeatedly, and share it among everything that
-    clusters that set. Points whose squared distances would overflow, or
-    that are not finite, raise ``ValueError``.
+    cutting the tree.  Every tree's core distances are one column of the
+    index's table of sorted neighbour distances.  Building the index
+    computes nothing: the table is built by the first query and rebuilt
+    wider by a query past its width, and each tree is built by the first
+    query with its ``min_pts``.  Build one per point set that is clustered
+    repeatedly, and share it among everything that clusters that set.
+    Points whose squared distances would overflow, or that are not
+    finite, raise ``ValueError``; a table larger than the memory available
+    raises :class:`~ardbscan.cpus.InsufficientMemoryError`.
     """
 
     def __init__(self, points: np.ndarray):
         self.points = np.asarray(points, dtype=np.float64)
         check_distances(self.points)
         self._points_t = np.ascontiguousarray(self.points.T)
+        self._table: Optional[np.ndarray] = None
         self._trees: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray,
                                      np.ndarray]] = {}
+
+    def _core(self, min_pts: int) -> np.ndarray:
+        """Each point's squared core distance at ``min_pts``."""
+        n = self.points.shape[0]
+        width = 0 if self._table is None else self._table.shape[1]
+        if min_pts > width:
+            self._table = None  # freed before its successor is allocated
+            self._table = _sorted_neighbours(
+                self.points, min(n, max(min_pts, 2 * (width or min_pts))))
+        return np.ascontiguousarray(self._table[:, min_pts - 1])
 
     def _tree(self, min_pts: int):
         tree = self._trees.get(min_pts)
         if tree is None:
-            core = _core_distances(self.points, min_pts)
+            core = self._core(min_pts)
             tree = (core, *_prim_mst(self.points, core))
             self._trees[min_pts] = tree
         return tree

@@ -29,7 +29,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .dbscan_core import NOISE, DbscanParams, run_dbscan
-from .structured_graph import StructuredGraph, check_memory, one_dim_se
+from .cpus import check_memory
+from .structured_graph import StructuredGraph, one_dim_se
 
 ROOT = -1
 

@@ -175,6 +175,11 @@ class PolicyNetworks:
     features; and :class:`RLTuple` has no terminal flag, so every stored
     transition, an episode's last one included, bootstraps
     ``gamma * min Q'``.
+
+    One instance serves one layer, and ``states`` memoizes
+    :func:`build_state` there under ``(params, clamped)``.  That holds
+    only while the encoders are frozen: a learner that steps them must
+    drop the memo or key it by their weights.
     """
 
     def __init__(self, d: int, rng: np.random.Generator, config: RunConfig):
@@ -189,6 +194,7 @@ class PolicyNetworks:
         self.target_actor = self.actor.target_copy()
         self.target_critic_1 = self.critic_1.target_copy()
         self.target_critic_2 = self.critic_2.target_copy()
+        self.states: Dict[Tuple[DbscanParams, Optional[int]], FusedState] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +248,16 @@ def build_state(networks: PolicyNetworks, params: DbscanParams,
     The global features hold the distances to the four boundaries, eps's
     scaled by sqrt(d) and min_pts's by the partition size, in
     :class:`Bounds` order; the boundary a move was ``clamped`` to reads -1.
+
+    The state is memoized in ``networks.states`` under ``(params,
+    clamped)``: one layer's networks are only ever asked with its bounds,
+    its partition's points and the clustering its evaluator caches for
+    ``params``, and the encoders never change.
     """
+    key = (params, clamped)
+    state = networks.states.get(key)
+    if state is not None:
+        return state
     points = np.asarray(points, dtype=np.float64)
     size, d = points.shape
     sqrt_d = math.sqrt(d)
@@ -279,7 +294,8 @@ def build_state(networks: PolicyNetworks, params: DbscanParams,
         weights = tuple(float(a) for a in att)
 
     fused = np.maximum(np.concatenate([g_out, local_agg]), 0.0)
-    return FusedState(fused, weights)
+    state = networks.states[key] = FusedState(fused, weights)
+    return state
 
 
 # ---------------------------------------------------------------------------

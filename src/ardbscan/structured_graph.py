@@ -27,10 +27,6 @@ K_RATIO = 1.1  # and past it, each k about this factor above the last
 _RANK_BLOCK = 128  # rows per block of the rank table
 
 
-class InsufficientMemoryError(MemoryError):
-    """A set-up stage would need more memory than is available."""
-
-
 @dataclass(frozen=True)
 class StructuredGraph:
     """An undirected weighted graph on vertices 0..n-1, each edge once.
@@ -85,7 +81,7 @@ def _mutual_rank_edges(points: np.ndarray, cap: int):
     table (int16 or int32).  Three passes go over blocks of rows: the ranks,
     from the block's distances; the count of the block's edges; and the
     edges themselves, with distances computed again.  Between the count
-    and the edges, :func:`check_memory` refuses a table whose
+    and the edges, :func:`cpus.check_memory` refuses a table whose
     :func:`dense_bytes` at the counted edges exceeds the memory available.
     ``cpus.deal`` deals the blocks to one thread per CPU, and each is
     computed whole by one thread, so the result does not depend on the
@@ -175,8 +171,8 @@ def _mutual_rank_edges(points: np.ndarray, cap: int):
 
     each_block(rank_rows)  # every rank before any pair's first k
     starts = np.concatenate([[0], np.cumsum(each_block(count_edges))])
-    check_memory("k selection", n, dense_bytes(n, cap, cpus.usable_cpus(),
-                                               int(starts[-1])))
+    cpus.check_memory("k selection", n,
+                      dense_bytes(n, cap, cpus.usable_cpus(), int(starts[-1])))
     flat = np.empty(starts[-1], dtype=np.int64)
     ke = np.empty(starts[-1], dtype=dtype)
     de = np.empty(starts[-1])
@@ -290,28 +286,6 @@ def dense_bytes(n: int, k_max: int, workers: int, edges: int) -> int:
                (24 + 8 * max(2, sweep_threads)) * edges)
 
 
-def _mem_available() -> int | None:
-    """``MemAvailable`` of /proc/meminfo in bytes, or None if not reported."""
-    try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
-        pass
-    return None
-
-
-def check_memory(stage: str, n: int, need: int) -> None:
-    """Refuse ``stage`` over n points when its peak, ``need`` bytes, exceeds
-    the memory available now; where that is not reported, pass."""
-    avail = _mem_available()
-    if avail is not None and need > avail:
-        raise InsufficientMemoryError(
-            f"{stage} over {n} points needs about {need / 2**20:.1f} MiB, "
-            f"but only {avail / 2**20:.1f} MiB are available")
-
-
 def _stable_points(ks: np.ndarray, h: np.ndarray) -> list[int]:
     """Strict interior local minima over consecutive candidates."""
     out = []
@@ -347,9 +321,9 @@ def select_k(points: np.ndarray, cap: int) -> SelectKResult:
     equal values go to the smaller k, with no tolerance.
 
     Raises ``ValueError`` for the points ``DbscanIndex`` refuses or fewer
-    than 3, and :class:`InsufficientMemoryError` when :func:`dense_bytes`
-    exceeds the memory available: at no edges before any O(n^2)
-    allocation, and at the counted edges before the edge table.
+    than 3, and :class:`~ardbscan.cpus.InsufficientMemoryError` when
+    :func:`dense_bytes` exceeds the memory available: at no edges before
+    any O(n^2) allocation, and at the counted edges before the edge table.
     """
     points = np.asarray(points, dtype=np.float64)
     check_distances(points)
@@ -358,8 +332,8 @@ def select_k(points: np.ndarray, cap: int) -> SelectKResult:
         raise ValueError(f"too few points for k selection: {n}, "
                          "need at least 3")
     k_max = min(n - 1, cap)
-    check_memory("k selection", n,
-                 dense_bytes(n, k_max, cpus.usable_cpus(), 0))
+    cpus.check_memory("k selection", n,
+                      dense_bytes(n, k_max, cpus.usable_cpus(), 0))
     u, v, ke, de = _mutual_rank_edges(points, k_max)
 
     ks = sweep_grid(k_max)

@@ -52,6 +52,19 @@ def dbscan_bruteforce(points, eps: float, min_pts: int) -> list[int]:
     return labels
 
 
+def core_distances_oracle(points, min_pts) -> np.ndarray:
+    """Each point's ``min_pts``-th smallest squared distance, itself
+    included, from a full sort of its row of the n x n matrix; for an array
+    of ``min_pts``, one column per value.  Each squared distance adds the
+    squared coordinate differences one coordinate at a time from the
+    first, the order that makes it bit for bit the package's."""
+    points = np.asarray(points, dtype=np.float64)
+    d2 = np.zeros((len(points), len(points)))
+    for k in range(points.shape[1]):
+        d2 = d2 + (points[:, k][:, None] - points[:, k][None, :]) ** 2
+    return np.sort(d2, axis=1)[:, np.asarray(min_pts) - 1]
+
+
 def canonical_labels(labels) -> list[int]:
     """Relabel clusters by first appearance so labelings compare up to
     permutation; -1 (noise) is preserved."""

@@ -478,12 +478,14 @@ def test_baseline_runs_its_agents_through_run_agent(workspace, monkeypatch):
 def test_cluster_builds_each_spanning_tree_once_per_run(workspace,
                                                        monkeypatch):
     # three seeds search the same partitions; every (partition, min_pts)
-    # tree is built once, by whichever seed asks for it first
+    # tree is built once, by whichever seed asks for it first, and each
+    # partition's neighbour-distance table once, by its first query
     tmp, data, cfg = workspace
-    seed_no, queried, built = [0], [], Counter()
+    seed_no, queried, built, tables = [0], [], Counter(), Counter()
     original_subset = cli_harness.sample_labeled_subset
     original_query = dbscan_core.DbscanIndex.query
-    core_distances = dbscan_core._core_distances
+    core = dbscan_core.DbscanIndex._core
+    sorted_neighbours = dbscan_core._sorted_neighbours
     prim_mst = dbscan_core._prim_mst
 
     def next_seed(*args, **kwargs):
@@ -494,9 +496,13 @@ def test_cluster_builds_each_spanning_tree_once_per_run(workspace,
         queried.append((seed_no[0], self.points.tobytes(), params.min_pts))
         return original_query(self, params)
 
-    def counted_core_distances(points, min_pts):
-        built[points.tobytes(), min_pts] += 1
-        return core_distances(points, min_pts)
+    def counted_core(self, min_pts):
+        built[self.points.tobytes(), min_pts] += 1
+        return core(self, min_pts)
+
+    def counted_sorted_neighbours(points, width):
+        tables[points.tobytes()] += 1
+        return sorted_neighbours(points, width)
 
     def counted_prim_mst(points, core):
         built["prim"] += 1
@@ -504,7 +510,9 @@ def test_cluster_builds_each_spanning_tree_once_per_run(workspace,
 
     monkeypatch.setattr(cli_harness, "sample_labeled_subset", next_seed)
     monkeypatch.setattr(dbscan_core.DbscanIndex, "query", query)
-    monkeypatch.setattr(dbscan_core, "_core_distances", counted_core_distances)
+    monkeypatch.setattr(dbscan_core.DbscanIndex, "_core", counted_core)
+    monkeypatch.setattr(dbscan_core, "_sorted_neighbours",
+                        counted_sorted_neighbours)
     monkeypatch.setattr(dbscan_core, "_prim_mst", counted_prim_mst)
     assert main(["cluster", "--config", str(cfg), "--out", str(tmp / "out"),
                  "--seeds", "0,1,2", "--alloc_eps", "1e-12",
@@ -518,6 +526,8 @@ def test_cluster_builds_each_spanning_tree_once_per_run(workspace,
     assert any(len(seeds) > 1 for seeds in seeds_of.values())
     assert built.pop("prim") == len(seeds_of)
     assert built == Counter(dict.fromkeys(seeds_of, 1))
+    assert tables == Counter(dict.fromkeys(
+        {points for points, _ in seeds_of}, 1))
 
 
 def test_cluster_single_agent_flag_reuses_whole_dataset(workspace,
@@ -786,12 +796,36 @@ def test_k_selection_beyond_available_memory_is_data_error(
     data.write_text("".join(f"{x},{y},0\n" for x, y in points))
     cfg = write_config(tmp_path / "cfg.json", data, num_blocks=1)
     monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
-    monkeypatch.setattr(structured_graph, "_mem_available", lambda: 2 << 20)
+    monkeypatch.setattr(cpus, "_mem_available", lambda: 2 << 20)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err
     assert "600 points needs about 2.7 MiB, but only 2.0 MiB are available" in err
+    assert not (out / "report.json").exists()
+
+
+def test_neighbour_table_beyond_available_memory_is_data_error(
+        workspace, capsys, monkeypatch):
+    # one partition of 60 points: the walk's first query, at the middle of
+    # the min_pts box, builds a table 2 * min_pts wide that spans the box.
+    # Memory at its n * width * 8 bytes runs the search; one byte below
+    # refuses it, exit 2
+    tmp, _, cfg = workspace
+    start = recursive_search.first_layer(2, 60, RunConfig(**SMALL)).start
+    need = 8 * 60 * min(60, 2 * start.min_pts)
+    monkeypatch.setattr(cpus, "_mem_available", lambda: need)
+    out = tmp / "fits"
+    assert main(["cluster", "--single_agent", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert (out / "report.json").exists()
+    monkeypatch.setattr(cpus, "_mem_available", lambda: need - 1)
+    out = tmp / "refused"
+    assert main(["cluster", "--single_agent", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error: the neighbour-distance table over 60 points " \
+        "needs about" in err
     assert not (out / "report.json").exists()
 
 
@@ -810,7 +844,7 @@ def test_tree_beyond_available_memory_is_data_error(tmp_path, capsys,
     need = encoding_tree.tree_bytes(600, edges)
     assert need < encoding_tree.tree_bytes(600, 600 * 599 // 2)
     monkeypatch.setattr(structured_graph, "dense_bytes", lambda *args: 0)
-    monkeypatch.setattr(structured_graph, "_mem_available", lambda: need)
+    monkeypatch.setattr(cpus, "_mem_available", lambda: need)
     out = tmp_path / "fits"
     assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "allocation.json").exists()
@@ -818,7 +852,7 @@ def test_tree_beyond_available_memory_is_data_error(tmp_path, capsys,
     def no_adjacency(graph):
         raise AssertionError("adjacency built after the guard refused")
 
-    monkeypatch.setattr(structured_graph, "_mem_available", lambda: need - 1)
+    monkeypatch.setattr(cpus, "_mem_available", lambda: need - 1)
     monkeypatch.setattr(encoding_tree, "_adjacency", no_adjacency)
     out = tmp_path / "refused"
     assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2

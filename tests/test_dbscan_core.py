@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ardbscan import cpus, dbscan_core
 from ardbscan.dbscan_core import (
     NOISE,
     ClusterResult,
@@ -16,7 +17,7 @@ from ardbscan.dbscan_core import (
 )
 from ardbscan.structured_graph import select_k
 
-from oracles import canonical_labels, dbscan_bruteforce
+from oracles import canonical_labels, core_distances_oracle, dbscan_bruteforce
 
 
 def test_params_validation():
@@ -209,6 +210,71 @@ def test_matches_bruteforce_above_1024_points_with_duplicates(eps, min_pts):
     mine = run_dbscan(pts, DbscanParams(eps, min_pts))
     theirs = dbscan_bruteforce(pts.tolist(), eps, min_pts)
     assert canonical_labels(mine.assignment) == canonical_labels(theirs)
+
+
+def _mixture_8d():
+    rng = np.random.default_rng(8)
+    centers = rng.random((3, 8))
+    return np.vstack([rng.normal(c, 0.08, size=(80, 8)) for c in centers])
+
+
+TABLE_INPUTS = {
+    "duplicates": np.array([(0.1, 0.2), (0.8, 0.1), (0.3, 0.9),
+                            (0.7, 0.7)] * 8),
+    "lattice": np.array([(x, y) for x in range(30) for y in range(30)],
+                        dtype=float),
+    "mixture-8d": _mixture_8d(),
+    "one point": np.array([[0.5, 0.5]]),
+    "two points": np.array([[0.0, 0.0], [0.3, 0.4]]),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_INPUTS))
+def test_neighbour_table_columns_are_the_core_distances(name):
+    # every column of the first table, every column of the table a query
+    # past its width rebuilds, and min_pts = n, each bit for bit the core
+    # distances of a full sort of every row
+    points = TABLE_INPUTS[name]
+    n = points.shape[0]
+    want = core_distances_oracle(points, np.arange(1, n + 1))
+    index = DbscanIndex(points)
+    asked = max(1, n // 8)
+    widths = []
+    for _ in range(2):
+        index._core(asked)
+        widths.append(index._table.shape[1])
+        for m in range(1, widths[-1] + 1):
+            assert _bits(index._core(m)) == _bits(want[:, m - 1])
+        assert index._table.shape[1] == widths[-1]  # no rebuild within it
+        asked = min(n, widths[-1] + 1)
+    first = min(n, 2 * max(1, n // 8))
+    assert widths == [first, min(n, 2 * first)]
+    assert _bits(index._core(n)) == _bits(want[:, n - 1])
+    assert index._table.shape == (n, n)
+
+
+def test_neighbour_table_is_checked_against_available_memory(monkeypatch):
+    # a table of n * 2 * min_pts floats that just fits, or no MemAvailable
+    # to compare with, clusters as before; one byte short refuses before
+    # any distance is computed
+    points = np.random.default_rng(0).random((100, 2))
+    params = DbscanParams(0.1, 5)
+    need = 8 * 100 * 10
+    want = run_dbscan(points, params).assignment
+    for avail in (need, None):
+        monkeypatch.setattr(cpus, "_mem_available", lambda: avail)
+        np.testing.assert_array_equal(run_dbscan(points, params).assignment,
+                                      want)
+
+    def no_distances(*args, **kwargs):
+        raise AssertionError("distances computed after the guard refused")
+
+    monkeypatch.setattr(dbscan_core, "sq_distances", no_distances)
+    monkeypatch.setattr(cpus, "_mem_available", lambda: need - 1)
+    with pytest.raises(cpus.InsufficientMemoryError,
+                       match="the neighbour-distance table over 100 points "
+                             "needs about"):
+        run_dbscan(points, params)
 
 
 def _kernel_points(d, scale, n=16, seed=0):

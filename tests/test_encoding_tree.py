@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ardbscan import encoding_tree, structured_graph
+from ardbscan import cpus, encoding_tree, structured_graph
 from ardbscan.config import RunConfig
 from ardbscan.dataset import Dataset, normalize
 from ardbscan.encoding_tree import (
@@ -752,14 +752,14 @@ def test_memory_guard_covers_the_tree(monkeypatch):
     need = encoding_tree.tree_bytes(600, graph.edge_count)
     expected = decided(optimize_two_level(graph))
     for avail in (need, None):
-        monkeypatch.setattr(structured_graph, "_mem_available", lambda: avail)
+        monkeypatch.setattr(cpus, "_mem_available", lambda: avail)
         assert decided(optimize_two_level(graph)) == expected
 
     def no_adjacency(graph):
         raise AssertionError("adjacency built after the guard refused")
 
     monkeypatch.setattr(encoding_tree, "_adjacency", no_adjacency)
-    monkeypatch.setattr(structured_graph, "_mem_available", lambda: need - 1)
-    with pytest.raises(structured_graph.InsufficientMemoryError,
+    monkeypatch.setattr(cpus, "_mem_available", lambda: need - 1)
+    with pytest.raises(cpus.InsufficientMemoryError,
                        match="the encoding tree over 600 points needs about"):
         optimize_two_level(graph)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ardbscan import dbscan_core
+from ardbscan import dbscan_core, search_env
 from ardbscan.config import RunConfig
 from ardbscan.dbscan_core import (ClusterResult, DbscanIndex, DbscanParams,
                                   run_dbscan)
@@ -29,7 +29,8 @@ from ardbscan.search_env import (
 )
 
 from oracles import (adam_step_oracle, apply_action_oracle,
-                     soft_update_oracle, target_copy_oracle)
+                     core_distances_oracle, soft_update_oracle,
+                     target_copy_oracle)
 
 
 def two_blob_points():
@@ -195,11 +196,13 @@ def test_attention_sums_to_one_and_uniform_fallback():
 
 def test_fused_state_length_constant_across_cluster_counts():
     points = np.random.default_rng(0).random((100, 2))
-    nets = PolicyNetworks(2, np.random.default_rng(5), CONFIG)
     bounds = Bounds(0.0, np.sqrt(2), 1, 25)
     params = DbscanParams(0.3, 2)
     lengths = set()
     for n_clusters in (0, 1, 5, 50):
+        # fresh networks of the same weights: one layer's networks memoize
+        # the state of a (params, clamped), whatever clustering comes next
+        nets = PolicyNetworks(2, np.random.default_rng(5), CONFIG)
         if n_clusters == 0:
             assignment = np.full(100, -1)
         else:
@@ -235,6 +238,44 @@ def test_build_state_boundary_distances(monkeypatch):
     build_state(nets, DbscanParams(0.3, 5), bounds, clustering, points,
                 clamped=3)
     assert seen[-1][2:6] == pytest.approx((0.3, 0.7, 0.4, -1.0))
+
+
+def test_build_state_is_memoized_per_layer(monkeypatch):
+    # one layer's networks return the same state for a repeated (params,
+    # clamped) and summarize its clusters once; the next layer's networks
+    # compute every state again, to the same values
+    points = two_blob_points()
+    bounds = Bounds(0.0, 1.0, 1, 5)
+    keys = [(DbscanParams(0.3, 2), None), (DbscanParams(0.3, 2), 2),
+            (DbscanParams(0.5, 3), None)]
+    calls = []
+    centers = search_env.cluster_centers
+
+    def counted(points, result):
+        calls.append(result.num_clusters)
+        return centers(points, result)
+
+    monkeypatch.setattr(search_env, "cluster_centers", counted)
+
+    def states(nets):
+        return [build_state(nets, params, bounds,
+                            run_dbscan(points, params), points, clamped)
+                for params, clamped in keys]
+
+    nets = make_networks(d=1)
+    first = states(nets)
+    assert len(calls) == 3 and min(calls) > 0
+    again = states(nets)
+    assert all(a is b for a, b in zip(first, again))
+    assert first[0] is not first[1]  # clamped is part of the key
+    assert len(calls) == 3
+    assert set(nets.states) == set(keys)
+    redone = states(make_networks(d=1))
+    assert len(calls) == 6
+    for a, b in zip(first, redone):
+        assert a is not b
+        assert a.vector.tobytes() == b.vector.tobytes()
+        assert a.attention == b.attention
 
 
 # ---------------------------------------------------------------- actions
@@ -686,26 +727,30 @@ def test_evaluator_builds_each_min_pts_tree_once(monkeypatch):
                for eps in (0.05, 0.1, 0.2, 0.4)]
     expected = [run_dbscan(points, params).assignment for params in queries]
 
-    cores, trees = Counter(), []
-    core_distances, prim_mst = dbscan_core._core_distances, dbscan_core._prim_mst
+    tables, trees = [], []
+    sorted_neighbours = dbscan_core._sorted_neighbours
+    prim_mst = dbscan_core._prim_mst
 
-    def counted_core_distances(points, min_pts):
-        cores[min_pts] += 1
-        return core_distances(points, min_pts)
+    def counted_sorted_neighbours(points, width):
+        tables.append(width)
+        return sorted_neighbours(points, width)
 
     def counted_prim_mst(points, core):
-        trees.append(core)
+        trees.append(core.tobytes())
         return prim_mst(points, core)
 
-    monkeypatch.setattr(dbscan_core, "_core_distances", counted_core_distances)
+    monkeypatch.setattr(dbscan_core, "_sorted_neighbours",
+                        counted_sorted_neighbours)
     monkeypatch.setattr(dbscan_core, "_prim_mst", counted_prim_mst)
     ev = ClusterEvaluator(DbscanIndex(points), np.arange(10),
                           np.zeros(10, dtype=int), round_budget=12)
     for params, want in zip(queries, expected):
         np.testing.assert_array_equal(ev.evaluate(params)[0].assignment, want)
     assert ev.rounds_used == 8
-    assert cores == Counter({2: 1, 3: 1})
-    assert len(trees) == 2
+    # one table, 2 * 2 wide, serves both trees: one per min_pts
+    assert tables == [4]
+    assert trees == [core_distances_oracle(points, m).tobytes()
+                     for m in (2, 3)]
 
 
 def test_evaluator_records_earliest_best_per_paid_round():

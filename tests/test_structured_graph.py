@@ -405,8 +405,8 @@ def test_memory_guard(monkeypatch):
         raise AssertionError("distances computed after the guard refused")
 
     monkeypatch.setattr(structured_graph, "sq_distances", no_distances)
-    monkeypatch.setattr(structured_graph, "_mem_available", lambda: need - 1)
-    with pytest.raises(structured_graph.InsufficientMemoryError,
+    monkeypatch.setattr(cpus, "_mem_available", lambda: need - 1)
+    with pytest.raises(cpus.InsufficientMemoryError,
                        match=f"over {n} points needs about"):
         select_k(pts, CAP)
 
@@ -423,7 +423,7 @@ def test_memory_guard_at_the_counted_edges(monkeypatch):
     assert structured_graph.dense_bytes(n, n - 1, workers, 0) < need
     expected = sweep_bytes(select_k(pts, CAP))
     for avail in (need, None):
-        monkeypatch.setattr(structured_graph, "_mem_available", lambda: avail)
+        monkeypatch.setattr(cpus, "_mem_available", lambda: avail)
         assert sweep_bytes(select_k(pts, CAP)) == expected
 
     calls = []
@@ -438,8 +438,8 @@ def test_memory_guard_at_the_counted_edges(monkeypatch):
 
     monkeypatch.setattr(structured_graph, "sq_distances", counted)
     monkeypatch.setattr(structured_graph, "_entropies_for", no_sweep)
-    monkeypatch.setattr(structured_graph, "_mem_available", lambda: need - 1)
-    with pytest.raises(structured_graph.InsufficientMemoryError,
+    monkeypatch.setattr(cpus, "_mem_available", lambda: need - 1)
+    with pytest.raises(cpus.InsufficientMemoryError,
                        match=f"over {n} points needs about"):
         select_k(pts, CAP)
     # every block's ranks, and no block's edges
@@ -458,7 +458,7 @@ def test_memory_guard_runs_below_the_edge_bound(monkeypatch):
                                          min(600 * 599 // 2, 600 * 300))
     assert need < bound
     expected = sweep_bytes(select_k(pts, 300))
-    monkeypatch.setattr(structured_graph, "_mem_available", lambda: need)
+    monkeypatch.setattr(cpus, "_mem_available", lambda: need)
     assert sweep_bytes(select_k(pts, 300)) == expected
 
 

@@ -43,8 +43,11 @@ that starts to warn on any input shows as a differing exit code:
   one whole-set DBSCAN index);
 - the benchmark's ``single-2k`` workload, draw 0, benchmark seed 1:
   ``cluster``, ``cluster --seeds 0,1,2,3`` (later seeds reach the spanning
-  trees earlier seeds built, at other layers) and ``allocate`` (every
-  tree node's entropy and uncertainty at n = 2000);
+  trees earlier seeds built, at other layers), ``allocate`` (every
+  tree node's entropy and uncertainty at n = 2000) and ``baseline
+  --seeds 0,1`` (one partition of 2,000 points, whose random ``min_pts``
+  draws cover the whole box, so its neighbour-distance table is rebuilt
+  wider and sets the search's peak);
 - the same six-Gaussian layout at n = 5,000 (``single-2k`` with n
   replaced), draw 0, benchmark seed 1: ``allocate``.  The default cap of
   2048 is below n - 1, so the tree runs on a strict prefix of a large
@@ -67,7 +70,9 @@ reads about 15-16k) while its max RSS hardly moves.  On the
 single-2k runs ``cluster``'s peak is set-up's, as ``allocate``'s is: over
 six output paths, ``cluster`` (one or four seeds) read 114.6-116.6 MiB
 and ``allocate`` 118.0-118.3 MiB, so a move under about 4 MiB there is
-not attributable.  Earlier commits also read a 130-133 MiB mode for the
+not attributable.  ``baseline`` sets up nothing, so its peak is the
+search's, which the DBSCAN neighbour-distance table sets (about 56
+MiB).  Earlier commits also read a 130-133 MiB mode for the
 same code, following incidental context such as the output path; a
 single-2k reading near it says nothing about a change.  A full
 comparison takes about two minutes on 2 vCPUs.
@@ -128,6 +133,7 @@ RUNS = [
     ("single-2k", "cluster", []),
     ("single-2k", "cluster", ["--seeds", "0,1,2,3"]),
     ("single-2k", "allocate", []),
+    ("single-2k", "baseline", ["--seeds", "0,1"]),
     ("six-gaussian-5k", "allocate", []),
 ]
 
