@@ -71,6 +71,7 @@ from .recursive_search import (
     PartitionIndex,
     Policy,
     lattice_walk,
+    layer_zero_bounds,
     merge_agent_results,
     partition_index,
     random_draws,
@@ -201,10 +202,15 @@ def _run_seeds(norm: Dataset, selected_k: Optional[int],
                config: RunConfig, policy: Policy,
                trace_dir: Optional[Path] = None) -> Tuple[dict, np.ndarray]:
     """Every configured seed through ``_run_seed``, all sharing one
-    ``partition_index`` record per partition; returns the report body,
-    which carries ``selected_k`` and ``stable_points`` as given, and the
-    first seed's merged assignment."""
-    records = [partition_index(norm, part) for part in partitions]
+    ``partition_index`` record per partition, its neighbour-distance
+    table no wider than the partition's layer-0 ``min_pts`` box, which
+    both policies search within; returns the report body, which carries
+    ``selected_k`` and ``stable_points`` as given, and the first seed's
+    merged assignment."""
+    fraction = config.resolved_minpts_cap_fraction()
+    records = [partition_index(norm, part, layer_zero_bounds(
+        norm.points.shape[1], part.size, fraction).minpts_hi)
+        for part in partitions]
     per_seed = []
     first_assignment: Optional[np.ndarray] = None
     for seed in config.seeds:

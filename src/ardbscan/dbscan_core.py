@@ -31,6 +31,8 @@ core distances are its column ``min_pts - 1``, the value a full sort of
 the row puts there. The first query builds the table at K = ``min(n, 2 *
 min_pts)``; a query past K rebuilds it at ``min(n, max(min_pts, 2K))``,
 freeing the old table first, so K at least doubles with each rebuild.
+An index given a ``width_cap``, the top of its searches' ``min_pts``
+box, builds no table wider than that cap or the ``min_pts`` asked.
 The lattice walk starts at the middle of its ``min_pts`` box, so at the
 default cap fraction of 0.25 (the box runs to n/4) its first table
 already spans the box: about n/4 columns of 8 bytes, 2n^2 bytes (8 MB
@@ -201,18 +203,22 @@ class DbscanIndex:
     cutting the tree.  Every tree's core distances are one column of the
     index's table of sorted neighbour distances.  Building the index
     computes nothing: the table is built by the first query and rebuilt
-    wider by a query past its width, and each tree is built by the first
-    query with its ``min_pts``.  Build one per point set that is clustered
+    wider by a query past its width, but no wider than ``width_cap``
+    (the largest ``min_pts`` its searches ask for, where known) unless a
+    query asks for more, and each tree is built by the first query with
+    its ``min_pts``.  Build one per point set that is clustered
     repeatedly, and share it among everything that clusters that set.
     Points whose squared distances would overflow, or that are not
     finite, raise ``ValueError``; a table larger than the memory available
     raises :class:`~ardbscan.cpus.InsufficientMemoryError`.
     """
 
-    def __init__(self, points: np.ndarray):
+    def __init__(self, points: np.ndarray, width_cap: Optional[int] = None):
         self.points = np.asarray(points, dtype=np.float64)
         check_distances(self.points)
         self._points_t = np.ascontiguousarray(self.points.T)
+        self._width_cap = self.points.shape[0] if width_cap is None \
+            else width_cap
         self._table: Optional[np.ndarray] = None
         self._trees: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray,
                                      np.ndarray]] = {}
@@ -223,8 +229,9 @@ class DbscanIndex:
         width = 0 if self._table is None else self._table.shape[1]
         if min_pts > width:
             self._table = None  # freed before its successor is allocated
-            self._table = _sorted_neighbours(
-                self.points, min(n, max(min_pts, 2 * (width or min_pts))))
+            wider = min(n, self._width_cap, 2 * (width or min_pts))
+            self._table = _sorted_neighbours(self.points,
+                                             max(min_pts, wider))
         return np.ascontiguousarray(self._table[:, min_pts - 1])
 
     def _tree(self, min_pts: int):

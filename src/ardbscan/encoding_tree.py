@@ -30,13 +30,14 @@ import numpy as np
 
 from .dbscan_core import NOISE, DbscanParams, run_dbscan
 from .cpus import check_memory
-from .structured_graph import StructuredGraph, one_dim_se
+from .structured_graph import StructuredGraph, id_dtype, one_dim_se
 
 ROOT = -1
 
 # a merge must beat this margin to count as strict descent
 _DESCENT_TOL = -1e-12
-TREE_CHUNK = 16384  # edges per chunk of the adjacency's build
+TREE_CHUNK = 1 << 15  # edges per chunk of the adjacency's build
+TREE_RANGES = 8  # vertex ranges of the adjacency's build
 
 
 class EncodingTree:
@@ -144,13 +145,19 @@ def _merge_delta(vol: float, v_a: float, g_a: float, v_b: np.ndarray,
 
 def tree_bytes(n: int, edges: int) -> int:
     """Peak bytes :func:`optimize_two_level` allocates beside a graph of n
-    vertices and E edges: the adjacency (both ends of every edge, int32
-    neighbour ids and int32 edge ids), 16 E, beside the larger of two
-    phases:
+    vertices and E edges from ``select_k``: the adjacency (both ends of
+    every edge, neighbour ids of s bytes in
+    :func:`~ardbscan.structured_graph.id_dtype` and int32 edge ids),
+    (2 s + 8) E, beside the larger of two phases:
 
-    - the adjacency's build: one end's uint64 sort keys, 8 E, one chunk's
-      int64 positions, indices and values, 24 min(``TREE_CHUNK``, E), and
-      counts and offsets, 34 n;
+    - the adjacency's build: one vertex range's uint64 sort keys, 8 L for
+      L = 2 E / ``TREE_RANGES`` (the ranges end at vertices, so a range
+      may hold up to one vertex's entries more); one chunk's scratch,
+      (s + 9) min(C, E) for C = ``TREE_CHUNK``; the positions of a
+      chunk's entries in the range, 8 min(C / 2, L), where half a chunk
+      is the most of any graph measured (the edge list's order by k then
+      row spreads each range's entries over the chunks); and counts and
+      offsets, 16 n;
     - the bids and merges: the heap, coalesced lists, member ids and
       per-community arrays, 520 n, the least whole-ten bytes a vertex
       within 3% of every traced peak of a fresh process on sparse graphs
@@ -158,23 +165,28 @@ def tree_bytes(n: int, edges: int) -> int:
       number of communities the merges leave, which n and E do not give,
       so the estimate is up to 14% above the peak where few are left.
     """
-    return 16 * edges + max(
-        8 * edges + 24 * min(TREE_CHUNK, edges) + 34 * n, 520 * n)
+    s = np.dtype(id_dtype(n)).itemsize
+    longest = -(-2 * edges // TREE_RANGES)
+    return (2 * s + 8) * edges + max(
+        8 * longest + (s + 9) * min(TREE_CHUNK, edges)
+        + 8 * min(TREE_CHUNK // 2, longest) + 16 * n, 520 * n)
 
 
 def _adjacency(graph: StructuredGraph) -> Tuple[np.ndarray, np.ndarray,
                                                 np.ndarray]:
     """Every vertex's neighbours in ascending order, with the edges to
-    them: vertex c's list is ``dst[starts[c]:starts[c+1]]`` (int32 ids)
-    over the edges ``eid[starts[c]:starts[c+1]]`` (int32 indices into
-    ``graph.w``).
+    them: vertex c's list is ``dst[starts[c]:starts[c+1]]`` (ids in
+    :func:`~ardbscan.structured_graph.id_dtype`) over the edges
+    ``eid[starts[c]:starts[c+1]]`` (int32 indices into ``graph.w``).
 
-    Each edge (x, y), x < y, is placed twice: among y's neighbours below
-    y, and among x's neighbours above x, after all of those below it.
-    Each half is one in-place sort of uint64 keys that pack the near end,
-    the far end and the edge's index, read back in chunks, so no array
-    as long as the edge list is built beside the keys, ``dst`` and
-    ``eid``.
+    Each edge (x, y) is listed twice, as x's neighbour y and as y's
+    neighbour x.  The lists are built over ``TREE_RANGES`` ranges of
+    vertices, each holding about an eighth of the 2E entries: scans of
+    both endpoint arrays in chunks gather the range's uint64 keys, which
+    pack the vertex, its neighbour and the edge's index, and one in-place
+    sort puts them in the order of the range's part of ``dst`` and
+    ``eid``.  So no array as long as the edge list is built beside
+    ``dst`` and ``eid``, and one range's keys at a time.
     """
     n, edges = graph.n, graph.edge_count
     id_bits = max(n - 1, 1).bit_length()
@@ -184,35 +196,56 @@ def _adjacency(graph: StructuredGraph) -> Tuple[np.ndarray, np.ndarray,
                          "too large for 64-bit adjacency keys and int32 "
                          "edge ids")
     far_shift = np.uint64(edge_bits)
-    near_shift = np.uint64(edge_bits + id_bits)
     id_mask = np.uint64((1 << id_bits) - 1)
     edge_mask = np.uint64((1 << edge_bits) - 1)
-    count_u = np.bincount(graph.u, minlength=n)
-    count_v = np.bincount(graph.v, minlength=n)
+    chunks = [(lo, min(lo + TREE_CHUNK, edges))
+              for lo in range(0, edges, TREE_CHUNK)]
+    counts = np.zeros(n, dtype=np.int64)
+    for lo, hi in chunks:  # no int64 copy of a whole id array
+        counts += np.bincount(graph.u[lo:hi], minlength=n)
+        counts += np.bincount(graph.v[lo:hi], minlength=n)
     starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(count_u + count_v, out=starts[1:])
-    dst = np.empty(2 * edges, dtype=np.int32)
+    np.cumsum(counts, out=starts[1:])
+    cuts = np.searchsorted(starts, np.arange(TREE_RANGES) * 2 * edges
+                           / TREE_RANGES).tolist() + [n]
+    ranges = [(a, b) for a, b in zip(cuts[:-1], cuts[1:]) if a < b]
+    dst = np.empty(2 * edges, dtype=id_dtype(n))
     eid = np.empty(2 * edges, dtype=np.int32)
-    keys = np.empty(edges, dtype=np.uint64)
-    for near, far, counts, before in ((graph.v, graph.u, count_v, 0),
-                                      (graph.u, graph.v, count_u, count_v)):
-        for lo in range(0, edges, TREE_CHUNK):
-            hi = min(lo + TREE_CHUNK, edges)
-            key = keys[lo:hi]
-            key[:] = near[lo:hi]
-            key <<= np.uint64(id_bits)
-            key |= far[lo:hi].astype(np.uint64)
-            key <<= far_shift
-            key |= np.arange(lo, hi, dtype=np.uint64)
-        keys.sort()
-        # the j-th key goes to j + shift[near]
-        shift = starts[:-1] - (np.cumsum(counts) - counts) + before
-        for lo in range(0, edges, TREE_CHUNK):
-            key = keys[lo:lo + TREE_CHUNK]
-            at = shift[(key >> near_shift).astype(np.intp)]
-            at += np.arange(lo, lo + key.size)
-            dst[at] = (key >> far_shift) & id_mask
-            eid[at] = key & edge_mask
+    keys = np.empty(max((starts[b] - starts[a] for a, b in ranges),
+                        default=0), dtype=np.uint64)
+    # one chunk's scratch, allocated once
+    chunk = min(TREE_CHUNK, edges)
+    ids = np.empty(chunk, dtype=graph.u.dtype)
+    hit = np.empty(chunk, dtype=bool)
+    field = np.empty(chunk, dtype=np.uint64)
+    for a, b in ranges:
+        size = 0
+        for near, far in ((graph.u, graph.v), (graph.v, graph.u)):
+            for lo, hi in chunks:
+                m = hi - lo
+                # a <= end < b in one comparison: an end below a wraps
+                # past b - a
+                np.subtract(near[lo:hi], a, out=ids[:m])
+                np.less(ids[:m].view(f"u{ids.itemsize}"), b - a, out=hit[:m])
+                got = np.flatnonzero(hit[:m])
+                key = keys[size:size + got.size]
+                key[:] = np.take(near[lo:hi], got, out=ids[:got.size])
+                key <<= np.uint64(id_bits)
+                field[:got.size] = np.take(far[lo:hi], got,
+                                           out=ids[:got.size])
+                key |= field[:got.size]
+                key <<= far_shift
+                got += lo
+                key |= got.view(np.uint64)
+                size += got.size
+        keys[:size].sort()
+        for lo in range(0, size, chunk):
+            key = keys[lo:min(lo + chunk, size)]
+            part = field[:key.size]
+            out = slice(starts[a] + lo, starts[a] + lo + key.size)
+            dst[out] = np.bitwise_and(np.right_shift(key, far_shift, out=part),
+                                      id_mask, out=part)
+            eid[out] = np.bitwise_and(key, edge_mask, out=part)
     return dst, eid, starts
 
 
@@ -259,7 +292,7 @@ def optimize_two_level(graph: StructuredGraph) -> EncodingTree:
 
     def listed(c: int) -> Tuple[np.ndarray, np.ndarray]:
         """Vertex c's list in the adjacency, its ids cast to intp and its
-        weights taken by edge id: numpy indexes by int32 ids more slowly
+        weights taken by edge id: numpy indexes by narrow ids more slowly
         than it casts them or takes by them."""
         at = slice(bounds[c], bounds[c + 1])
         return dst[at].astype(np.intp), graph.w.take(eid[at])

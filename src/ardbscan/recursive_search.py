@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -119,9 +119,13 @@ class PartitionIndex:
     index: DbscanIndex
 
 
-def partition_index(dataset: Dataset, partition: np.ndarray) -> PartitionIndex:
+def partition_index(dataset: Dataset, partition: np.ndarray,
+                    minpts_hi: Optional[int] = None) -> PartitionIndex:
+    """The record of ``partition``; ``minpts_hi``, the top of its
+    searches' layer-0 ``min_pts`` box where known, caps the width of its
+    index's neighbour-distance table."""
     ids = np.sort(np.asarray(partition, dtype=np.int64))
-    return PartitionIndex(ids, DbscanIndex(dataset.points[ids]))
+    return PartitionIndex(ids, DbscanIndex(dataset.points[ids], minpts_hi))
 
 
 def lattice_walk(evaluator: ClusterEvaluator, config: RunConfig, seed: int

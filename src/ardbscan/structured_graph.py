@@ -25,16 +25,19 @@ from .dbscan_core import check_distances, sq_distances
 K_DENSE = 64  # the sweep scores every k up to here
 K_RATIO = 1.1  # and past it, each k about this factor above the last
 _RANK_BLOCK = 128  # rows per block of the rank table
+_CHUNK = 1 << 16  # edges per chunk of the passes over the edge table
 
 
 @dataclass(frozen=True)
 class StructuredGraph:
     """An undirected weighted graph on vertices 0..n-1, each edge once.
 
-    ``u`` and ``v`` are the edge endpoints, u[i] < v[i], int32 from
-    ``select_k``; ``w`` the edge weights in [0, 1] (an exponent past
-    about 745 underflows to 0); ``degrees`` the weighted degrees and
-    ``volume`` their sum.
+    ``u`` and ``v`` are the edge endpoints, u[i] < v[i], in
+    :func:`id_dtype` from ``select_k`` (int16 up to 32,767 vertices);
+    ``w`` the edge weights in [0, 1] (an exponent past about 745
+    underflows to 0); ``degrees`` the weighted degrees and ``volume``
+    their sum.  From ``select_k``, ``u``, ``v`` and ``w`` are the heads
+    of the swept edge table's arrays.
     """
 
     n: int
@@ -50,7 +53,9 @@ class StructuredGraph:
         return int(self.u.shape[0])
 
 
-def _rank_dtype(n: int):
+def id_dtype(n: int):
+    """The dtype of the rank table's entries and of vertex ids over n
+    vertices: int16 up to 32,767, else int32."""
     return np.int16 if n <= 32767 else np.int32
 
 
@@ -71,25 +76,38 @@ def _row_blocks(n: int) -> tuple[list[int], int]:
     return [i * n // count for i in range(count + 1)], -(-n // count)
 
 
-def _mutual_rank_edges(points: np.ndarray, cap: int):
-    """All vertex pairs that become edges for some k <= cap, sorted by the
-    smallest such k, then row-major.
+def _key_shift(n: int, cap: int) -> int:
+    """The bit count of a pair index i n + j, which an edge key holds
+    below its k_edge (at most ``cap``); ``ValueError`` where the two do
+    not fit 64 bits."""
+    shift = max(n * n - 1, 1).bit_length()
+    if shift + max(cap, 1).bit_length() > 64:
+        raise ValueError(f"{n} points with k up to {cap} are too many "
+                         "for 64-bit edge keys")
+    return shift
 
-    Returns (u, v, k_edge, d_edge): int64 endpoints, k_edge in the rank
-    table's dtype and float64 distances; pair (i, j) is an edge of the
-    k-NN graph exactly when k_edge <= k.  The one n x n array is the rank
-    table (int16 or int32).  Three passes go over blocks of rows: the ranks,
-    from the block's distances; the count of the block's edges; and the
-    edges themselves, with distances computed again.  Between the count
-    and the edges, :func:`cpus.check_memory` refuses a table whose
-    :func:`dense_bytes` at the counted edges exceeds the memory available.
-    ``cpus.deal`` deals the blocks to one thread per CPU, and each is
-    computed whole by one thread, so the result does not depend on the
-    thread count.
+
+def _mutual_rank_edges(points: np.ndarray, cap: int) -> tuple[np.ndarray, int]:
+    """All vertex pairs (i, j), i < j, that become edges for some k <= cap,
+    as one uint64 key each, ``k_edge << shift | i n + j``, sorted; pair
+    (i, j) is an edge of the k-NN graph exactly when k_edge <= k.  Pairs
+    are unique, so the keys are, and their order is by the smallest k,
+    then row-major.  Returns the keys and ``shift``.
+
+    n and cap whose keys do not fit 64 bits raise ``ValueError`` before
+    anything is allocated.  The one n x n array is the rank table (int16
+    or int32).  Three passes go over blocks of rows: the ranks, from the
+    block's distances; the count of the block's edges; and their keys.
+    Between the count and the keys, :func:`cpus.check_memory` refuses a
+    table whose :func:`dense_bytes` at the counted edges exceeds the
+    memory available.  ``cpus.deal`` deals the blocks to one thread per
+    CPU, and each is computed whole by one thread, so the result does not
+    depend on the thread count.
     """
     n = points.shape[0]
+    shift = _key_shift(n, cap)
     points_t = np.ascontiguousarray(points.T)
-    dtype = _rank_dtype(n)
+    dtype = id_dtype(n)
     rank = np.empty((n, n), dtype=dtype)
     flat_rank = rank.reshape(-1)
     bounds, b = _row_blocks(n)
@@ -101,7 +119,7 @@ def _mutual_rank_edges(points: np.ndarray, cap: int):
     def grid(buf, m, w):  # the start of a flat buffer as an m x w array
         return buf[:m * w].reshape(m, w)
 
-    def rank_rows(blk, dist, tmp, kmin, hit):
+    def rank_rows(blk, dist, tmp, hit):
         lo, hi = blocks[blk]
         m = hi - lo
         d = _block_distances(points, points_t, lo, hi, 0,
@@ -135,74 +153,123 @@ def _mutual_rank_edges(points: np.ndarray, cap: int):
         mask[:, :m] &= upper[:m, :m]
         return k, mask
 
-    def count_edges(blk, dist, tmp, kmin, hit):
+    def count_edges(blk, kmin, hit):
         return np.count_nonzero(pairs_of(blk, kmin, hit)[1])
 
-    def edges_of(blk, dist, tmp, kmin, hit):
+    def keys_of(blk, kmin, hit):
         lo, hi = blocks[blk]
-        m, w = hi - lo, n - lo
+        w = n - lo
         k, mask = pairs_of(blk, kmin, hit)
-        d = _block_distances(points, points_t, lo, hi, lo,
-                             grid(dist, m, w), grid(tmp, m, w))
-        part = slice(starts[blk], starts[blk + 1])
+        key = keys[starts[blk]:starts[blk + 1]]
         # one block's positions exist at a time, so the phase's peak does
         # not depend on how the threads interleave
         with one_block:
             at = np.flatnonzero(mask)  # row-major
-            np.take(k, at, out=ke[part], mode="clip")
-            np.take(d, at, out=de[part], mode="clip")
-            # block position r * w + c to the pair's position
+            # block position r * w + c to the pair's index
             # (lo + r) * n + lo + c
-            pair = np.floor_divide(at, w, out=flat[part])
+            pair = np.floor_divide(at, w, out=key.view(np.int64))
             pair *= lo
             pair += at
             pair += lo * (n + 1)
-            del at
+            high = at.view(np.uint64)  # the positions' last read is here
+            high[:] = np.take(k, at)
+            high <<= np.uint64(shift)
+            key |= high
+            del at, high
 
     # every array a worker fills comes from this thread, so a worker
     # allocates nothing that outlives its block: memory freed in a
     # worker's malloc arena can stay resident
-    buffers = [(np.empty(b * n), np.empty(b * n), np.empty(b * n, dtype=dtype),
-                np.empty(b * n, dtype=bool)) for _ in range(workers)]
+    buffers = [(np.empty(b * n), np.empty(b * n), np.empty(b * n, dtype=bool))
+               for _ in range(workers)]
 
     def each_block(step):
         return cpus.deal(lambda blk, slot: step(blk, *buffers[slot]),
                          len(blocks), workers)
 
     each_block(rank_rows)  # every rank before any pair's first k
+    # the pairs' first k take the distance blocks' place
+    buffers = [(np.empty(b * n, dtype=dtype), hit) for _, _, hit in buffers]
     starts = np.concatenate([[0], np.cumsum(each_block(count_edges))])
     cpus.check_memory("k selection", n,
                       dense_bytes(n, cap, cpus.usable_cpus(), int(starts[-1])))
-    flat = np.empty(starts[-1], dtype=np.int64)
-    ke = np.empty(starts[-1], dtype=dtype)
-    de = np.empty(starts[-1])
+    keys = np.empty(starts[-1], dtype=np.uint64)
     one_block = threading.Lock()
-    each_block(edges_of)  # the blocks' edges in block order: row-major
+    each_block(keys_of)
     del rank, flat_rank, buffers
-
-    # a stable sort of 16-bit keys is a radix sort
-    grade = np.argsort(ke, kind="stable")
-    de = np.take(de, grade)
-    flat = np.take(flat, grade)
-    ke = np.take(ke, grade)
-    del grade
-    u, v = np.divmod(flat, n, out=(flat, np.empty_like(flat)))
-    return u, v, ke, de
+    keys.sort()  # unique keys: an unstable sort gives the one order
+    return keys, shift
 
 
-def _prefix_degrees(n, u, v, total, d, m, w):
-    """Weighted degrees of the graph on the first m entries of the sorted
-    edge table, whose distances sum to ``total``, with its edge weights
-    written into ``w``.  A prefix of zero-distance edges (duplicate points)
-    takes scale -0.0, so each of its weights is exp(-0.0) = 1.  The sweep
-    and the chosen graph both compute them here, so the graph's entropy is
-    the one the sweep scored, bit for bit."""
+def _edge_ends(keys: np.ndarray, shift: int, n: int):
+    """Each key's endpoints (i, j), in :func:`id_dtype`, decoded
+    ``_CHUNK`` keys at a time."""
+    u = np.empty(keys.size, dtype=id_dtype(n))
+    v = np.empty_like(u)
+    low = np.uint64((1 << shift) - 1)
+    pair = np.empty(min(_CHUNK, keys.size), dtype=np.uint64)
+    for lo in range(0, keys.size, _CHUNK):
+        hi = min(lo + _CHUNK, keys.size)
+        at = np.bitwise_and(keys[lo:hi], low, out=pair[:hi - lo])
+        np.divmod(at, np.uint64(n), out=(u[lo:hi], v[lo:hi]),
+                  casting="unsafe")
+    return u, v
+
+
+def _edge_distances(points: np.ndarray, u: np.ndarray, v: np.ndarray,
+                    ms: np.ndarray):
+    """Each edge's Euclidean distance, bit for bit the rank table's (each
+    ``sq_distances`` entry is computed alone, from the lower endpoint),
+    and the running sum of the distances at each prefix length in ``ms``
+    (ascending), added in edge order as ``np.cumsum`` adds them.  Both go
+    over chunks of edges, each gathering its endpoints' coordinates."""
+    d = np.empty(u.size)
+    totals = np.empty(ms.size)
+    ends = ms - 1
+    columns = np.ascontiguousarray(points.T)
+    # a chunk's gathered coordinates, 16 bytes an edge per coordinate, and
+    # scratch, 24, take about the 8 bytes an edge of one sweep chunk
+    step = max(_CHUNK // (2 * points.shape[1] + 3), 1)
+    run = np.empty(min(step, u.size))
+    tmp = np.empty_like(run)
+    carry = 0.0
+    for lo in range(0, u.size, step):
+        hi = min(lo + step, u.size)
+        out = d[lo:hi]
+        sq_distances([c.take(u[lo:hi]) for c in columns],
+                     [c.take(v[lo:hi]) for c in columns], out, tmp[:hi - lo])
+        np.sqrt(out, out=out)
+        part = run[:hi - lo]
+        part[:] = out
+        part[0] += carry  # the sum so far, then this chunk's in order
+        np.cumsum(part, out=part)
+        carry = part[-1]
+        here = slice(*np.searchsorted(ends, [lo, hi]))
+        totals[here] = part[ends[here] - lo]
+    return d, totals
+
+
+def _prefix_degrees(n, u, v, d, m, total, w, deg):
+    """Weighted degrees of the graph on the first m edges of the sorted
+    table, whose distances sum to ``total``.  Each chunk's weights go to
+    ``w``: the graph's m weights (``d`` itself may take them) or one
+    chunk's scratch.  A prefix of zero-distance edges (duplicate points)
+    takes scale -0.0, so each of its weights is exp(-0.0) = 1.  Each end's
+    degrees accumulate in a row of ``deg`` (2 x n) by ``np.add.at``, in
+    edge order as ``np.bincount`` adds them.  The sweep and the chosen
+    graph both compute them here, so the graph's entropy is the one the
+    sweep scored, bit for bit."""
     # -(d * s) == d * -s bit for bit: negation is exact
-    np.multiply(d[:m], -(m / total) if total > 0 else -0.0, out=w)
-    np.exp(w, out=w)
-    deg = np.bincount(u[:m], w, minlength=n)
-    deg += np.bincount(v[:m], w, minlength=n)
-    return deg
+    scale = -(m / total) if total > 0 else -0.0
+    deg.fill(0.0)
+    for lo in range(0, m, _CHUNK):
+        hi = min(lo + _CHUNK, m)
+        part = w[lo:hi] if w.size >= m else w[:hi - lo]
+        np.multiply(d[lo:hi], scale, out=part)
+        np.exp(part, out=part)
+        np.add.at(deg[0], u[lo:hi], part)
+        np.add.at(deg[1], v[lo:hi], part)
+    return deg[0] + deg[1]
 
 
 def _degree_entropy(degrees: np.ndarray, volume: float) -> float:
@@ -237,18 +304,20 @@ def _entropies_for(u, v, totals, d, n, ms):
     ``totals``.
 
     ``cpus.deal`` deals the lengths to one thread per CPU of the process
-    (numpy's ``exp`` and ``bincount`` release the GIL).  Each thread uses
-    its slot's weight buffer, which the calling thread allocated; every
-    value is the one a single thread computes, bit for bit.
+    (numpy's ``exp`` and ``add.at`` release the GIL).  Each thread uses
+    its slot's chunk and degree buffers, which the calling thread
+    allocated; every value is the one a single thread computes, bit for
+    bit.
     """
     slots = min(cpus.usable_cpus(), len(ms))
     # the buffers come from this thread, so a worker allocates nothing
     # large: memory freed in a worker's malloc arena can stay resident
-    buffers = [np.empty(int(ms.max(initial=0))) for _ in range(slots)]
+    buffers = [(np.empty(min(_CHUNK, int(ms.max(initial=0)))),
+                np.empty((2, n))) for _ in range(slots)]
 
     def run(i, slot):
-        m = int(ms[i])
-        deg = _prefix_degrees(n, u, v, totals[i], d, m, buffers[slot][:m])
+        deg = _prefix_degrees(n, u, v, d, int(ms[i]), totals[i],
+                              *buffers[slot])
         return _degree_entropy(deg, deg.sum())
 
     return np.array(cpus.deal(run, len(ms), slots), dtype=np.float64)
@@ -260,30 +329,31 @@ def dense_bytes(n: int, k_max: int, workers: int, edges: int) -> int:
     the arrays it allocates; with E = 0, the peak of the first phase
     below, the rank table's.  The rank table's row blocks (b rows in the
     largest) go to T = min(workers, blocks) threads, and the sweep's k
-    values to min(workers, grid length).
+    values to S = min(workers, grid length).
 
     - the rank table (int16 or int32, s bytes an entry), s n^2, beside a
       shared block of rank values and each thread's block buffers (two
-      float64 blocks of distances, a block of k_edge and a mask) and
-      int64 row argsort: (s + (25 + s) T) b n;
-    - after the argsorts, the same without them, beside the edge table of
-      int64 pair indices, k_edge and float64 distances, and the int64
-      positions of one block's edges (at most min(b n, E)):
-      (s + (17 + s) T) b n + (16 + s) E + 8 min(b n, E);
-    - the edge table without k_edge (int64 endpoints and float64
-      distances), 24 E, beside a float64 weight buffer per sweep thread:
-      (24 + 8 max(2, threads)) E.  At least two buffers are charged, so
-      the phase covers grading the table, (32 + s) E, the distances'
-      cumulative sums and the chosen graph, at most 32 E each.
+      float64 blocks of distances and a mask) and int64 row argsort:
+      (s + 25 T) b n;
+    - then the same with each thread's distance blocks replaced by a
+      block of k_edge, beside the uint64 keys, 8 E, and the int64
+      positions and k_edge of one block's edges (at most min(b n, E)):
+      (s + (1 + s) T) b n + 8 E + (8 + s) min(b n, E);
+    - once the rank table is freed, at most two of the keys, the
+      endpoints (s bytes each) and the float64 distances at a time,
+      (8 + 2 s) E, beside each sweep thread's chunk of weights and
+      degrees: (8 + 2 s) E + S (8 min(C, E) + 16 n), C = ``_CHUNK``.
+      The chosen graph's weights take the distances' place.
     """
-    s = np.dtype(_rank_dtype(n)).itemsize
+    s = np.dtype(id_dtype(n)).itemsize
     bounds, b = _row_blocks(n)
     threads = min(workers, len(bounds) - 1)
     sweep_threads = min(workers, len(sweep_grid(k_max)))
-    return max((s * n + (s + (25 + s) * threads) * b) * n,
-               (s * n + (s + (17 + s) * threads) * b) * n + (16 + s) * edges
-               + 8 * min(b * n, edges),
-               (24 + 8 * max(2, sweep_threads)) * edges)
+    return max((s * n + (s + 25 * threads) * b) * n,
+               (s * n + (s + (1 + s) * threads) * b) * n + 8 * edges
+               + (8 + s) * min(b * n, edges),
+               (8 + 2 * s) * edges
+               + sweep_threads * (8 * min(_CHUNK, edges) + 16 * n))
 
 
 def _stable_points(ks: np.ndarray, h: np.ndarray) -> list[int]:
@@ -334,27 +404,27 @@ def select_k(points: np.ndarray, cap: int) -> SelectKResult:
     k_max = min(n - 1, cap)
     cpus.check_memory("k selection", n,
                       dense_bytes(n, k_max, cpus.usable_cpus(), 0))
-    u, v, ke, de = _mutual_rank_edges(points, k_max)
+    keys, shift = _mutual_rank_edges(points, k_max)
 
     ks = sweep_grid(k_max)
-    # the needles take k_edge's dtype: int64 ones would make searchsorted
-    # copy k_edge to int64
-    ms = np.searchsorted(ke, ks.astype(ke.dtype), side="right")
-    del ke
-    # the distance total of each k's prefix; no k's graph is empty
-    totals = np.cumsum(de)[ms - 1]
-    h_norm = _entropies_for(u, v, totals, de, n, ms) / (ks * n)
+    # k's prefix ends at its last possible key, k << shift | 2**shift - 1
+    last = np.uint64((1 << shift) - 1)
+    ms = np.searchsorted(keys, ks.astype(np.uint64) << np.uint64(shift)
+                         | last, side="right")
+    u, v = _edge_ends(keys, shift, n)
+    del keys
+    # no k's graph is empty
+    d, totals = _edge_distances(points, u, v, ms)
+    h_norm = _entropies_for(u, v, totals, d, n, ms) / (ks * n)
 
     stable = _stable_points(ks, h_norm)
     # the candidates' grid positions; argmin takes the first, smallest k
     cand = np.searchsorted(ks, stable) if stable else np.arange(ks.size)
     at = int(cand[np.argmin(h_norm[cand])])
     k_star, m = int(ks[at]), int(ms[at])
-    # the int32 endpoints first, so that the int64 ones are freed before
-    # the weights are allocated
-    u, v = u[:m].astype(np.int32), v[:m].astype(np.int32)
-    w = np.empty(m)
-    degrees = _prefix_degrees(n, u, v, totals[at], de, m, w)
-    graph = StructuredGraph(n, k_star, u, v, w, degrees,
+    # the weights take the distances' place, and the graph's arrays are
+    # the table's heads: no array beside the table is allocated
+    degrees = _prefix_degrees(n, u, v, d, m, totals[at], d, np.empty((2, n)))
+    graph = StructuredGraph(n, k_star, u[:m], v[:m], d[:m], degrees,
                             float(degrees.sum()))
     return SelectKResult(k_star, graph, ks, h_norm, stable)

@@ -34,7 +34,8 @@ from ardbscan.cli_harness import (
 from ardbscan.config import RunConfig
 from ardbscan.dataset import Dataset, normalize
 from ardbscan.metrics import ari, nmi
-from ardbscan.recursive_search import lattice_walk, partition_index, random_draws
+from ardbscan.recursive_search import (layer_zero_bounds, lattice_walk,
+                                       partition_index, random_draws)
 
 
 def synthetic_points(rng=None):
@@ -675,6 +676,45 @@ def test_baseline_reports_and_is_deterministic(workspace):
     assert len(reports[0]["per_seed"][0]["nmi_series"]) == 8
 
 
+def test_baseline_tables_stop_at_the_min_pts_box(workspace, monkeypatch):
+    # uniform draws past half the layer-0 box would build the neighbour-
+    # distance table twice as wide as the draw; each record caps it at the
+    # box's top, and the run writes what an uncapped index writes
+    tmp, data, cfg = workspace
+    top = layer_zero_bounds(
+        2, 60, RunConfig(**SMALL).resolved_minpts_cap_fraction()).minpts_hi
+    asked, widths = [], []
+    core = dbscan_core.DbscanIndex._core
+    sorted_neighbours = dbscan_core._sorted_neighbours
+
+    def recorded_core(self, min_pts):
+        asked.append(min_pts)
+        return core(self, min_pts)
+
+    def recorded(points, width):
+        widths.append(width)
+        return sorted_neighbours(points, width)
+
+    monkeypatch.setattr(dbscan_core.DbscanIndex, "_core", recorded_core)
+    monkeypatch.setattr(dbscan_core, "_sorted_neighbours", recorded)
+    reports = []
+    for name in ("capped", "uncapped"):
+        out = tmp / name
+        assert main(["baseline", "--config", str(cfg), "--out", str(out),
+                     "--seeds", "0,1"]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        payload.pop("wall_clock_seconds")
+        reports.append((payload, (out / "assignment.csv").read_bytes()))
+        if name == "capped":
+            assert 2 * asked[0] > top  # the first draw is past half the box
+            assert widths == [top]
+            monkeypatch.setattr(
+                cli_harness, "partition_index",
+                lambda norm, part, minpts_hi: partition_index(norm, part))
+    assert widths[1] > top  # uncapped, the same draw builds past the box
+    assert reports[0] == reports[1]
+
+
 def test_baseline_report_has_cluster_report_shape(workspace):
     tmp, data, cfg = workspace
     reports = {}
@@ -788,8 +828,8 @@ def test_k_selection_beyond_available_memory_is_data_error(
         tmp_path, capsys, monkeypatch, command):
     # 600 points at k_sweep_cap 16, on one thread, need the 2-byte rank
     # table (2 * 600^2 bytes) beside a block of rank values and a 120-row
-    # block's buffers and row argsort ((2 + 27) * 120 * 600 bytes):
-    # 2.7 MiB; the guard refuses before any of it is allocated.  online
+    # block's buffers and row argsort ((2 + 25) * 120 * 600 bytes):
+    # 2.5 MiB; the guard refuses before any of it is allocated.  online
     # runs them as one block
     data = tmp_path / "d.csv"
     points = np.random.default_rng(0).random((600, 2))
@@ -801,19 +841,19 @@ def test_k_selection_beyond_available_memory_is_data_error(
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err
-    assert "600 points needs about 2.7 MiB, but only 2.0 MiB are available" in err
+    assert "600 points needs about 2.5 MiB, but only 2.0 MiB are available" in err
     assert not (out / "report.json").exists()
 
 
 def test_neighbour_table_beyond_available_memory_is_data_error(
         workspace, capsys, monkeypatch):
     # one partition of 60 points: the walk's first query, at the middle of
-    # the min_pts box, builds a table 2 * min_pts wide that spans the box.
-    # Memory at its n * width * 8 bytes runs the search; one byte below
-    # refuses it, exit 2
+    # the min_pts box, builds a table 2 * min_pts wide, capped at the box's
+    # top, so it spans the box.  Memory at its n * width * 8 bytes runs
+    # the search; one byte below refuses it, exit 2
     tmp, _, cfg = workspace
-    start = recursive_search.first_layer(2, 60, RunConfig(**SMALL)).start
-    need = 8 * 60 * min(60, 2 * start.min_pts)
+    layer = recursive_search.first_layer(2, 60, RunConfig(**SMALL))
+    need = 8 * 60 * min(2 * layer.start.min_pts, layer.bounds.minpts_hi)
     monkeypatch.setattr(cpus, "_mem_available", lambda: need)
     out = tmp / "fits"
     assert main(["cluster", "--single_agent", "--config", str(cfg),
@@ -858,8 +898,8 @@ def test_tree_beyond_available_memory_is_data_error(tmp_path, capsys,
     assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err
-    assert ("the encoding tree over 600 points needs about 2.8 MiB, but "
-            "only 2.8 MiB are available") in err
+    assert ("the encoding tree over 600 points needs about 1.9 MiB, but "
+            "only 1.9 MiB are available") in err
     assert not (out / "allocation.json").exists()
 
 

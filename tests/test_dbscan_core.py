@@ -253,6 +253,26 @@ def test_neighbour_table_columns_are_the_core_distances(name):
     assert index._table.shape == (n, n)
 
 
+def test_neighbour_table_stops_at_the_width_cap():
+    # a query past half the cap builds the table to the cap, not to twice
+    # the min_pts asked; a query past the cap builds to the min_pts asked.
+    # Every column is the core distances of a full sort of every row
+    points = np.random.default_rng(5).random((120, 2))
+    want = core_distances_oracle(points, np.arange(1, 121))
+    index = DbscanIndex(points, width_cap=40)
+    widths = []
+    for asked in (30, 35, 41, 50):
+        index._core(asked)
+        widths.append(index._table.shape[1])
+        for m in range(1, widths[-1] + 1):
+            assert _bits(index._core(m)) == _bits(want[:, m - 1])
+    assert widths == [40, 40, 41, 50]
+    # below half the cap the table doubles as it does uncapped
+    index = DbscanIndex(points, width_cap=40)
+    index._core(12)
+    assert index._table.shape[1] == 24
+
+
 def test_neighbour_table_is_checked_against_available_memory(monkeypatch):
     # a table of n * 2 * min_pts floats that just fits, or no MemAvailable
     # to compare with, clusters as before; one byte short refuses before

@@ -24,7 +24,8 @@ from ardbscan.encoding_tree import (
     optimize_two_level,
     _merge_delta,
 )
-from ardbscan.structured_graph import StructuredGraph, one_dim_se, select_k
+from ardbscan.structured_graph import (StructuredGraph, id_dtype, one_dim_se,
+                                      select_k)
 
 from conftest import edges_of, make_graph
 from oracles import (
@@ -635,7 +636,7 @@ IDENTITY_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(IDENTITY_GRAPHS))
 def test_optimizer_matches_the_reference_bit_for_bit(name):
-    # the sorted int32 adjacency, its views for lists not yet cleaned and
+    # the sorted adjacency, its views for lists not yet cleaned and
     # the first bids, one community at a time, give the reference's tree
     # exactly
     build, cap = IDENTITY_GRAPHS[name]
@@ -654,14 +655,14 @@ def test_optimizer_matches_the_reference_bit_for_bit(name):
 @pytest.mark.parametrize("name", sorted(IDENTITY_GRAPHS))
 def test_adjacency_edge_ids_read_the_reference_weights(name):
     # each vertex's list holds the reference's neighbours in ascending
-    # order, and its int32 edge ids read the reference's weights from
-    # graph.w, bit for bit
+    # order, its ids in the rank table's dtype, and its int32 edge ids
+    # read the reference's weights from graph.w, bit for bit
     build, cap = IDENTITY_GRAPHS[name]
     points = build()
     points = normalize(Dataset(points, np.zeros(len(points), dtype=np.int64)))
     graph = select_k(points.points, cap).graph
     dst, eid, starts = encoding_tree._adjacency(graph)
-    assert dst.dtype == eid.dtype == np.int32
+    assert dst.dtype == id_dtype(graph.n) and eid.dtype == np.int32
     ref_dst, ref_wts, ref_starts, ref_ends = reference_adjacency(graph)
     assert starts[:-1].tolist() == ref_starts.tolist()
     assert starts[1:].tolist() == ref_ends.tolist()
@@ -705,6 +706,34 @@ def test_tree_bytes_matches_traced_peak():
             tracemalloc.stop()
         need = encoding_tree.tree_bytes(n, graph.edge_count)
         assert abs(need - peak) <= 0.03 * peak, (n, k_cap)
+
+
+def test_set_up_bytes_per_edge_on_a_complete_graph(monkeypatch):
+    # n = 1,000 at a cap past n - 1: the k-NN graph is complete, E =
+    # 499,500.  On one CPU, select_k's traced peak beyond its int16 rank
+    # table measured 11.7 bytes an edge (the keys, 8, beside the block
+    # buffers and one block's positions) and the tree's beyond the graph's
+    # arrays 15.0 (the adjacency, 12, and one range's keys, 2).  Each
+    # limit is the measured value plus under one byte an edge, so a new
+    # edge-long temporary in the phase that sets either peak fails here
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
+    n = 1000
+    pts = np.random.default_rng(0).random((n, 2))
+    select_k(pts, 20)  # one-time imports and caches are not counted
+    tracemalloc.start()
+    try:
+        graph = select_k(pts, n).graph
+        held, sweep = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        optimize_two_level(graph)
+        tree = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    edges = graph.edge_count
+    assert edges == n * (n - 1) // 2
+    beyond_table, beside_graph = (sweep - 2 * n * n) / edges, tree / edges
+    assert beyond_table <= 12.5, beyond_table
+    assert beside_graph <= 16.0, beside_graph
 
 
 COLD_TREE_PEAK = """

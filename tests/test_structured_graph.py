@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -209,6 +210,21 @@ def test_chosen_graph_has_the_swept_entropy():
         assert at_k == one_dim_se(res.graph) / (res.k * 150), seed
 
 
+def test_chunked_sweep_adds_as_one_bincount():
+    # a complete graph of 79,800 edges spans two sweep chunks: its weights
+    # are exp(-d E / sum(d)) with the sum taken in edge order, and its
+    # degrees the two whole-array bincounts of them, bit for bit
+    pts = np.random.default_rng(3).random((400, 2))
+    g = select_k(pts, CAP).graph
+    assert g.edge_count == 400 * 399 // 2 > structured_graph._CHUNK
+    d = np.sqrt(((pts[g.u] - pts[g.v]) ** 2).sum(axis=1))
+    w = np.exp(d * -(g.edge_count / np.cumsum(d)[-1]))
+    assert g.w.tobytes() == w.tobytes()
+    degrees = np.bincount(g.u, w, minlength=400)
+    degrees += np.bincount(g.v, w, minlength=400)
+    assert g.degrees.tobytes() == degrees.tobytes()
+
+
 def sweep_bytes(res):
     """Everything a k selection decides, as bytes."""
     g = res.graph
@@ -325,7 +341,7 @@ def dense_rank_edges(points, cap):
     np.sqrt(dist, out=dist)
     np.fill_diagonal(dist, -1.0)
     order = np.argsort(dist, kind="stable", axis=1)
-    dtype = structured_graph._rank_dtype(n)
+    dtype = structured_graph.id_dtype(n)
     rank = np.empty((n, n), dtype=dtype)
     np.put_along_axis(rank, order, np.arange(n, dtype=dtype)[None, :], axis=1)
     np.fill_diagonal(rank, n)
@@ -341,9 +357,10 @@ def dense_rank_edges(points, cap):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_blocked_rank_edges_match_the_dense_table(monkeypatch, workers):
-    # the blocked table, on 1 or 3 threads switching often, writes the
-    # dense table's edges, ranks and distances byte for byte: under rank
-    # ties, exact duplicates (in one block and across blocks) and d = 8
+    # the blocked table's keys, on 1 or 3 threads switching often, decode
+    # to the dense table's edges, ranks and distances byte for byte, and
+    # its prefix totals are the dense distances' cumulative sums: under
+    # rank ties, exact duplicates (in one block and across blocks) and d = 8
     rng = np.random.default_rng(11)
     grid = lattice(30, 30, 1.0)
     storm = np.vstack([np.zeros((1599, 2)), [[1.0, 1.0]]])
@@ -363,15 +380,47 @@ def test_blocked_rank_edges_match_the_dense_table(monkeypatch, workers):
                for pts, cap in cases]
     finally:
         sys.setswitchinterval(interval)
-    assert len(calls) == 3 * len(cases)  # ranks, counts and edges
+    assert len(calls) == 3 * len(cases)  # ranks, counts and keys
     assert_dealt_to(calls, workers)
-    for (pts, cap), mine, dense in zip(cases, got, expected):
-        # k_edge stays in the rank table's dtype; widened, it is the same
-        k_edge = mine[2]
-        assert k_edge.dtype == structured_graph._rank_dtype(len(pts))
-        mine = (mine[0], mine[1], k_edge.astype(np.int64), mine[3])
+    for (pts, cap), (keys, shift), dense in zip(cases, got, expected):
+        n = len(pts)
+        assert keys.dtype == np.uint64
+        u, v = structured_graph._edge_ends(keys, shift, n)
+        # endpoints stay in the rank table's dtype; widened, they are the
+        # same
+        assert u.dtype == v.dtype == structured_graph.id_dtype(n)
+        # every prefix length, and one that ends each distance chunk
+        ms = np.unique(np.r_[np.arange(1, keys.size + 1, 7), keys.size])
+        d, totals = structured_graph._edge_distances(pts, u, v, ms)
+        mine = (u.astype(np.int64), v.astype(np.int64),
+                (keys >> np.uint64(shift)).astype(np.int64), d)
         for a, b in zip(mine, dense):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (len(pts), cap)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (n, cap)
+        assert totals.tobytes() == np.cumsum(dense[3])[ms - 1].tobytes()
+
+
+def test_keys_refuse_pairs_past_64_bits(monkeypatch):
+    # a key packs k_edge above the pair index i n + j: 2**21 + 1 points
+    # need 43 bits for the pair, so k up to 2**21 - 1 (21 bits) fits 64
+    # and passes the check (the stub has no coordinates to read), and k up
+    # to 2**21 (22 bits) is refused before any distance or allocation
+    n = 2**21 + 1
+
+    def no_distances(*args, **kwargs):
+        raise AssertionError("distances computed after the refusal")
+
+    monkeypatch.setattr(structured_graph, "sq_distances", no_distances)
+    stub = types.SimpleNamespace(shape=(n, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too many for 64-bit edge keys"):
+            structured_graph._mutual_rank_edges(stub, 2**21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    with pytest.raises(AttributeError):
+        structured_graph._mutual_rank_edges(stub, 2**21 - 1)
 
 
 def test_dense_bytes_matches_traced_peak():
@@ -414,10 +463,13 @@ def test_memory_guard(monkeypatch):
 def test_memory_guard_at_the_counted_edges(monkeypatch):
     # an estimate at the counted edges that just fits, or no MemAvailable
     # to compare with, runs the sweep unchanged; one byte short refuses
-    # after the rank table's distances and before the edges' or any sweep
-    pts = lattice()
+    # after the rank table's distances and before the edges' or any sweep.
+    # On one CPU the keys of 600 points' complete table outweigh the rank
+    # table's distance blocks, so the estimate at the counted edges decides
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
+    pts = np.random.default_rng(0).random((600, 2))
     n = pts.shape[0]
-    workers = min(cpus.usable_cpus(), n - 1)
+    workers = 1
     edges = structured_graph._mutual_rank_edges(pts, n - 1)[0].size
     need = structured_graph.dense_bytes(n, n - 1, workers, edges)
     assert structured_graph.dense_bytes(n, n - 1, workers, 0) < need
@@ -449,9 +501,11 @@ def test_memory_guard_at_the_counted_edges(monkeypatch):
 def test_memory_guard_runs_below_the_edge_bound(monkeypatch):
     # at n = 600 and cap 300 the table holds fewer edges than the bound
     # min(n(n-1)/2, n * cap); memory below the estimate at that bound, but
-    # at the estimate at the counted edges, runs the sweep unchanged
+    # at the estimate at the counted edges, runs the sweep unchanged.  On
+    # one CPU the keys at the bound outweigh the rank table's phase
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
     pts = np.random.default_rng(0).random((600, 2))
-    workers = min(cpus.usable_cpus(), 300)
+    workers = 1
     edges = structured_graph._mutual_rank_edges(pts, 300)[0].size
     need = structured_graph.dense_bytes(600, 300, workers, edges)
     bound = structured_graph.dense_bytes(600, 300, workers,

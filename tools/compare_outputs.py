@@ -62,19 +62,21 @@ differs, the first few key paths whose values differ are listed with both
 values (``selected_k: 16 -> null``, ``per_seed[1].final_nmi: ...``), so a
 change that moves outputs shows which values moved.  Each command's max
 RSS and minor page faults on each side (``ru_maxrss`` and ``ru_minflt``
-from ``os.wait4``) are reported too, each for the commands where it moved
-most; neither counts as a difference.  Faults show memory churn that the
-peak hides: updates that allocate temporaries the size of a whole
-network can multiply a run's faults (agents-500 ``cluster --trace``
-reads about 15-16k) while its max RSS hardly moves.  On the
-single-2k runs ``cluster``'s peak is set-up's, as ``allocate``'s is: over
-six output paths, ``cluster`` (one or four seeds) read 114.6-116.6 MiB
-and ``allocate`` 118.0-118.3 MiB, so a move under about 4 MiB there is
-not attributable.  ``baseline`` sets up nothing, so its peak is the
-search's, which the DBSCAN neighbour-distance table sets (about 56
-MiB).  Earlier commits also read a 130-133 MiB mode for the
-same code, following incidental context such as the output path; a
-single-2k reading near it says nothing about a change.  A full
+from ``os.wait4``) are reported too: max RSS for every run whose peak
+the set-up sets (``SET_UP_RUNS``), and both for the commands where they
+moved most; neither counts as a difference.  Faults show memory churn
+that the peak hides: updates that allocate temporaries the size of a
+whole network can multiply a run's faults (agents-500 ``cluster
+--trace`` reads about 14-16k) while its max RSS hardly moves.  On the
+single-2k runs ``cluster``'s peak is set-up's, as ``allocate``'s is:
+over two output paths, ``cluster`` (one or four seeds) read 92.7-94.5
+MiB and ``allocate`` 86.7-86.8 MiB, and six-Gaussian-5k ``allocate``
+195.2-195.3 MiB.  ``baseline`` sets up nothing, so its peak is the
+search's, which the DBSCAN neighbour-distance table sets (about 51
+MiB).  Earlier commits, whose single-2k runs read 114.6-118.3 MiB,
+also read a 130-133 MiB mode for the same code, following incidental
+context such as the output path; a reading in such a mode says nothing
+about a change.  A full
 comparison takes about two minutes on 2 vCPUs.
 """
 
@@ -88,6 +90,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -138,6 +141,10 @@ RUNS = [
 ]
 
 MOVES_SHOWN = 8  # runs listed by how far their max RSS or faults moved
+# the runs whose peak the set-up (k selection and the tree) sets, whose
+# max RSS is always listed
+SET_UP_RUNS = ["single-2k_cluster", "single-2k_cluster_seeds_0,1,2,3",
+               "single-2k_allocate", "six-gaussian-5k_allocate"]
 KEYS_SHOWN = 5  # differing key paths listed per differing JSON file
 VALUE_WIDTH = 40  # characters of each side's value shown beside a key path
 
@@ -257,14 +264,17 @@ def run_tree(src: Path, configs: dict, out_root: Path) -> dict:
 
 
 def print_moves(usages: dict, field: int, title: str, scale: float,
-                fmt: str) -> None:
-    """List the ``MOVES_SHOWN`` runs whose ``usages`` value at ``field``
-    moved most between the sides, each divided by ``scale``."""
+                fmt: str, runs: Optional[list] = None) -> None:
+    """List both sides' ``usages`` value at ``field`` for ``runs`` or, by
+    default, for the ``MOVES_SHOWN`` runs where it moved most, each
+    divided by ``scale``."""
     parent, change = usages["parent"], usages["change"]
-    moved = sorted(parent, key=lambda run: -abs(change[run][field]
-                                                - parent[run][field]))
-    print(f"{title}, parent -> change, largest moves first:")
-    for run in moved[:MOVES_SHOWN]:
+    if runs is None:
+        runs = sorted(parent, key=lambda run: -abs(change[run][field]
+                                                   - parent[run][field]))
+        runs, title = runs[:MOVES_SHOWN], f"{title}, largest moves first"
+    print(f"{title}, parent -> change:")
+    for run in runs:
         before = parent[run][field] / scale
         after = change[run][field] / scale
         print(f"  {run}: {before:{fmt}} -> {after:{fmt}} "
@@ -357,6 +367,8 @@ def main(argv=None) -> int:
                    for rel in diffs if rel.suffix == ".json"
                    and (work / "parent" / rel).is_file()
                    and (work / "change" / rel).is_file()}
+    print_moves(usages, 0, "max RSS (MiB) of the set-up-heavy runs", 1024,
+                ".1f", SET_UP_RUNS)
     print_moves(usages, 0, "max RSS (MiB)", 1024, ".1f")
     print_moves(usages, 1, "minor page faults", 1, ",.0f")
     for rel in diffs:
